@@ -20,14 +20,7 @@ from .asymptotics import (
     scale_sweep,
 )
 from .discrimination import ErrorPolicy, PdsEntry, PdsReport, compute_pds, pds_row
-from .effects import (
-    EffectMatrix,
-    EffectPair,
-    MaskedVectorView,
-    align_pair,
-    anchor_excluded,
-    row_view,
-)
+from .effects import EffectMatrix, EffectPair, align_pair, anchor_subproblem
 from .errors import (
     BadIndex,
     BadParameter,

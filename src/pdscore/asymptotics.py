@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import ErrorPolicy, compute_pds
-from .effects import EffectMatrix, EffectPair, anchor_excluded
+from .effects import EffectMatrix, EffectPair, anchor_subproblem
 from .errors import BadParameter, DegeneratePair
 from .metrics import DistanceKind, DistanceSpec, pairwise_to_rows, sign_vector
 from .transforms import global_scale
@@ -108,20 +108,9 @@ def convergence_threshold_l2(pair: EffectPair, apply_target_mask: bool = False) 
     also have equal norms (a consistent tie at every scale); otherwise no
     finite threshold exists and DegeneratePair is raised.
     """
-    predicted = pair.predicted.values
-    truth = pair.truth.values
-    p = predicted.shape[1]
     best = 0.0
     for i in range(pair.n_perturbations):
-        excluded = anchor_excluded(pair, i, apply_target_mask)
-        if excluded:
-            keep = np.ones(p, dtype=bool)
-            keep[list(excluded)] = False
-            a = predicted[i, keep]
-            rows = truth[:, keep]
-        else:
-            a = predicted[i]
-            rows = truth
+        a, rows = anchor_subproblem(pair, i, apply_target_mask)
         inner = rows @ a
         sqnorm = (rows**2).sum(axis=1)
         gaps = inner[:, None] - inner[None, :]
@@ -149,20 +138,9 @@ def convergence_threshold_l1(pair: EffectPair, apply_target_mask: bool = False) 
     the max over anchors, nonzero predicted coordinates, and candidates of
     |r_j| / |a_j|. Zero-coordinate contributions are scale free.
     """
-    predicted = pair.predicted.values
-    truth = pair.truth.values
-    p = predicted.shape[1]
     best = 0.0
     for i in range(pair.n_perturbations):
-        excluded = anchor_excluded(pair, i, apply_target_mask)
-        if excluded:
-            keep = np.ones(p, dtype=bool)
-            keep[list(excluded)] = False
-            a = predicted[i, keep]
-            rows = truth[:, keep]
-        else:
-            a = predicted[i]
-            rows = truth
+        a, rows = anchor_subproblem(pair, i, apply_target_mask)
         nz = a != 0.0
         if nz.any():
             ratios = np.abs(rows[:, nz]) / np.abs(a[nz])

@@ -61,6 +61,16 @@ def _grid(text: str):
     return tuple(float(x) for x in np.geomspace(lo, hi, n))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _int_list(text: str):
     try:
         return [int(t) for t in text.split(",") if t.strip()]
@@ -74,7 +84,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _echo_config(args, out: Path, inputs: dict) -> None:
+def _echo_config(args, out: Path, inputs: dict) -> dict:
+    """Write run_config.json; returns the sha256 of each input, keyed like inputs."""
     options = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
@@ -85,15 +96,17 @@ def _echo_config(args, out: Path, inputs: dict) -> None:
     }
     if "transform" in options and options["transform"] is not None:
         options["transform"] = [d.token for d in args.transform]
+    digests = {name: io.sha256_file(path) for name, path in inputs.items()}
     payload = {
         "record": "run-config",
         "tool": "pdscore",
         "version": __version__,
         "command": args.command,
         "options": options,
-        "input_digests": {str(path): io.sha256_file(path) for path in inputs.values()},
+        "input_digests": {str(inputs[name]): d for name, d in digests.items()},
     }
     io.write_json(payload, out / "run_config.json")
+    return digests
 
 
 def _load_pair(args):
@@ -116,9 +129,8 @@ def _cmd_pds(args) -> int:
     inputs = {"pred": args.pred, "truth": args.truth}
     if args.targets:
         inputs["targets"] = args.targets
-    _echo_config(args, out, inputs)
+    meta = {"inputs": _echo_config(args, out, inputs)}
     policy = ErrorPolicy(args.error_policy)
-    meta = {"inputs": {k: io.sha256_file(v) for k, v in inputs.items()}}
     for token in args.metric:
         spec = spec_from_token(token, args.sign_threshold)
         report = compute_pds(
@@ -138,11 +150,10 @@ def _cmd_sweep(args) -> int:
     inputs = {"pred": args.pred, "truth": args.truth}
     if args.targets:
         inputs["targets"] = args.targets
-    _echo_config(args, out, inputs)
+    meta = {"inputs": _echo_config(args, out, inputs)}
     specs = [spec_from_token(t, args.sign_threshold) for t in args.metric]
     grid = args.grid if args.grid is not None else DEFAULT_SWEEP_SCALES
     result = scale_sweep(pair, specs, grid, args.mask_target)
-    meta = {"inputs": {k: io.sha256_file(v) for k, v in inputs.items()}}
     if "json" in args.format:
         io.write_json(io.sweep_payload(result, meta), out / "sweep.json")
     if "csv" in args.format:
@@ -215,14 +226,13 @@ def _cmd_preprocess_effects(args) -> int:
 def _cmd_preprocess_compare(args) -> int:
     out = _out_dir(args)
     counts = io.read_count_matrix(args.counts)
-    _echo_config(args, out, {"counts": args.counts})
+    meta = {"inputs": _echo_config(args, out, {"counts": args.counts})}
     result = compare_pipelines(
         counts,
         pipeline_from_token(args.pipeline_a),
         pipeline_from_token(args.pipeline_b),
         args.sign_threshold,
     )
-    meta = {"inputs": {"counts": io.sha256_file(args.counts)}}
     if "json" in args.format:
         io.write_json(io.comparison_payload(result, meta), out / "comparison.json")
     if "csv" in args.format:
@@ -340,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=ErrorPolicy.WORST.value,
         help="undefined-anchor handling: worst rank, or skip from the mean",
     )
-    p.add_argument("--workers", type=int, default=1, help="anchor-level worker threads")
+    p.add_argument(
+        "--workers", type=_positive_int, default=1, help="anchor-level worker threads (>= 1)"
+    )
     _add_common_io(p)
     p.set_defaults(func=_cmd_pds)
 

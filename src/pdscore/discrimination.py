@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .effects import EffectPair, anchor_excluded
+from .effects import EffectPair, anchor_subproblem
 from .errors import BadIndex, ValidationError, ZeroVector
 from .metrics import DistanceSpec, pairwise_to_rows
 
@@ -98,36 +98,42 @@ def compute_pds(
     n = pair.n_perturbations
     if n < 2:
         raise ValidationError("need at least two perturbations to rank")
-    predicted = pair.predicted.values
-    truth = pair.truth.values
-    p = predicted.shape[1]
 
     def score(i: int) -> PdsEntry:
         pid = pair.perturbation_ids[i]
-        excluded = anchor_excluded(pair, i, apply_target_mask)
-        if excluded:
-            keep = np.ones(p, dtype=bool)
-            keep[list(excluded)] = False
-            a = predicted[i, keep]
-            rows = truth[:, keep]
-        else:
-            a = predicted[i]
-            rows = truth
+        a, rows = anchor_subproblem(pair, i, apply_target_mask)
         try:
             dists = pairwise_to_rows(spec, a, rows)
             rank, value = pds_row(dists, i)
             return PdsEntry(pid, float(dists[i]), rank, value)
         except ZeroVector as exc:  # covers ZeroSignVector
-            if error_policy is ErrorPolicy.WORST:
-                return PdsEntry(pid, float("nan"), float(n), 0.0, error=str(exc))
-            return PdsEntry(pid, float("nan"), float("nan"), float("nan"), error=str(exc))
+            return undefined_entry(pid, n, error_policy, exc)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             entries = tuple(pool.map(score, range(n)))
     else:
         entries = tuple(score(i) for i in range(n))
+    return finish_report(pair, spec, entries, apply_target_mask, error_policy)
 
+
+def undefined_entry(perturbation_id: str, n: int, error_policy: ErrorPolicy, exc) -> PdsEntry:
+    """Entry for an anchor whose measure is undefined among n candidates:
+    the worst rank under WORST, no rank or score under SKIP."""
+    if error_policy is ErrorPolicy.WORST:
+        return PdsEntry(perturbation_id, float("nan"), float(n), 0.0, error=str(exc))
+    return PdsEntry(perturbation_id, float("nan"), float("nan"), float("nan"), error=str(exc))
+
+
+def finish_report(
+    pair: EffectPair,
+    spec: DistanceSpec,
+    entries,
+    apply_target_mask: bool,
+    error_policy: ErrorPolicy,
+) -> PdsReport:
+    """Report over per-anchor entries; SKIP leaves undefined anchors out of the mean."""
+    entries = tuple(entries)
     if error_policy is ErrorPolicy.SKIP:
         values = [e.pds for e in entries if e.error is None]
         if not values:

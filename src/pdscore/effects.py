@@ -130,22 +130,6 @@ class EffectPair:
         )
 
 
-@dataclass(frozen=True)
-class MaskedVectorView:
-    """One matrix row with a set of excluded gene columns."""
-
-    row_index: int
-    excluded: tuple[int, ...]
-
-    def take(self, values: np.ndarray) -> np.ndarray:
-        row = values[self.row_index]
-        if not self.excluded:
-            return row
-        keep = np.ones(row.shape[0], dtype=bool)
-        keep[list(self.excluded)] = False
-        return row[keep]
-
-
 def align_pair(predicted: EffectMatrix, truth: EffectMatrix, target_gene_of=None) -> EffectPair:
     """Restrict two effect matrices to their shared labels, in lexicographic order.
 
@@ -180,33 +164,22 @@ def align_pair(predicted: EffectMatrix, truth: EffectMatrix, target_gene_of=None
     return EffectPair(reindex(predicted), reindex(truth), targets)
 
 
-def anchor_excluded(pair: EffectPair, anchor_index: int, apply_target_mask: bool) -> tuple[int, ...]:
-    """Gene columns excluded when scoring one anchor perturbation.
+def anchor_subproblem(pair: EffectPair, i: int, apply_target_mask: bool):
+    """Predicted row of anchor i and the truth matrix it is ranked against.
 
-    The anchor's own target gene (when declared) is excluded both from its
-    predicted row and from every truth row it is compared against, keeping
-    all comparisons for that anchor in one common subspace.
+    When apply_target_mask is set and the anchor declares a target gene,
+    that gene is dropped from the anchor's predicted row and from every
+    truth row, keeping all comparisons for the anchor in one common
+    subspace. Returns (a, rows); without a mask they are a row view of the
+    predictions and the truth values themselves.
     """
-    if not apply_target_mask:
-        return ()
-    pert = pair.perturbation_ids[anchor_index]
-    gene = pair.target_gene_of.get(pert)
+    a = pair.predicted.values[i]
+    rows = pair.truth.values
+    gene = pair.target_gene_of.get(pair.perturbation_ids[i]) if apply_target_mask else None
     if gene is None:
-        return ()
-    excluded = (pair.gene_ids.index(gene),)
-    if pair.n_genes - len(excluded) < 1:
+        return a, rows
+    if pair.n_genes < 2:
         raise ValidationError("masking would leave no gene coordinates")
-    return excluded
-
-
-def row_view(pair: EffectPair, perturbation_id: str, apply_target_mask: bool):
-    """Masked predicted row plus per-truth-row views sharing the anchor's mask.
-
-    Returns (predicted_row_values, views) where views holds one
-    MaskedVectorView per truth row, all with the same excluded columns.
-    """
-    i = pair.predicted.perturbation_index(perturbation_id)
-    excluded = anchor_excluded(pair, i, apply_target_mask)
-    predicted_row = MaskedVectorView(i, excluded).take(pair.predicted.values)
-    views = tuple(MaskedVectorView(j, excluded) for j in range(pair.n_perturbations))
-    return predicted_row, views
+    keep = np.ones(pair.n_genes, dtype=bool)
+    keep[pair.gene_ids.index(gene)] = False
+    return a[keep], rows[:, keep]

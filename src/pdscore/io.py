@@ -65,7 +65,13 @@ def read_effect_matrix(path) -> EffectMatrix:
             except ValueError:
                 raise ParseError(line, column, f"not a number: {cell.strip()!r}") from None
         data.append(values)
-    return EffectMatrix(np.array(data, dtype=np.float64), tuple(ids), tuple(gene_ids))
+    values = np.array(data, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = map(int, np.argwhere(~finite)[0])
+        line, row = rows[1 + r]
+        raise ParseError(line, c + 2, f"not a finite number: {row[c + 1].strip()!r}")
+    return EffectMatrix(values, tuple(ids), tuple(gene_ids))
 
 
 def write_effect_matrix(matrix: EffectMatrix, path) -> Path:

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import ErrorPolicy, PdsEntry, PdsReport
-from .effects import EffectPair, MaskedVectorView, anchor_excluded, row_view
-from .effects import EffectMatrix
+from .discrimination import ErrorPolicy, PdsEntry, PdsReport, finish_report, undefined_entry
+from .effects import EffectMatrix, EffectPair, anchor_subproblem
 from .errors import BadParameter, BadSpec, ZeroVector
-from .metrics import DistanceSpec, distance
+from .metrics import DistanceKind, DistanceSpec, cosine, dist_l1, dist_l2, distance, sign_cosine
 from .preprocessing import CONTROL_LABEL, CountMatrix
 
 
@@ -172,6 +171,21 @@ def _sorted_average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _scalar_measure(spec: DistanceSpec, a: np.ndarray, r: np.ndarray) -> float:
+    """One measure from the scalar functions; only the limit kinds, which have
+    no scalar form, go through the batched kernel."""
+    kind = spec.kind
+    if kind is DistanceKind.L1:
+        return dist_l1(a, r)
+    if kind is DistanceKind.L2:
+        return dist_l2(a, r)
+    if kind is DistanceKind.COSINE_DISSIM:
+        return 1.0 - cosine(a, r)
+    if kind is DistanceKind.SIGN_COSINE_DISSIM:
+        return 1.0 - sign_cosine(a, r, spec.sign_threshold)
+    return distance(spec, a, r)
+
+
 def oracle_pds(
     pair: EffectPair,
     spec: DistanceSpec,
@@ -180,36 +194,23 @@ def oracle_pds(
 ) -> PdsReport:
     """Reference scorer: scalar distances plus full-sort average-of-tie ranks.
 
-    Shares the measure definitions but none of the ranking code with
-    compute_pds, so rank agreement is a meaningful cross-check.
+    Shares the masking rule and the error policy with compute_pds but none
+    of the ranking code, and evaluates l1, l2, cosine and sign-cosine with
+    the scalar measure functions rather than the batched kernel, so rank
+    agreement is a meaningful cross-check.
     """
     n = pair.n_perturbations
     entries = []
     for i, pid in enumerate(pair.perturbation_ids):
-        predicted_row, views = row_view(pair, pid, apply_target_mask)
+        a, rows = anchor_subproblem(pair, i, apply_target_mask)
         try:
-            dists = np.array(
-                [distance(spec, predicted_row, view.take(pair.truth.values)) for view in views]
-            )
-            ranks = _sorted_average_ranks(dists)
-            rank = float(ranks[i])
+            dists = np.array([_scalar_measure(spec, a, r) for r in rows])
+            rank = float(_sorted_average_ranks(dists)[i])
             value = 1.0 - (rank - 1.0) / (n - 1.0)
             entries.append(PdsEntry(pid, float(dists[i]), rank, value))
         except ZeroVector as exc:
-            if error_policy is ErrorPolicy.WORST:
-                entries.append(PdsEntry(pid, float("nan"), float(n), 0.0, error=str(exc)))
-            else:
-                entries.append(
-                    PdsEntry(pid, float("nan"), float("nan"), float("nan"), error=str(exc))
-                )
-    if error_policy is ErrorPolicy.SKIP:
-        values = [e.pds for e in entries if e.error is None]
-    else:
-        values = [e.pds for e in entries]
-    mean = float(np.mean(np.asarray(values, dtype=np.float64)))
-    return PdsReport(
-        spec, tuple(entries), mean, pair.transform_chain, apply_target_mask, error_policy
-    )
+            entries.append(undefined_entry(pid, n, error_policy, exc))
+    return finish_report(pair, spec, entries, apply_target_mask, error_policy)
 
 
 def oracle_l1_limit(pair: EffectPair, c: float, apply_target_mask: bool = False) -> np.ndarray:
@@ -222,17 +223,11 @@ def oracle_l1_limit(pair: EffectPair, c: float, apply_target_mask: bool = False)
     if not (np.isfinite(c) and c > 0.0):
         raise BadParameter(f"c must be positive, got {c!r}")
     n = pair.n_perturbations
-    truth = pair.truth.values
     out = np.empty((n, n), dtype=np.float64)
     for i in range(n):
-        excluded = anchor_excluded(pair, i, apply_target_mask)
-        a = c * MaskedVectorView(i, excluded).take(pair.predicted.values)
-        dists = np.array(
-            [
-                np.abs(a - MaskedVectorView(j, excluded).take(truth)).sum()
-                for j in range(n)
-            ]
-        )
+        a, rows = anchor_subproblem(pair, i, apply_target_mask)
+        scaled = c * a
+        dists = np.array([np.abs(scaled - r).sum() for r in rows])
         out[i] = _sorted_average_ranks(dists)
     return out
 

@@ -48,11 +48,20 @@ class TransformDescriptor:
 
     @property
     def token(self) -> str:
-        if self.kind is TransformKind.GLOBAL_SCALE:
-            return f"scale:{self.parameter:g}"
-        if self.kind is TransformKind.SIGN_PROJECT:
-            return f"sign:{self.parameter:g}"
-        return self.kind.value
+        """Chain token; parse_chain reads the parameter back bit for bit."""
+        if self.parameter is None:
+            return self.kind.value
+        return f"{self.kind.value}:{_exact(self.parameter)}"
+
+
+def _exact(x: float) -> str:
+    # Fewest %g digits, from the default six, that parse back to x exactly;
+    # 17 significant digits always round-trip a float64.
+    for digits in range(6, 17):
+        text = f"{x:.{digits}g}"
+        if float(text) == x:
+            return text
+    return f"{x:.17g}"
 
 
 def global_scale(predicted: EffectMatrix, c: float) -> EffectMatrix:

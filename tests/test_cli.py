@@ -62,6 +62,10 @@ class TestPdsCommand:
         report = json.loads((out / "pds_cosine.json").read_text())
         assert 0.0 <= report["mean_pds"] <= 1.0
         assert len(report["per_perturbation"]) == 12
+        assert report["meta"]["inputs"] == {
+            "pred": config["input_digests"][str(pred)],
+            "truth": config["input_digests"][str(truth)],
+        }
 
     def test_transform_chain_flag(self, pair_files, tmp_path):
         pred, truth = pair_files
@@ -101,6 +105,20 @@ class TestPdsCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "l1" in err and "sign-cosine" in err
+
+    def test_workers_below_one_exits_2(self, pair_files, tmp_path, capsys):
+        pred, truth = pair_files
+        for workers in ("0", "-3"):
+            out = tmp_path / f"w{workers}"
+            code = main(
+                [
+                    "pds", "--pred", str(pred), "--truth", str(truth),
+                    "--workers", workers, "--out", str(out),
+                ]
+            )
+            assert code == 2
+            assert "--workers" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(

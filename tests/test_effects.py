@@ -9,7 +9,7 @@ from pdscore import (
     UnknownPerturbation,
     ValidationError,
     align_pair,
-    row_view,
+    anchor_subproblem,
 )
 
 from helpers import pair_from
@@ -137,18 +137,16 @@ class TestEffectPair:
             EffectPair(a, a, {"A": "gX"})
 
 
-class TestRowView:
+class TestAnchorSubproblem:
     def test_target_mask_excludes_shared_column(self):
         pair = pair_from(
             [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
             [[7.0, 8.0, 9.0], [10.0, 11.0, 12.0]],
             {"P0000": "G0001"},
         )
-        predicted_row, views = row_view(pair, "P0000", apply_target_mask=True)
-        assert predicted_row.tolist() == [1.0, 3.0]
-        assert [v.excluded for v in views] == [(1,), (1,)]
-        assert views[0].take(pair.truth.values).tolist() == [7.0, 9.0]
-        assert views[1].take(pair.truth.values).tolist() == [10.0, 12.0]
+        a, rows = anchor_subproblem(pair, 0, apply_target_mask=True)
+        assert a.tolist() == [1.0, 3.0]
+        assert rows.tolist() == [[7.0, 9.0], [10.0, 12.0]]
 
     def test_mask_disabled_returns_full_rows(self):
         pair = pair_from(
@@ -156,9 +154,9 @@ class TestRowView:
             [[7.0, 8.0, 9.0], [10.0, 11.0, 12.0]],
             {"P0000": "G0001"},
         )
-        predicted_row, views = row_view(pair, "P0000", apply_target_mask=False)
-        assert predicted_row.tolist() == [1.0, 2.0, 3.0]
-        assert all(v.excluded == () for v in views)
+        a, rows = anchor_subproblem(pair, 0, apply_target_mask=False)
+        assert a.tolist() == [1.0, 2.0, 3.0]
+        assert rows.tolist() == [[7.0, 8.0, 9.0], [10.0, 11.0, 12.0]]
 
     def test_missing_target_entry_means_no_mask(self):
         pair = pair_from(
@@ -166,26 +164,20 @@ class TestRowView:
             [[7.0, 8.0, 9.0], [10.0, 11.0, 12.0]],
             {"P0000": "G0001"},
         )
-        predicted_row, views = row_view(pair, "P0001", apply_target_mask=True)
-        assert predicted_row.tolist() == [4.0, 5.0, 6.0]
-        assert all(v.excluded == () for v in views)
-
-    def test_unknown_perturbation(self):
-        pair = pair_from([[1.0], [2.0]], [[3.0], [4.0]])
-        with pytest.raises(UnknownPerturbation):
-            row_view(pair, "nope", False)
+        a, rows = anchor_subproblem(pair, 1, apply_target_mask=True)
+        assert a.tolist() == [4.0, 5.0, 6.0]
+        assert rows.tolist() == [[7.0, 8.0, 9.0], [10.0, 11.0, 12.0]]
 
     def test_unexcluded_coordinates_unchanged(self):
         rng = np.random.default_rng(11)
         values = rng.standard_normal((5, 7))
         pair = pair_from(values, values * 3.0, {"P0002": "G0004"})
-        predicted_row, views = row_view(pair, "P0002", apply_target_mask=True)
+        a, rows = anchor_subproblem(pair, 2, apply_target_mask=True)
         keep = [0, 1, 2, 3, 5, 6]
-        assert np.array_equal(predicted_row, values[2, keep])
-        for j, view in enumerate(views):
-            assert np.array_equal(view.take(pair.truth.values), values[j, keep] * 3.0)
+        assert np.array_equal(a, values[2, keep])
+        assert np.array_equal(rows, values[:, keep] * 3.0)
 
     def test_masking_everything_rejected(self):
         pair = pair_from([[1.0], [2.0]], [[3.0], [4.0]], {"P0000": "G0000"})
         with pytest.raises(ValidationError):
-            row_view(pair, "P0000", apply_target_mask=True)
+            anchor_subproblem(pair, 0, apply_target_mask=True)

@@ -50,6 +50,17 @@ class TestEffectMatrixRoundTrip:
         assert info.value.line == 3
         assert info.value.column == 2
 
+    def test_non_finite_cell_has_position(self, tmp_path):
+        path = tmp_path / "nonfinite.csv"
+        for text, line, column in (
+            ("perturbation,g1,g2\nA,1,nan\nB,3,4\n", 2, 3),
+            ("perturbation,g1,g2\n\nA,1,2\nB,-inf,inf\n", 4, 2),
+        ):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="not a finite number") as info:
+                pio.read_effect_matrix(path)
+            assert (info.value.line, info.value.column) == (line, column)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("perturbation,g1,g2\nA,1\n")

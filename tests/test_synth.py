@@ -7,7 +7,9 @@ from pdscore import (
     CountSynthSpec,
     DistanceKind,
     DistanceSpec,
+    ErrorPolicy,
     SynthSpec,
+    ValidationError,
     compute_pds,
     generate,
     generate_counts,
@@ -146,6 +148,13 @@ class TestOraclePds:
             fast = compute_pds(pair, spec, apply_target_mask=True)
             slow = oracle_pds(pair, spec, apply_target_mask=True)
             assert np.array_equal(fast.ranks(), slow.ranks())
+
+    def test_skip_with_every_anchor_undefined_raises(self):
+        pair = pair_from(np.zeros((3, 4)), np.ones((3, 4)))
+        spec = DistanceSpec(DistanceKind.COSINE_DISSIM)
+        for scorer in (compute_pds, oracle_pds):
+            with pytest.raises(ValidationError, match="every anchor failed"):
+                scorer(pair, spec, error_policy=ErrorPolicy.SKIP)
 
 
 class TestOracleL1Limit:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pdscore import (
     BadParameter,
@@ -190,6 +192,28 @@ class TestChainGrammar:
         assert chain[0].parameter == 3.0
         assert chain[2].parameter == 0.1
         assert chain_tokens(chain) == ["scale:3", "norm-match:l2", "sign:0.1", "norm-match:l1"]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(
+                    lambda c: TransformDescriptor(TransformKind.GLOBAL_SCALE, c)
+                ),
+                st.floats(min_value=0.0, allow_infinity=False).map(
+                    lambda t: TransformDescriptor(TransformKind.SIGN_PROJECT, t)
+                ),
+                st.sampled_from(
+                    [
+                        TransformDescriptor(TransformKind.NORM_MATCH_L1),
+                        TransformDescriptor(TransformKind.NORM_MATCH_L2),
+                    ]
+                ),
+            ),
+            max_size=5,
+        ).map(tuple)
+    )
+    def test_tokens_round_trip(self, chain):
+        assert parse_chain(",".join(chain_tokens(chain))) == chain
 
     def test_empty_text(self):
         assert parse_chain("") == ()
