@@ -1,0 +1,6 @@
+"""Run the command line as `python -m pdscore`."""
+
+from .cli import run
+
+if __name__ == "__main__":
+    run()

@@ -1,8 +1,9 @@
 """Command line: compute scores, sweeps, transforms, geometry runs, preprocessing, synthesis.
 
 Exit codes: 0 success, 1 validation or I/O failure, 2 usage error. Every
-run writes run_config.json into the output directory so results can be
-reproduced from the emitted options, seed, and input digests alone.
+run writes run_config.json into the output directory before the command
+runs, so results can be reproduced from the emitted options, seed, and
+input digests alone.
 """
 
 import argparse
@@ -20,13 +21,7 @@ from .geometry import orthogonal_ray_certificate, region_fraction
 from .metrics import METRIC_TOKENS, spec_from_token
 from .preprocessing import compare_pipelines, mean_effects, normalize, pipeline_from_token
 from .synth import CountSynthSpec, SynthSpec, generate, generate_counts
-from .transforms import (
-    CHAIN_GRAMMAR,
-    TransformDescriptor,
-    TransformKind,
-    apply_chain,
-    parse_chain,
-)
+from .transforms import CHAIN_GRAMMAR, apply_chain, chain_tokens, norm_match, parse_chain
 
 
 def _metric_list(text: str):
@@ -78,24 +73,19 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError("expected a comma-separated list of integers") from None
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# Options that name input files, in the order their digests are recorded.
+_INPUTS = ("pred", "truth", "targets", "counts")
 
 
 def _echo_config(args, out: Path, inputs: dict) -> dict:
     """Write run_config.json; returns the sha256 of each input, keyed like inputs."""
     options = {
-        k: (str(v) if isinstance(v, Path) else v)
+        k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(args).items()
-        if k != "func" and not callable(v)
+        if not callable(v)
     }
-    options = {
-        k: (list(v) if isinstance(v, tuple) else v) for k, v in options.items()
-    }
-    if "transform" in options and options["transform"] is not None:
-        options["transform"] = [d.token for d in args.transform]
+    if "transform" in options:
+        options["transform"] = chain_tokens(args.transform)
     digests = {name: io.sha256_file(path) for name, path in inputs.items()}
     payload = {
         "record": "run-config",
@@ -107,6 +97,14 @@ def _echo_config(args, out: Path, inputs: dict) -> dict:
     }
     io.write_json(payload, out / "run_config.json")
     return digests
+
+
+def _emit(args, out: Path, stem: str, result, meta, payload, write_csv) -> None:
+    """Write result as <stem>.json and/or <stem>.csv, as --format asks."""
+    if "json" in args.format:
+        io.write_json(payload(result, meta), out / f"{stem}.json")
+    if "csv" in args.format:
+        write_csv(result, out / f"{stem}.csv")
 
 
 def _load_pair(args):
@@ -122,63 +120,41 @@ def _load_pair(args):
     return align_pair(predicted, truth, targets)
 
 
-def _cmd_pds(args) -> int:
-    out = _out_dir(args)
-    pair = _load_pair(args)
-    pair = apply_chain(pair, args.transform or ())
-    inputs = {"pred": args.pred, "truth": args.truth}
-    if args.targets:
-        inputs["targets"] = args.targets
-    meta = {"inputs": _echo_config(args, out, inputs)}
+def _cmd_pds(args, out: Path, meta: dict | None) -> int:
+    pair = apply_chain(_load_pair(args), args.transform or ())
     policy = ErrorPolicy(args.error_policy)
     for token in args.metric:
         spec = spec_from_token(token, args.sign_threshold)
         report = compute_pds(
             pair, spec, args.mask_target, error_policy=policy, workers=args.workers
         )
-        if "json" in args.format:
-            io.write_json(io.pds_report_payload(report, meta), out / f"pds_{token}.json")
-        if "csv" in args.format:
-            io.write_pds_report_csv(report, out / f"pds_{token}.csv")
+        _emit(
+            args, out, f"pds_{token}", report, meta, io.pds_report_payload, io.write_pds_report_csv
+        )
         print(f"metric={token} mean_pds={report.mean_pds:.6f}")
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    out = _out_dir(args)
-    pair = _load_pair(args)
-    inputs = {"pred": args.pred, "truth": args.truth}
-    if args.targets:
-        inputs["targets"] = args.targets
-    meta = {"inputs": _echo_config(args, out, inputs)}
+def _cmd_sweep(args, out: Path, meta: dict | None) -> int:
     specs = [spec_from_token(t, args.sign_threshold) for t in args.metric]
     grid = args.grid if args.grid is not None else DEFAULT_SWEEP_SCALES
-    result = scale_sweep(pair, specs, grid, args.mask_target)
-    if "json" in args.format:
-        io.write_json(io.sweep_payload(result, meta), out / "sweep.json")
-    if "csv" in args.format:
-        io.write_sweep_csv(result, out / "sweep.csv")
+    result = scale_sweep(_load_pair(args), specs, grid, args.mask_target)
+    _emit(args, out, "sweep", result, meta, io.sweep_payload, io.write_sweep_csv)
     for token, value in result.limit_mean_pds.items():
         print(f"metric={token} limit_mean_pds={value:.6f}")
     return 0
 
 
-def _cmd_norm_match(args) -> int:
-    out = _out_dir(args)
-    pair = _load_pair(args)
-    kind = TransformKind.NORM_MATCH_L1 if args.norm == "l1" else TransformKind.NORM_MATCH_L2
-    matched = apply_chain(pair, (TransformDescriptor(kind),))
-    _echo_config(args, out, {"pred": args.pred, "truth": args.truth})
+def _cmd_norm_match(args, out: Path, meta: dict | None) -> int:
+    matched = norm_match(_load_pair(args), 1 if args.norm == "l1" else 2)
     path = io.write_effect_matrix(matched.predicted, out / "norm_matched_predictions.csv")
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_geometry_certificate(args) -> int:
-    out = _out_dir(args)
-    _echo_config(args, out, {})
+def _cmd_geometry_certificate(args, out: Path, meta: dict | None) -> int:
     result = orthogonal_ray_certificate(args.pred_norm, args.true_norm, args.cosine)
-    io.write_json(io.certificate_payload(result), out / "certificate.json")
+    io.write_json(io.certificate_payload(result, meta), out / "certificate.json")
     print(
         f"safe={result.safe} cosine={result.cosine:g} "
         f"threshold={result.threshold:g} margin={result.margin:g}"
@@ -186,36 +162,27 @@ def _cmd_geometry_certificate(args) -> int:
     return 0
 
 
-def _cmd_geometry_region(args) -> int:
-    out = _out_dir(args)
-    _echo_config(args, out, {})
+def _cmd_geometry_region(args, out: Path, meta: dict | None) -> int:
     results = [
         region_fraction(d, args.rho, args.kappa, args.samples, args.seed, args.metric)
         for d in args.dims
     ]
-    if "json" in args.format:
-        io.write_json(io.region_payload(results), out / "region.json")
-    if "csv" in args.format:
-        io.write_region_csv(results, out / "region.csv")
+    _emit(args, out, "region", results, meta, io.region_payload, io.write_region_csv)
     for r in results:
         print(f"d={r.dimension} fraction={r.fraction_closer:.6f} stderr={r.standard_error:.6f}")
     return 0
 
 
-def _cmd_preprocess_normalize(args) -> int:
-    out = _out_dir(args)
+def _cmd_preprocess_normalize(args, out: Path, meta: dict | None) -> int:
     counts = io.read_count_matrix(args.counts)
-    _echo_config(args, out, {"counts": args.counts})
     values = normalize(counts, pipeline_from_token(args.pipeline))
     path = io.write_normalized_matrix(values, counts, out / "normalized.csv")
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_preprocess_effects(args) -> int:
-    out = _out_dir(args)
+def _cmd_preprocess_effects(args, out: Path, meta: dict | None) -> int:
     counts = io.read_count_matrix(args.counts)
-    _echo_config(args, out, {"counts": args.counts})
     values = normalize(counts, pipeline_from_token(args.pipeline))
     effects = mean_effects(values, counts.cell_condition, counts.gene_ids)
     path = io.write_effect_matrix(effects, out / "effects.csv")
@@ -223,20 +190,15 @@ def _cmd_preprocess_effects(args) -> int:
     return 0
 
 
-def _cmd_preprocess_compare(args) -> int:
-    out = _out_dir(args)
+def _cmd_preprocess_compare(args, out: Path, meta: dict | None) -> int:
     counts = io.read_count_matrix(args.counts)
-    meta = {"inputs": _echo_config(args, out, {"counts": args.counts})}
     result = compare_pipelines(
         counts,
         pipeline_from_token(args.pipeline_a),
         pipeline_from_token(args.pipeline_b),
         args.sign_threshold,
     )
-    if "json" in args.format:
-        io.write_json(io.comparison_payload(result, meta), out / "comparison.json")
-    if "csv" in args.format:
-        io.write_comparison_csv(result, out / "comparison.csv")
+    _emit(args, out, "comparison", result, meta, io.comparison_payload, io.write_comparison_csv)
     print(
         f"perturbations={len(result.perturbation_ids)} "
         f"median_cosine={float(np.median(result.cosine_between)):.4f}"
@@ -244,8 +206,7 @@ def _cmd_preprocess_compare(args) -> int:
     return 0
 
 
-def _cmd_synth_pair(args) -> int:
-    out = _out_dir(args)
+def _cmd_synth_pair(args, out: Path, meta: dict | None) -> int:
     spec = SynthSpec(
         n_perturbations=args.n,
         n_genes=args.genes,
@@ -256,15 +217,13 @@ def _cmd_synth_pair(args) -> int:
         seed=args.seed,
     )
     pair = generate(spec)
-    _echo_config(args, out, {})
     io.write_effect_matrix(pair.predicted, out / "predicted.csv")
     io.write_effect_matrix(pair.truth, out / "truth.csv")
     print(f"wrote {out / 'predicted.csv'} and {out / 'truth.csv'}")
     return 0
 
 
-def _cmd_synth_counts(args) -> int:
-    out = _out_dir(args)
+def _cmd_synth_counts(args, out: Path, meta: dict | None) -> int:
     spec = CountSynthSpec(
         n_perturbations=args.perturbations,
         cells_per_condition=args.cells_per_condition,
@@ -276,7 +235,6 @@ def _cmd_synth_counts(args) -> int:
         seed=args.seed,
     )
     counts = generate_counts(spec)
-    _echo_config(args, out, {})
     path = io.write_count_matrix(counts, out / "counts.csv")
     print(f"wrote {path}")
     return 0
@@ -446,7 +404,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        inputs = {name: getattr(args, name) for name in _INPUTS if getattr(args, name, None)}
+        digests = _echo_config(args, out, inputs)
+        return args.func(args, out, {"inputs": digests} if inputs else None)
     except PdsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

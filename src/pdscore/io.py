@@ -10,17 +10,19 @@ significant digits so a round trip reproduces every value exactly.
 import csv
 import hashlib
 import json
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .asymptotics import ScaleSweepResult
-from .discrimination import PdsReport
+from .discrimination import PdsEntry, PdsReport
 from .effects import EffectMatrix
 from .errors import ParseError
 from .geometry import CertificateResult
 from .preprocessing import CountMatrix, PipelineComparison
+from .transforms import chain_tokens
 
 
 def fmt(value: float) -> str:
@@ -35,121 +37,126 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _rows_of(path) -> list[list[str]]:
+def _rows_of(path) -> list:
+    """(1-based line number, cells) of every row of a CSV file that is not blank."""
     with open(path, newline="") as fh:
-        return [row for row in csv.reader(fh)]
+        rows = enumerate(csv.reader(fh), start=1)
+        return [(line, row) for line, row in rows if any(cell.strip() for cell in row)]
+
+
+def _write_csv(path, header, rows) -> Path:
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _bad_cell(rows, n_label_columns: int, at, reason: str) -> ParseError:
+    """ParseError at value at = (r, c), column c of data row r, quoting the cell."""
+    r, c = map(int, at)
+    line, row = rows[r]
+    column = n_label_columns + c
+    return ParseError(line, column + 1, f"{reason}: {row[column].strip()!r}")
+
+
+def _read_table(path, n_label_columns: int, parse, what: str, label_text: str):
+    """Parse a header of gene ids after the label columns, then rows of labels and values.
+
+    Returns (gene_ids, labels, data, rows): each data row's stripped label
+    cells, its parsed values, and its (line, cells) for error positions.
+    """
+    rows = _rows_of(path)
+    if not rows:
+        raise ParseError(1, 1, "empty file")
+    header_line, header = rows.pop(0)
+    if len(header) <= n_label_columns:
+        raise ParseError(header_line, 1, f"expected gene columns after {label_text}")
+    gene_ids = [cell.strip() for cell in header[n_label_columns:]]
+    if not rows:
+        raise ParseError(header_line, 1, "no data rows")
+    labels = []
+    data = []
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ParseError(line, 1, f"expected {len(header)} fields, found {len(row)}")
+        labels.append([cell.strip() for cell in row[:n_label_columns]])
+        values = []
+        for column, cell in enumerate(row[n_label_columns:], start=n_label_columns + 1):
+            try:
+                values.append(parse(cell))
+            except ValueError:
+                raise ParseError(line, column, f"not {what}: {cell.strip()!r}") from None
+        data.append(values)
+    return gene_ids, labels, data, rows
+
+
+def _write_matrix(path, label_columns, labels, gene_ids, values, cell=fmt) -> Path:
+    """Write a labelled table: each row's label cells, then cell(v) for each of its values."""
+    rows = ([*label, *map(cell, row)] for label, row in zip(labels, values))
+    return _write_csv(path, [*label_columns, *gene_ids], rows)
 
 
 def read_effect_matrix(path) -> EffectMatrix:
     """Parse an effect matrix CSV; errors carry 1-based line and column."""
-    rows = _rows_of(path)
-    rows = [(i, row) for i, row in enumerate(rows, start=1) if any(cell.strip() for cell in row)]
-    if not rows:
-        raise ParseError(1, 1, "empty file")
-    header_line, header = rows[0]
-    if len(header) < 2:
-        raise ParseError(header_line, 1, "expected gene columns after the label column")
-    gene_ids = [cell.strip() for cell in header[1:]]
-    if len(rows) < 2:
-        raise ParseError(header_line, 1, "no data rows")
-    ids = []
-    data = []
-    for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(line, 1, f"expected {len(header)} fields, found {len(row)}")
-        ids.append(row[0].strip())
-        values = []
-        for column, cell in enumerate(row[1:], start=2):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ParseError(line, column, f"not a number: {cell.strip()!r}") from None
-        data.append(values)
+    gene_ids, labels, data, rows = _read_table(path, 1, float, "a number", "the label column")
     values = np.array(data, dtype=np.float64)
-    finite = np.isfinite(values)
-    if not finite.all():
-        r, c = map(int, np.argwhere(~finite)[0])
-        line, row = rows[1 + r]
-        raise ParseError(line, c + 2, f"not a finite number: {row[c + 1].strip()!r}")
-    return EffectMatrix(values, tuple(ids), tuple(gene_ids))
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        raise _bad_cell(rows, 1, bad[0], "not a finite number")
+    (ids,) = zip(*labels)
+    return EffectMatrix(values, ids, tuple(gene_ids))
 
 
 def write_effect_matrix(matrix: EffectMatrix, path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["perturbation", *matrix.gene_ids])
-        for pid, row in zip(matrix.perturbation_ids, matrix.values):
-            writer.writerow([pid, *(fmt(v) for v in row)])
-    return path
+    labels = zip(matrix.perturbation_ids)
+    return _write_matrix(path, ["perturbation"], labels, matrix.gene_ids, matrix.values)
 
 
 def read_count_matrix(path) -> CountMatrix:
-    """Parse a counts CSV (cell id, condition, then integer counts)."""
-    rows = _rows_of(path)
-    rows = [(i, row) for i, row in enumerate(rows, start=1) if any(cell.strip() for cell in row)]
-    if not rows:
-        raise ParseError(1, 1, "empty file")
-    header_line, header = rows[0]
-    if len(header) < 3:
-        raise ParseError(header_line, 1, "expected gene columns after cell and condition columns")
-    gene_ids = [cell.strip() for cell in header[2:]]
-    if len(rows) < 2:
-        raise ParseError(header_line, 1, "no data rows")
-    cell_ids = []
-    conditions = []
-    data = []
-    for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(line, 1, f"expected {len(header)} fields, found {len(row)}")
-        cell_ids.append(row[0].strip())
-        conditions.append(row[1].strip())
-        values = []
-        for column, cell in enumerate(row[2:], start=3):
-            text = cell.strip()
-            try:
-                values.append(int(text))
-            except ValueError:
-                raise ParseError(line, column, f"not an integer count: {text!r}") from None
-        data.append(values)
-    return CountMatrix(
-        np.array(data, dtype=np.int64), tuple(conditions), tuple(gene_ids), tuple(cell_ids)
-    )
+    """Parse a counts CSV (cell id, condition, then nonnegative integer counts)."""
+    labels_text = "cell and condition columns"
+    gene_ids, labels, data, rows = _read_table(path, 2, int, "an integer count", labels_text)
+    try:
+        counts = np.array(data, dtype=np.int64)
+    except OverflowError:  # a cell beyond 64 bits: compare the exact integers instead
+        exact = np.array(data, dtype=object)
+        bad = np.argwhere((exact < 0) | (exact >= 2**63))
+    else:
+        bad = np.argwhere(counts < 0)
+    if bad.size:
+        raise _bad_cell(rows, 2, bad[0], "count out of range 0 to 2**63 - 1")
+    cell_ids, conditions = zip(*labels)
+    return CountMatrix(counts, conditions, tuple(gene_ids), cell_ids)
+
+
+_COUNT_LABELS = ["cell", "condition"]
 
 
 def write_count_matrix(counts: CountMatrix, path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "condition", *counts.gene_ids])
-        for cid, condition, row in zip(counts.cell_ids, counts.cell_condition, counts.counts):
-            writer.writerow([cid, condition, *(str(int(v)) for v in row)])
-    return path
+    # tolist() gives Python ints, so each cell is written as str(int(v)).
+    values = (row.tolist() for row in counts.counts)
+    labels = zip(counts.cell_ids, counts.cell_condition)
+    return _write_matrix(path, _COUNT_LABELS, labels, counts.gene_ids, values, str)
 
 
 def write_normalized_matrix(values, counts: CountMatrix, path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "condition", *counts.gene_ids])
-        for cid, condition, row in zip(counts.cell_ids, counts.cell_condition, values):
-            writer.writerow([cid, condition, *(fmt(v) for v in row)])
-    return path
+    labels = zip(counts.cell_ids, counts.cell_condition)
+    return _write_matrix(path, _COUNT_LABELS, labels, counts.gene_ids, values)
 
 
 def read_target_map(path) -> dict:
-    """Parse a two-column perturbation-to-target-gene CSV; header optional."""
-    rows = _rows_of(path)
+    """Parse a two-column perturbation-to-target-gene CSV; header optional, no conflicts."""
     out = {}
-    for line, row in enumerate(rows, start=1):
-        if not any(cell.strip() for cell in row):
-            continue
+    for line, row in _rows_of(path):
         if len(row) != 2:
             raise ParseError(line, 1, f"expected 2 fields, found {len(row)}")
         key, value = row[0].strip(), row[1].strip()
         if line == 1 and key.lower() == "perturbation":
             continue
-        out[key] = value
+        if out.setdefault(key, value) != value:
+            raise ParseError(line, 2, f"perturbation {key!r} already has target {out[key]!r}")
     return out
 
 
@@ -169,168 +176,94 @@ def write_json(payload: dict, path) -> Path:
     return path
 
 
-def _base_payload(record: str, meta: dict | None) -> dict:
+def _payload(record: str, meta: dict | None, body: dict) -> dict:
+    """A report: record name, tool and version, meta when given, then body."""
     payload = {"record": record, "tool": "pdscore", "version": __version__}
     if meta:
         payload["meta"] = meta
+    payload.update(body)
     return payload
 
 
 def pds_report_payload(report: PdsReport, meta: dict | None = None) -> dict:
-    payload = _base_payload("pds-report", meta)
-    payload.update(
-        {
-            "metric": {"kind": report.metric.token, "sign_threshold": report.metric.sign_threshold},
-            "transform_chain": [d.token for d in report.transform_chain],
-            "apply_target_mask": report.apply_target_mask,
-            "error_policy": report.error_policy.value,
-            "n_perturbations": report.n_perturbations,
-            "mean_pds": report.mean_pds,
-            "per_perturbation": [
-                {
-                    "perturbation_id": e.perturbation_id,
-                    "true_distance": e.true_distance,
-                    "rank": e.rank,
-                    "pds": e.pds,
-                    "error": e.error,
-                }
-                for e in report.per_perturbation
-            ],
-        }
-    )
-    return payload
+    body = {
+        "metric": {"kind": report.metric.token, "sign_threshold": report.metric.sign_threshold},
+        "transform_chain": chain_tokens(report.transform_chain),
+        "apply_target_mask": report.apply_target_mask,
+        "error_policy": report.error_policy.value,
+        "n_perturbations": report.n_perturbations,
+        "mean_pds": report.mean_pds,
+        "per_perturbation": [asdict(e) for e in report.per_perturbation],
+    }
+    return _payload("pds-report", meta, body)
+
+
+# The CSV names the id column "perturbation"; the other columns are PdsEntry's fields.
+_PDS_CSV_HEADER = ["perturbation", *(f.name for f in fields(PdsEntry)[1:])]
 
 
 def write_pds_report_csv(report: PdsReport, path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["perturbation", "true_distance", "rank", "pds", "error"])
-        for e in report.per_perturbation:
-            writer.writerow(
-                [e.perturbation_id, fmt(e.true_distance), fmt(e.rank), fmt(e.pds), e.error or ""]
-            )
-    return path
+    entries = map(astuple, report.per_perturbation)
+    rows = ([pid, *map(fmt, numbers), error or ""] for pid, *numbers, error in entries)
+    return _write_csv(path, _PDS_CSV_HEADER, rows)
 
 
 def sweep_payload(result: ScaleSweepResult, meta: dict | None = None) -> dict:
-    payload = _base_payload("scale-sweep", meta)
-    payload.update(
-        {
-            "scales": list(result.scales),
-            "mean_pds_per_scale": {k: list(v) for k, v in result.mean_pds_per_scale.items()},
-            "limit_mean_pds": dict(result.limit_mean_pds),
-        }
-    )
-    return payload
+    body = {
+        "scales": list(result.scales),
+        "mean_pds_per_scale": {k: list(v) for k, v in result.mean_pds_per_scale.items()},
+        "limit_mean_pds": dict(result.limit_mean_pds),
+    }
+    return _payload("scale-sweep", meta, body)
 
 
 def write_sweep_csv(result: ScaleSweepResult, path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c", "metric", "mean_pds"])
-        for metric, curve in result.mean_pds_per_scale.items():
-            for c, value in zip(result.scales, curve):
-                writer.writerow([fmt(c), metric, fmt(value)])
-    return path
+    curves = result.mean_pds_per_scale.items()
+    rows = ([fmt(c), m, fmt(v)] for m, curve in curves for c, v in zip(result.scales, curve))
+    return _write_csv(path, ["c", "metric", "mean_pds"], rows)
+
+
+# Per-perturbation columns of a comparison, each an array attribute of PipelineComparison.
+_COMPARISON_COLUMNS = (
+    "l1_norm_a", "l1_norm_b", "l2_norm_a", "l2_norm_b", "cosine_between", "sign_cosine_between"
+)
+
+
+def _comparison_rows(result: PipelineComparison, cell):
+    """Per perturbation: its id, then cell(v) for each of its _COMPARISON_COLUMNS values."""
+    columns = zip(*(getattr(result, name) for name in _COMPARISON_COLUMNS))
+    return ([pid, *map(cell, values)] for pid, values in zip(result.perturbation_ids, columns))
 
 
 def comparison_payload(result: PipelineComparison, meta: dict | None = None) -> dict:
-    payload = _base_payload("pipeline-comparison", meta)
-    payload.update(
-        {
-            "pipeline_a": result.spec_a.token,
-            "pipeline_b": result.spec_b.token,
-            "per_perturbation": [
-                {
-                    "perturbation_id": pid,
-                    "l1_norm_a": float(result.l1_norm_a[i]),
-                    "l1_norm_b": float(result.l1_norm_b[i]),
-                    "l2_norm_a": float(result.l2_norm_a[i]),
-                    "l2_norm_b": float(result.l2_norm_b[i]),
-                    "cosine_between": float(result.cosine_between[i]),
-                    "sign_cosine_between": float(result.sign_cosine_between[i]),
-                }
-                for i, pid in enumerate(result.perturbation_ids)
-            ],
-        }
-    )
-    return payload
+    keys = ("perturbation_id", *_COMPARISON_COLUMNS)
+    rows = [dict(zip(keys, row)) for row in _comparison_rows(result, float)]
+    pipelines = {"pipeline_a": result.spec_a.token, "pipeline_b": result.spec_b.token}
+    return _payload("pipeline-comparison", meta, {**pipelines, "per_perturbation": rows})
 
 
 def write_comparison_csv(result: PipelineComparison, path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "perturbation",
-                "l1_norm_a",
-                "l1_norm_b",
-                "l2_norm_a",
-                "l2_norm_b",
-                "cosine_between",
-                "sign_cosine_between",
-            ]
-        )
-        for i, pid in enumerate(result.perturbation_ids):
-            writer.writerow(
-                [
-                    pid,
-                    fmt(result.l1_norm_a[i]),
-                    fmt(result.l1_norm_b[i]),
-                    fmt(result.l2_norm_a[i]),
-                    fmt(result.l2_norm_b[i]),
-                    fmt(result.cosine_between[i]),
-                    fmt(result.sign_cosine_between[i]),
-                ]
-            )
-    return path
+    return _write_csv(path, ["perturbation", *_COMPARISON_COLUMNS], _comparison_rows(result, fmt))
+
+
+# Region run columns: (report key, MonteCarloRegionResult attribute).
+_REGION_COLUMNS = (
+    ("d", "dimension"), ("rho", "norm_ratio"), ("kappa", "true_cosine"),
+    ("samples", "samples"), ("fraction", "fraction_closer"), ("stderr", "standard_error"),
+)
 
 
 def region_payload(results, meta: dict | None = None) -> dict:
-    payload = _base_payload("region-fraction", meta)
-    payload["runs"] = [
-        {
-            "d": r.dimension,
-            "rho": r.norm_ratio,
-            "kappa": r.true_cosine,
-            "samples": r.samples,
-            "fraction": r.fraction_closer,
-            "stderr": r.standard_error,
-        }
-        for r in results
-    ]
-    return payload
+    runs = [{key: getattr(r, name) for key, name in _REGION_COLUMNS} for r in results]
+    return _payload("region-fraction", meta, {"runs": runs})
 
 
 def write_region_csv(results, path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d", "rho", "kappa", "fraction", "stderr"])
-        for r in results:
-            writer.writerow(
-                [
-                    str(r.dimension),
-                    fmt(r.norm_ratio),
-                    fmt(r.true_cosine),
-                    fmt(r.fraction_closer),
-                    fmt(r.standard_error),
-                ]
-            )
-    return path
+    # region.csv leaves out the sample count; its first column, d, is an integer.
+    columns = [column for column in _REGION_COLUMNS if column[0] != "samples"]
+    rows = ([str(r.dimension), *(fmt(getattr(r, a)) for _, a in columns[1:])] for r in results)
+    return _write_csv(path, [key for key, _ in columns], rows)
 
 
 def certificate_payload(result: CertificateResult, meta: dict | None = None) -> dict:
-    payload = _base_payload("orthogonal-ray-certificate", meta)
-    payload.update(
-        {
-            "safe": result.safe,
-            "cosine": result.cosine,
-            "threshold": result.threshold,
-            "margin": result.margin,
-        }
-    )
-    return payload
+    return _payload("orthogonal-ray-certificate", meta, asdict(result))

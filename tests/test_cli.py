@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pdscore import __version__
 from pdscore import io as pio
 from pdscore.cli import main
 
@@ -186,6 +191,22 @@ class TestNormMatchCommand:
         )
 
 
+    def test_targets_file_is_a_recorded_input(self, pair_files, tmp_path):
+        pred, truth = pair_files
+        targets = tmp_path / "targets.csv"
+        targets.write_text("P0000,G0003\n")
+        out = tmp_path / "nm_t"
+        code = main(
+            [
+                "norm-match", "--pred", str(pred), "--truth", str(truth),
+                "--targets", str(targets), "--norm", "l1", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        config = json.loads((out / "run_config.json").read_text())
+        assert list(config["input_digests"]) == [str(pred), str(truth), str(targets)]
+
+
 class TestGeometryCommands:
     def test_certificate(self, tmp_path, capsys):
         out = tmp_path / "cert"
@@ -248,6 +269,17 @@ class TestPreprocessCommands:
         payload = json.loads((out_c / "comparison.json").read_text())
         assert payload["pipeline_a"] == "per10k"
 
+    def test_bad_count_exits_1_with_position(self, tmp_path, capsys):
+        counts = tmp_path / "bad.csv"
+        counts.write_text("cell,condition,g1,g2\nc0,control,1,2\nc1,A,3,99999999999999999999999\n")
+        out = tmp_path / "x"
+        code = main(["preprocess", "normalize", "--counts", str(counts), "--out", str(out)])
+        assert code == 1
+        assert "line 3, column 4" in capsys.readouterr().err
+        # run_config.json is written before the input is parsed.
+        config = json.loads((out / "run_config.json").read_text())
+        assert list(config["input_digests"]) == [str(counts)]
+
     def test_unknown_pipeline_exits_1(self, counts_file, tmp_path):
         assert main(
             [
@@ -276,3 +308,13 @@ class TestSynthCommands:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "pdscore" in capsys.readouterr().out
+
+    def test_python_dash_m_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "pdscore", "--version"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout.strip() == f"pdscore {__version__}"

@@ -92,6 +92,31 @@ class TestCountsRoundTrip:
         assert info.value.line == 2
         assert info.value.column == 3
 
+    def test_count_beyond_int64_has_position(self, tmp_path):
+        path = tmp_path / "c.csv"
+        for cell in ("99999999999999999999999", str(2**63), str(-(2**63) - 1)):
+            path.write_text(f"cell,condition,g1,g2\nc0,control,1,2\n\nc1,A,3,{cell}\n")
+            with pytest.raises(ParseError, match="out of range") as info:
+                pio.read_count_matrix(path)
+            assert (info.value.line, info.value.column) == (4, 4)
+
+    def test_largest_int64_count_accepted(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(f"cell,condition,g1\nc0,control,{2**63 - 1}\nc1,A,1\n")
+        assert pio.read_count_matrix(path).counts[0, 0] == 2**63 - 1
+
+    def test_negative_count_has_position(self, tmp_path):
+        path = tmp_path / "c.csv"
+        for text, line, column in (
+            ("cell,condition,g1,g2\nc0,control,1,2\nc1,A,-3,4\n", 3, 3),
+            # The first bad cell in row order is reported, also when a later one overflows.
+            ("cell,condition,g1,g2\nc0,control,1,-1\nc1,A,99999999999999999999999,4\n", 2, 4),
+        ):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="out of range") as info:
+                pio.read_count_matrix(path)
+            assert (info.value.line, info.value.column) == (line, column)
+
 
 class TestTargetMap:
     def test_with_and_without_header(self, tmp_path):
@@ -107,6 +132,18 @@ class TestTargetMap:
         path.write_text("A,g1,extra\n")
         with pytest.raises(ParseError):
             pio.read_target_map(path)
+
+    def test_conflicting_target_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("perturbation,target_gene\nA,G1\nB,G2\n\nA,G2\n")
+        with pytest.raises(ParseError, match="'A' already has target 'G1'") as info:
+            pio.read_target_map(path)
+        assert (info.value.line, info.value.column) == (5, 2)
+
+    def test_repeated_identical_row_accepted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("A,G1\nB,G2\nA,G1\n")
+        assert pio.read_target_map(path) == {"A": "G1", "B": "G2"}
 
 
 class TestReports:
