@@ -54,7 +54,7 @@ def _write_csv(path, header, rows) -> Path:
 
 
 def _bad_cell(rows, n_label_columns: int, at, reason: str) -> ParseError:
-    """ParseError at value at = (r, c), column c of data row r, quoting the cell."""
+    """ParseError for value c of data row r, where (r, c) = at, quoting the cell."""
     r, c = map(int, at)
     line, row = rows[r]
     column = n_label_columns + c
