@@ -5,6 +5,7 @@ contiguous rows, so repeated runs and anchor-level parallelism reproduce
 results to the last bit.
 """
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -123,11 +124,20 @@ def sign_cosine(a, b, threshold: float = 0.0) -> float:
     return float((sa * sb).sum()) / float(np.sqrt(nnz_a * nnz_b))
 
 
-def _sign_rows(rows: np.ndarray, threshold: float) -> np.ndarray:
-    out = np.sign(rows)
-    if threshold > 0.0:
-        out[np.abs(rows) <= threshold] = 0.0
-    return out
+_scratch = threading.local()
+
+
+def _scratch_like(rows: np.ndarray) -> np.ndarray:
+    """Scratch laid out as numpy lays out rows - a, reused by this thread's later calls.
+
+    Fresh matrix-sized temporaries per anchor cost page faults whenever the allocator
+    has returned freed ones to the system, which depends on earlier allocations.
+    """
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < rows.size:
+        buf = _scratch.buf = np.empty(rows.size)
+    order = "F" if 0 < abs(rows.strides[0]) < abs(rows.strides[1]) else "C"
+    return buf[: rows.size].reshape(rows.shape, order=order)
 
 
 def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
@@ -149,32 +159,35 @@ def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
     # the last axis (never BLAS matrix products), so a batch of rows and a
     # single row produce bit-identical values for identical inputs.
     kind = spec.kind
+    w = _scratch_like(rows)
     if kind is DistanceKind.L1:
-        return np.abs(rows - a).sum(axis=1)
+        return np.abs(np.subtract(rows, a, out=w), out=w).sum(axis=1)
     if kind is DistanceKind.L2:
-        return np.sqrt(((rows - a) ** 2).sum(axis=1))
+        return np.sqrt(np.square(np.subtract(rows, a, out=w), out=w).sum(axis=1))
     if kind is DistanceKind.COSINE_DISSIM:
         na = float(np.sqrt((a * a).sum()))
-        rn = np.sqrt((rows * rows).sum(axis=1))
+        rn = np.sqrt(np.multiply(rows, rows, out=w).sum(axis=1))
         if na == 0.0 or np.any(rn == 0.0):
             raise ZeroVector("cosine undefined for a zero vector")
-        return 1.0 - (rows * a).sum(axis=1) / (rn * na)
+        return 1.0 - np.multiply(rows, a, out=w).sum(axis=1) / (rn * na)
     if kind is DistanceKind.SIGN_COSINE_DISSIM:
         sa = sign_vector(a, spec.sign_threshold)
-        sr = _sign_rows(rows, spec.sign_threshold)
+        sr = np.sign(rows, out=w)
+        if spec.sign_threshold > 0.0:
+            sr[np.abs(rows) <= spec.sign_threshold] = 0.0
         nnz_a = float((sa != 0.0).sum())
         nnz_r = (sr != 0.0).sum(axis=1).astype(np.float64)
         if nnz_a == 0.0 or np.any(nnz_r == 0.0):
             raise ZeroSignVector("sign cosine undefined when a sign vector is all zero")
-        return 1.0 - (sr * sa).sum(axis=1) / np.sqrt(nnz_a * nnz_r)
+        return 1.0 - np.multiply(sr, sa, out=w).sum(axis=1) / np.sqrt(nnz_a * nnz_r)
     if kind is DistanceKind.L2_LIMIT:
-        return -(rows * a).sum(axis=1)
+        return -np.multiply(rows, a, out=w).sum(axis=1)
     if kind is DistanceKind.L1_LIMIT:
         sa = sign_vector(a, spec.sign_threshold)
         # coordinate with a zero predicted sign contributes |r_j|, any other
         # contributes -sign(a_j) r_j
-        terms = np.where(sa == 0.0, np.abs(rows), -(rows * sa))
-        return terms.sum(axis=1)
+        np.multiply(rows, -sa, out=w)
+        return np.abs(rows, out=w, where=sa == 0.0).sum(axis=1)
     raise BadParameter(f"unhandled distance kind {kind!r}")
 
 

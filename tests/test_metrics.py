@@ -195,3 +195,65 @@ class TestProperties:
             batch = pairwise_to_rows(spec, a, rows)
             singles = np.array([distance(spec, a, row) for row in rows])
             assert np.array_equal(batch, singles)
+
+
+def _fresh_temporaries(spec, a, rows):
+    """pairwise_to_rows as plain numpy expressions, each term in a new array."""
+    kind = spec.kind
+    if kind is DistanceKind.L1:
+        return np.abs(rows - a).sum(axis=1)
+    if kind is DistanceKind.L2:
+        return np.sqrt(((rows - a) ** 2).sum(axis=1))
+    if kind is DistanceKind.COSINE_DISSIM:
+        rn = np.sqrt((rows * rows).sum(axis=1))
+        return 1.0 - (rows * a).sum(axis=1) / (rn * float(np.sqrt((a * a).sum())))
+    if kind is DistanceKind.SIGN_COSINE_DISSIM:
+        sa, sr = np.sign(a), np.sign(rows)
+        nnz_r = (sr != 0.0).sum(axis=1).astype(np.float64)
+        return 1.0 - (sr * sa).sum(axis=1) / np.sqrt(float((sa != 0.0).sum()) * nnz_r)
+    if kind is DistanceKind.L2_LIMIT:
+        return -(rows * a).sum(axis=1)
+    sa = np.sign(a)
+    return np.where(sa == 0.0, np.abs(rows), -(rows * sa)).sum(axis=1)
+
+
+class TestScratch:
+    """pairwise_to_rows writes its elementwise terms into one reused array per thread."""
+
+    SPECS = [DistanceSpec(kind) for kind in DistanceKind]
+
+    def test_bitwise_equal_to_fresh_temporaries_in_every_layout(self):
+        rng = np.random.default_rng(11)
+        full = rng.standard_normal((17, 40))
+        full[rng.random(full.shape) < 0.2] = 0.0
+        keep = np.arange(40) != 7
+        layouts = {
+            "C": full,
+            "column mask (F-ordered copy)": full[:, keep],
+            "Fortran": np.asfortranarray(full),
+            "strided rows": full[::2],
+            "reversed columns": full[:, ::-1],
+        }
+        for name, rows in layouts.items():
+            a = rng.standard_normal(rows.shape[1])
+            a[:3] = 0.0
+            for spec in self.SPECS:
+                got = pairwise_to_rows(spec, a, rows)
+                want = _fresh_temporaries(spec, a, rows)
+                assert got.tobytes() == want.tobytes(), (name, spec.token)
+
+    def test_repeated_call_allocates_no_matrix_sized_array(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((40, 5000))
+        a = rng.standard_normal(5000)
+        for spec in self.SPECS:
+            pairwise_to_rows(spec, a, rows)
+            tracemalloc.start()
+            try:
+                pairwise_to_rows(spec, a, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < rows.nbytes / 4, spec.token
