@@ -6,7 +6,14 @@ The inputs in tests/golden/inputs were made once:
   row P0004 then set to 0 (an undefined anchor under the cosine kinds);
 - counts.csv by `pdscore synth counts --perturbations 3
   --cells-per-condition 4 --genes 30 --mean-counts 300 --seed 5`;
-- targets.csv by hand.
+- targets.csv by hand;
+- ties_predicted.csv and ties_truth.csv, which hold exact ties, from `pdscore
+  synth pair --n 20 --genes 40 --target-cosine 0.6 --scale 0.1 --seed 21`:
+  truth row P0005 then repeats P0002's and P0013 repeats P0008's, predicted
+  cells drawn with probability 0.25 from numpy.random.default_rng(21) and all
+  of row P0017 are set to 0, and P0002's prediction is set to its own truth
+  (so it ties at distance 0 with P0005); ties_targets.csv by hand, masking
+  the same gene for P0002 and P0005.
 
 Each run in RUNS reads copies of them in a temporary directory and must write
 exactly the files under tests/golden/expected/<run>, with the same bytes.
@@ -37,10 +44,17 @@ _SWAPPED = ["--pred", "{in}/truth.csv", "--truth", "{in}/predicted.csv"]
 _MASKED = ["--mask-target", "--targets", "{in}/targets.csv"]
 _COUNTS = ["--counts", "{in}/counts.csv"]
 _ALL_METRICS = "l1,l2,cosine,sign-cosine,l2-limit,l1-limit"
+_TIES = ["--pred", "{in}/ties_predicted.csv", "--truth", "{in}/ties_truth.csv"]
+_TIES_MASKED = ["--mask-target", "--targets", "{in}/ties_targets.csv"]
 
 RUNS = {
     "pds_all": ["pds", *_PAIR, "--metric", _ALL_METRICS],
     "pds_all_masked": ["pds", *_PAIR, "--metric", _ALL_METRICS, *_MASKED],
+    "ties_pds_all": ["pds", *_TIES, "--metric", _ALL_METRICS],
+    "ties_pds_all_masked": ["pds", *_TIES, "--metric", _ALL_METRICS, *_TIES_MASKED],
+    "ties_pds_sign_threshold": [
+        "pds", *_TIES, "--metric", _ALL_METRICS, *_TIES_MASKED, "--sign-threshold", "0.02",
+    ],
     "pds_skip_workers": [
         "pds", *_PAIR, "--metric", "l2,cosine,sign-cosine",
         "--error-policy", "skip", "--workers", "2",
