@@ -164,22 +164,31 @@ def align_pair(predicted: EffectMatrix, truth: EffectMatrix, target_gene_of=None
     return EffectPair(reindex(predicted), reindex(truth), targets)
 
 
-def anchor_subproblem(pair: EffectPair, i: int, apply_target_mask: bool):
+def target_column(pair: EffectPair, i: int, apply_target_mask: bool) -> int | None:
+    """Column of anchor i's target gene when it is masked, else None."""
+    gene = pair.target_gene_of.get(pair.perturbation_ids[i]) if apply_target_mask else None
+    if gene is None:
+        return None
+    if pair.n_genes < 2:
+        raise ValidationError("masking would leave no gene coordinates")
+    return pair.gene_ids.index(gene)
+
+
+def anchor_subproblem(pair: EffectPair, i: int, apply_target_mask: bool, candidates=None):
     """Predicted row of anchor i and the truth matrix it is ranked against.
 
     When apply_target_mask is set and the anchor declares a target gene,
     that gene is dropped from the anchor's predicted row and from every
     truth row, keeping all comparisons for the anchor in one common
-    subspace. Returns (a, rows); without a mask they are a row view of the
-    predictions and the truth values themselves.
+    subspace. candidates, an index array, restricts the truth to those rows
+    in that order. Returns (a, rows); without a mask or candidates they are
+    a row view of the predictions and the truth values themselves.
     """
     a = pair.predicted.values[i]
-    rows = pair.truth.values
-    gene = pair.target_gene_of.get(pair.perturbation_ids[i]) if apply_target_mask else None
-    if gene is None:
+    rows = pair.truth.values if candidates is None else pair.truth.values[candidates]
+    column = target_column(pair, i, apply_target_mask)
+    if column is None:
         return a, rows
-    if pair.n_genes < 2:
-        raise ValidationError("masking would leave no gene coordinates")
     keep = np.ones(pair.n_genes, dtype=bool)
-    keep[pair.gene_ids.index(gene)] = False
+    keep[column] = False
     return a[keep], rows[:, keep]

@@ -1,8 +1,14 @@
 """Distance and dissimilarity measures between effect vectors.
 
-All reductions use numpy's fixed-order (pairwise) accumulation over
-contiguous rows, so repeated runs and anchor-level parallelism reproduce
-results to the last bit.
+Every reduction in pairwise_to_rows sums in an order fixed by the layout of
+its rows, so repeated runs and anchor-level parallelism reproduce results to
+the last bit. C-contiguous rows sum pairwise. Column-masked copies, which
+numpy lays out in Fortran order, sum sequentially along each row. A gather
+of two or more of their rows keeps that order, but a single row is
+contiguous and sums pairwise.
+
+screen bounds the same values from one matrix product per call, so a
+caller can settle most comparisons without the elementwise kernel.
 """
 
 import threading
@@ -102,9 +108,13 @@ def sign_vector(a, threshold: float = 0.0) -> np.ndarray:
     a = _vector(a)
     if threshold < 0.0:
         raise BadParameter("threshold must be >= 0")
-    out = np.sign(a)
+    return _signs(a, threshold)
+
+
+def _signs(values, threshold: float, out=None) -> np.ndarray:
+    out = np.sign(values, out=out)
     if threshold > 0.0:
-        out[np.abs(a) <= threshold] = 0.0
+        out[np.abs(values) <= threshold] = 0.0
     return out
 
 
@@ -155,9 +165,11 @@ def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
         raise DimensionMismatch(
             f"row length {rows.shape[1]} does not match vector length {a.shape[0]}"
         )
-    # Reductions below use elementwise products plus fixed-order sums along
-    # the last axis (never BLAS matrix products), so a batch of rows and a
-    # single row produce bit-identical values for identical inputs.
+    # Reductions below use elementwise products plus sums along the last axis
+    # (never BLAS matrix products), in the order the layout of rows fixes:
+    # pairwise for C-contiguous rows, sequential per row for column-masked
+    # Fortran-ordered copies. A gather of two or more rows sums as the whole
+    # matrix does; a single row is contiguous, so it sums pairwise.
     kind = spec.kind
     w = _scratch_like(rows)
     if kind is DistanceKind.L1:
@@ -172,9 +184,7 @@ def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
         return 1.0 - np.multiply(rows, a, out=w).sum(axis=1) / (rn * na)
     if kind is DistanceKind.SIGN_COSINE_DISSIM:
         sa = sign_vector(a, spec.sign_threshold)
-        sr = np.sign(rows, out=w)
-        if spec.sign_threshold > 0.0:
-            sr[np.abs(rows) <= spec.sign_threshold] = 0.0
+        sr = _signs(rows, spec.sign_threshold, out=w)
         nnz_a = float((sa != 0.0).sum())
         nnz_r = (sr != 0.0).sum(axis=1).astype(np.float64)
         if nnz_a == 0.0 or np.any(nnz_r == 0.0):
@@ -195,3 +205,112 @@ def distance(spec: DistanceSpec, a, b) -> float:
     """Evaluate one measure between two vectors (dispatch over DistanceSpec)."""
     a, b = _pair(a, b)
     return float(pairwise_to_rows(spec, a, b[None, :])[0])
+
+
+_UNIT = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-900  # a smaller squared norm may have lost bits to underflow
+_HUGE = 2.0**1000  # from a squared norm this large up, kernel terms may overflow
+
+
+def screen(spec: DistanceSpec, predicted, truth):
+    """Certified bounds on pairwise_to_rows for every prediction row, from one matrix product.
+
+    Returns bounds(i, column=None) -> (lo, hi) with lo[j] <= v[j] <= hi[j] for
+    v = pairwise_to_rows(spec, a, rows), where a is row i of predicted and rows
+    is truth, both without that column when one is given (a masked target
+    gene: the product is corrected by that one gene's term). An entry is NaN
+    where no bound is certain: a squared norm below 2**-900 or from 2**1000 up,
+    or an undefined cosine. For sign-cosine lo is hi and holds v itself: sign
+    products and counts are integers below 2**53, exact in any summation
+    order, and v is finished with the kernel's own operations. l1 has no
+    product form and returns None.
+
+    The other measures are inner products and squared norms. Any evaluation
+    of such a sum of p terms errs by at most gamma_p * sum|a_k r_k| <= gamma_p
+    |a| |r|, gamma_p = p u / (1 - p u), whatever its summation order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1), so
+    the bounds hold for any BLAS and thread count. The radius 4 (p + 4) u
+    covers the product here and the kernel's own evaluation, with room for
+    the rounding of the bounds themselves.
+    """
+    kind = spec.kind
+    if kind is DistanceKind.L1:
+        return None
+    P = np.asarray(predicted, dtype=np.float64)
+    T = np.asarray(truth, dtype=np.float64)
+    threshold = spec.sign_threshold
+    eps = 4.0 * (T.shape[1] + 4) * _UNIT
+
+    if kind is DistanceKind.SIGN_COSINE_DISSIM:
+        signs_p = _signs(P, threshold)
+        signs_t = _signs(T, threshold, out=_scratch_like(T))
+        dots = signs_p @ signs_t.T
+        nnz_p = np.count_nonzero(signs_p, axis=1).astype(np.float64)
+        nnz_t = np.count_nonzero(signs_t, axis=1).astype(np.float64)
+
+        def bounds(i, column=None):
+            dot, nnz_a, nnz_r = dots[i], nnz_p[i], nnz_t
+            if column is not None:
+                sa = _signs(P[i, column : column + 1], threshold)
+                sr = _signs(T[:, column], threshold)
+                dot, nnz_a, nnz_r = dot - sa * sr, nnz_a - (sa != 0.0), nnz_r - (sr != 0.0)
+            with np.errstate(all="ignore"):  # a zero count leaves NaN
+                exact = 1.0 - dot / np.sqrt(nnz_a * nnz_r)
+            return exact, exact
+
+        return bounds
+
+    if kind is DistanceKind.L1_LIMIT:
+        # score = sum of |r_k| where sign(a_k) = 0, minus sign(a) . r
+        signs_p = _signs(P, threshold)
+        abs_t = np.abs(T, out=_scratch_like(T))
+        with np.errstate(over="ignore"):  # sums that overflow meet a NaN radius
+            dots = signs_p @ T.T
+            l1 = abs_t.sum(axis=1)
+            zero_sums = np.subtract(1.0, np.square(signs_p, out=signs_p), out=signs_p) @ abs_t.T
+        radius = np.where(l1 < _HUGE, eps * l1, np.nan)
+
+        def bounds(i, column=None):
+            dot, zero_sum = dots[i], zero_sums[i]
+            with np.errstate(all="ignore"):  # overflow meets a NaN radius
+                if column is not None:
+                    sa, r = _signs(P[i, column : column + 1], threshold), T[:, column]
+                    dot, zero_sum = dot - sa * r, zero_sum - (sa == 0.0) * np.abs(r)
+                score = zero_sum - dot
+                return score - radius, score + radius
+
+        return bounds
+
+    with np.errstate(over="ignore"):  # overflow leaves a squared norm unsafe
+        dots = P @ T.T
+        sq_p = np.einsum("ij,ij->i", P, P)
+        sq_t = np.einsum("ij,ij->i", T, T)
+    norm_p, norm_t = np.sqrt(sq_p), np.sqrt(sq_t)
+    safe_t = (_TINY <= sq_t) & (sq_t < _HUGE)
+
+    def bounds(i, column=None):
+        dot, sq_a, sq_r = dots[i], sq_p[i], sq_t
+        safe = safe_t & (_TINY <= sq_p[i] < _HUGE)
+        with np.errstate(all="ignore"):  # entries that overflow or divide by 0 are unsafe
+            if column is not None:
+                a_k, r_k = P[i, column], T[:, column]
+                dot, sq_a, sq_r = dot - a_k * r_k, sq_a - a_k * a_k, sq_r - r_k * r_k
+            if kind is DistanceKind.L2_LIMIT:
+                radius = eps * norm_p[i] * norm_t
+                lo, hi = -dot - radius, radius - dot
+            elif kind is DistanceKind.L2:
+                squared = sq_a + sq_r - 2.0 * dot
+                radius = eps * np.square(norm_p[i] + norm_t)
+                lo, hi = np.sqrt(np.maximum(squared - radius, 0.0)), np.sqrt(squared + radius)
+            else:  # cosine: quotient of the dot product's and the two norms' intervals
+                low_a, low_r = sq_a - eps * sq_p[i], sq_r - eps * sq_t
+                safe &= (low_a >= _TINY) & (low_r >= _TINY)
+                norms_lo = np.sqrt(low_a) * np.sqrt(low_r)
+                norms_hi = np.sqrt(sq_a + eps * sq_p[i]) * np.sqrt(sq_r + eps * sq_t)
+                dot_lo, dot_hi = dot - eps * norm_p[i] * norm_t, dot + eps * norm_p[i] * norm_t
+                cos_lo = np.minimum(dot_lo / norms_lo, dot_lo / norms_hi).clip(-1.0, 1.0)
+                cos_hi = np.maximum(dot_hi / norms_lo, dot_hi / norms_hi).clip(-1.0, 1.0)
+                lo, hi = 1.0 - cos_hi - eps, 1.0 - cos_lo + eps
+        return np.where(safe, lo, np.nan), np.where(safe, hi, np.nan)
+
+    return bounds

@@ -3,7 +3,15 @@
 import numpy as np
 from scipy.special import betainc
 
-from pdscore import EffectMatrix, EffectPair
+from pdscore import (
+    EffectMatrix,
+    EffectPair,
+    ZeroVector,
+    anchor_subproblem,
+    pairwise_to_rows,
+    pds_row,
+)
+from pdscore.discrimination import ErrorPolicy, PdsEntry, finish_report, undefined_entry
 
 
 def labels(prefix: str, n: int) -> tuple[str, ...]:
@@ -28,6 +36,26 @@ def random_pair(rng: np.random.Generator, n: int = 8, p: int = 6, zero_fraction:
         pred[rng.random((n, p)) < zero_fraction] = 0.0
     truth = rng.standard_normal((n, p))
     return pair_from(pred, truth)
+
+
+def per_anchor_pds(pair, spec, apply_target_mask=False, error_policy=ErrorPolicy.WORST):
+    """compute_pds measuring every candidate of every anchor with the elementwise kernel.
+
+    The scoring path before screening: anchor_subproblem, then pairwise_to_rows
+    over the whole truth matrix, then pds_row.
+    """
+    n = pair.n_perturbations
+    entries = []
+    for i in range(n):
+        pid = pair.perturbation_ids[i]
+        a, rows = anchor_subproblem(pair, i, apply_target_mask)
+        try:
+            dists = pairwise_to_rows(spec, a, rows)
+            rank, value = pds_row(dists, i)
+            entries.append(PdsEntry(pid, float(dists[i]), rank, value))
+        except ZeroVector as exc:
+            entries.append(undefined_entry(pid, n, error_policy, exc))
+    return finish_report(pair, spec, entries, apply_target_mask, error_policy)
 
 
 def region_win_threshold(rho: float, kappa: float) -> float:

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdscore import (
     BadIndex,
     DistanceKind,
     DistanceSpec,
     ErrorPolicy,
+    PdsError,
     ValidationError,
     compute_pds,
     pds_row,
 )
 
-from helpers import pair_from, random_pair
+from helpers import pair_from, per_anchor_pds, random_pair
 
 ALL_FOUR = [
     DistanceSpec(DistanceKind.L1),
@@ -190,3 +193,58 @@ class TestComputePds:
             serial = compute_pds(pair, spec, workers=1)
             parallel = compute_pds(pair, spec, workers=4)
             assert serial == parallel
+
+
+@st.composite
+def screened_cases(draw):
+    """A pair with exact ties, zero rows and zero coordinates at magnitudes 1e-150 to 1e150.
+
+    Integer-valued cells make equal measures to distinct truth rows common;
+    repeated truth rows and predictions equal to their truth tie exactly.
+    """
+    n = draw(st.integers(2, 9))
+    p = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pred, truth = rng.integers(-2, 3, (n, p)), rng.integers(-2, 3, (n, p))
+    else:
+        pred, truth = rng.standard_normal((n, p)), rng.standard_normal((n, p))
+    pred_scale = 10.0 ** draw(st.integers(-150, 150))
+    pred = pred * pred_scale
+    truth = truth * 10.0 ** draw(st.integers(-150, 150))
+    pred[rng.random((n, p)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        j, k = rng.integers(n, size=2)
+        truth[j] = truth[k]
+    if draw(st.booleans()):
+        pred[0] = truth[0]
+    if draw(st.booleans()):
+        pred[-1] = 0.0
+    if draw(st.booleans()):
+        truth[rng.integers(n)] = 0.0
+    masked = [i for i in range(n) if rng.random() < 0.7]
+    targets = {f"P{i:04d}": f"G{int(rng.integers(p)):04d}" for i in masked}
+    threshold = draw(st.sampled_from([0.0, 0.5])) * pred_scale
+    policy = draw(st.sampled_from(list(ErrorPolicy)))
+    return pair_from(pred, truth, targets), threshold, policy, draw(st.sampled_from([1, 4]))
+
+
+def _outcome(score):
+    try:
+        return repr(score())
+    except PdsError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(screened_cases())
+def test_screened_ranks_equal_measuring_every_candidate(case):
+    pair, threshold, policy, workers = case
+    for kind in DistanceKind:
+        spec = DistanceSpec(kind, threshold)
+        for mask in (False, True):
+            got = _outcome(
+                lambda: compute_pds(pair, spec, mask, error_policy=policy, workers=workers)
+            )
+            want = _outcome(lambda: per_anchor_pds(pair, spec, mask, policy))
+            assert got == want, (kind.value, mask)

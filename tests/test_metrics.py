@@ -21,6 +21,7 @@ from pdscore import (
     spec_from_token,
 )
 from pdscore.errors import BadParameter
+from pdscore.metrics import screen
 
 METRIC_SPECS = [
     DistanceSpec(DistanceKind.L1),
@@ -257,3 +258,91 @@ class TestScratch:
             finally:
                 tracemalloc.stop()
             assert peak < rows.nbytes / 4, spec.token
+
+
+class TestSummationOrder:
+    """The order of pairwise_to_rows' sums follows the layout of its rows."""
+
+    def test_gathers_of_two_or_more_masked_rows_sum_as_the_whole_matrix(self):
+        rng = np.random.default_rng(13)
+        truth = rng.standard_normal((30, 400))
+        keep = np.arange(400) != 5
+        a = rng.standard_normal(400)[keep]
+        whole = truth[:, keep]  # a column-masked copy is Fortran-ordered
+        assert whole.flags.f_contiguous and not whole.flags.c_contiguous
+        for kind in DistanceKind:
+            spec = DistanceSpec(kind)
+            batch = pairwise_to_rows(spec, a, whole)
+            for rows in ([3, 3], [3, 17], [29, 0, 11]):
+                got = pairwise_to_rows(spec, a, truth[rows][:, keep])
+                assert got.tobytes() == batch[rows].tobytes(), (kind.value, rows)
+
+    def test_a_single_masked_row_sums_pairwise(self):
+        rng = np.random.default_rng(14)
+        truth = rng.standard_normal((30, 400))
+        keep = np.arange(400) != 5
+        a = rng.standard_normal(400)[keep]
+        spec = DistanceSpec(DistanceKind.L2)
+        batch = pairwise_to_rows(spec, a, truth[:, keep])
+        single = [pairwise_to_rows(spec, a, truth[[j]][:, keep])[0] for j in range(30)]
+        contiguous = [distance(spec, a, np.ascontiguousarray(truth[j, keep])) for j in range(30)]
+        assert single == contiguous
+        assert single != batch.tolist()
+
+
+class TestScreen:
+    """metrics.screen bounds what pairwise_to_rows returns, masked or not."""
+
+    SCREENED = [kind for kind in DistanceKind if kind is not DistanceKind.L1]
+
+    @staticmethod
+    def _kernel(spec, a, rows):
+        try:
+            with np.errstate(all="ignore"):  # values past 1e154 overflow to inf
+                return pairwise_to_rows(spec, a, rows)
+        except ZeroVector:  # undefined cosine: screen leaves those entries NaN
+            return None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(-170, 160),
+        st.integers(-170, 160),
+        st.booleans(),
+        st.sampled_from([0.0, 0.5]),
+    )
+    def test_bounds_contain_the_kernel_values(self, seed, pred_exp, truth_exp, masked, threshold):
+        rng = np.random.default_rng(seed)
+        pred = rng.standard_normal((6, 9)) * 10.0**pred_exp
+        pred[rng.random(pred.shape) < 0.3] = 0.0
+        truth = rng.standard_normal((6, 9)) * 10.0**truth_exp
+        truth[4] = truth[2]
+        for kind in self.SCREENED:
+            spec = DistanceSpec(kind, threshold * 10.0**pred_exp)
+            bounds = screen(spec, pred, truth)
+            for i in range(6):
+                column = int(rng.integers(9)) if masked else None
+                keep = np.arange(9) != column
+                lo, hi = bounds(i, column)
+                values = self._kernel(spec, pred[i][keep], truth[:, keep])
+                if values is None:
+                    continue
+                known = ~np.isnan(lo)
+                if kind is DistanceKind.SIGN_COSINE_DISSIM:
+                    assert lo is hi
+                    assert lo[known].tobytes() == values[known].tobytes()
+                else:
+                    assert np.all(lo[known] <= values[known]), kind.value
+                    assert np.all(values[known] <= hi[known]), kind.value
+
+    def test_bounds_are_known_and_narrow_at_unit_scale(self):
+        rng = np.random.default_rng(15)
+        pred, truth = rng.standard_normal((8, 50)), rng.standard_normal((8, 50))
+        for kind in self.SCREENED:
+            spec = DistanceSpec(kind)
+            for column in (None, 7):
+                lo, hi = screen(spec, pred, truth)(3, column)
+                assert np.all(hi - lo <= 1e-11), (kind.value, column)
+
+    def test_l1_has_no_screen(self):
+        assert screen(DistanceSpec(DistanceKind.L1), np.ones((2, 2)), np.ones((2, 2))) is None
