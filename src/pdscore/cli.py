@@ -258,7 +258,8 @@ def _add_common_io(parser, with_formats=True):
         )
 
 
-def _add_pair_inputs(parser):
+def _add_pair_inputs(parser, scoring=True):
+    """--pred, --truth and --targets; with scoring, also the options that shape a measure."""
     parser.add_argument("--pred", required=True, help="predicted effect matrix CSV")
     parser.add_argument("--truth", required=True, help="true effect matrix CSV")
     parser.add_argument(
@@ -267,6 +268,8 @@ def _add_pair_inputs(parser):
         help="optional perturbation,target_gene CSV; default when masking is the "
         "perturbation id itself where it matches a gene id",
     )
+    if not scoring:
+        return
     parser.add_argument(
         "--mask-target",
         action="store_true",
@@ -327,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("norm-match", help="emit predictions rescaled to matching row norms")
-    _add_pair_inputs(p)
+    _add_pair_inputs(p, scoring=False)
     p.add_argument("--norm", choices=["l1", "l2"], required=True)
     _add_common_io(p, with_formats=False)
     p.set_defaults(func=_cmd_norm_match)

@@ -191,6 +191,14 @@ class TestNormMatchCommand:
         )
 
 
+    @pytest.mark.parametrize("option", [["--mask-target"], ["--sign-threshold", "0.5"]])
+    def test_scoring_options_exit_2(self, pair_files, tmp_path, option, capsys):
+        pred, truth = pair_files
+        argv = ["norm-match", "--pred", str(pred), "--truth", str(truth), "--norm", "l2"]
+        assert main([*argv, *option, "--out", str(tmp_path / "nm")]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "nm").exists()
+
     def test_targets_file_is_a_recorded_input(self, pair_files, tmp_path):
         pred, truth = pair_files
         targets = tmp_path / "targets.csv"
