@@ -82,3 +82,7 @@ class ParseError(PdsError):
         self.line = line
         self.column = column
         self.reason = reason
+
+
+class DuplicateRowLabel(ParseError, DuplicateLabel):
+    """A row label repeated in an input file, at the line that repeats it."""

@@ -19,7 +19,7 @@ from . import __version__
 from .asymptotics import ScaleSweepResult
 from .discrimination import PdsEntry, PdsReport
 from .effects import EffectMatrix
-from .errors import ParseError
+from .errors import DuplicateRowLabel, ParseError
 from .geometry import CertificateResult
 from .preprocessing import CountMatrix, PipelineComparison
 from .transforms import chain_tokens
@@ -106,6 +106,11 @@ def read_effect_matrix(path) -> EffectMatrix:
     if bad.size:
         raise _bad_cell(rows, 1, bad[0], "not a finite number")
     (ids,) = zip(*labels)
+    first_line = {}
+    for (line, _), pid in zip(rows, ids):
+        if first_line.setdefault(pid, line) != line:
+            reason = f"duplicate perturbation id {pid!r}, first on line {first_line[pid]}"
+            raise DuplicateRowLabel(line, 1, reason)
     return EffectMatrix(values, ids, tuple(gene_ids))
 
 
@@ -127,6 +132,10 @@ def read_count_matrix(path) -> CountMatrix:
         bad = np.argwhere(counts < 0)
     if bad.size:
         raise _bad_cell(rows, 2, bad[0], "count out of range 0 to 2**63 - 1")
+    empty = np.flatnonzero(counts.sum(axis=1) == 0)
+    if empty.size:
+        line, row = rows[empty[0]]
+        raise ParseError(line, 1, f"cell {row[0].strip()!r} has library size 0")
     cell_ids, conditions = zip(*labels)
     return CountMatrix(counts, conditions, tuple(gene_ids), cell_ids)
 

@@ -61,6 +61,13 @@ class TestEffectMatrixRoundTrip:
                 pio.read_effect_matrix(path)
             assert (info.value.line, info.value.column) == (line, column)
 
+    def test_duplicate_perturbation_id_has_position(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("perturbation,g1\nA,1\nB,2\n\nA,3\n")
+        with pytest.raises(ParseError, match="id 'A', first on line 2") as info:
+            pio.read_effect_matrix(path)
+        assert (info.value.line, info.value.column) == (5, 1)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("perturbation,g1,g2\nA,1\n")
@@ -116,6 +123,14 @@ class TestCountsRoundTrip:
             with pytest.raises(ParseError, match="out of range") as info:
                 pio.read_count_matrix(path)
             assert (info.value.line, info.value.column) == (line, column)
+
+
+    def test_zero_library_size_has_position(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("cell,condition,g1,g2\nc0,control,1,2\nc1,A,0,0\n")
+        with pytest.raises(ParseError, match="cell 'c1' has library size 0") as info:
+            pio.read_count_matrix(path)
+        assert (info.value.line, info.value.column) == (3, 1)
 
 
 class TestTargetMap:
