@@ -84,17 +84,11 @@ def l1_limit_scores(
     A positive sign_threshold changes which coordinates count as zero and
     then describes a thresholded-sign variant rather than the exact limit.
     """
-    rows = _truth_rows(truth)
     if corrected:
-        scores = pairwise_to_rows(
-            DistanceSpec(DistanceKind.L1_LIMIT, sign_threshold), predicted_row, rows
-        )
-    else:
-        sa = sign_vector(predicted_row, sign_threshold)
-        if rows.ndim != 2 or rows.shape[1] != sa.shape[0]:
-            raise BadParameter("truth rows do not match the predicted row length")
-        scores = -(rows * sa).sum(axis=1)
-    return LimitSurrogateRow(anchor_index, scores)
+        spec, a = DistanceSpec(DistanceKind.L1_LIMIT, sign_threshold), predicted_row
+    else:  # the plain form is the l2-limit score of the sign vector
+        spec, a = DistanceSpec(DistanceKind.L2_LIMIT), sign_vector(predicted_row, sign_threshold)
+    return LimitSurrogateRow(anchor_index, pairwise_to_rows(spec, a, _truth_rows(truth)))
 
 
 def convergence_threshold_l2(pair: EffectPair, apply_target_mask: bool = False) -> float:

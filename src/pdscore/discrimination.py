@@ -95,21 +95,17 @@ def compute_pds(
     target gene and apply_target_mask is set, that gene is excluded from the
     anchor's predicted row and from every truth row it is compared against.
 
-    Ranks come from metrics.screen where the measure has a product form: a
-    candidate whose certified interval lies wholly below or above the
-    anchor's own measure is closer or farther, and only the rest are measured
-    with pairwise_to_rows. Every reported number is the elementwise kernel's,
-    so the report is the one measuring every candidate would give.
+    Where metrics.screen bounds the measure, a candidate whose interval lies
+    wholly below or above the anchor's own measure is closer or farther; only
+    the rest are measured with pairwise_to_rows, which gives every number.
     """
     n = pair.n_perturbations
     if n < 2:
         raise ValidationError("need at least two perturbations to rank")
-    columns = [target_column(pair, i, apply_target_mask) for i in range(n)]
     bounds = screen(spec, pair.predicted.values, pair.truth.values)
 
     def measure(i: int, candidates=None) -> np.ndarray:
-        # A single masked row would sum pairwise, not as the whole matrix does,
-        # so it is measured as a pair with itself.
+        # one masked row alone would sum pairwise, unlike the whole matrix
         take = candidates if candidates is None or len(candidates) > 1 else [*candidates] * 2
         values = pairwise_to_rows(spec, *anchor_subproblem(pair, i, apply_target_mask, take))
         return values if candidates is None else values[: len(candidates)]
@@ -118,7 +114,7 @@ def compute_pds(
         """Anchor i's measure to every truth row, or a value on the same side of its own."""
         if bounds is None:
             return measure(i)
-        lo, hi = bounds(i, columns[i])
+        lo, hi = bounds(i, target_column(pair, i, apply_target_mask))
         own = lo[i] if lo is hi and np.isfinite(lo[i]) else measure(i, [i])[0]
         undecided = ~((hi < own) | (lo > own) | (lo == hi))  # NaN bounds stay undecided
         undecided[i] = False

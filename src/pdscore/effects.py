@@ -189,6 +189,5 @@ def anchor_subproblem(pair: EffectPair, i: int, apply_target_mask: bool, candida
     column = target_column(pair, i, apply_target_mask)
     if column is None:
         return a, rows
-    keep = np.ones(pair.n_genes, dtype=bool)
-    keep[column] = False
+    keep = np.arange(pair.n_genes) != column
     return a[keep], rows[:, keep]

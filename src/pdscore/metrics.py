@@ -207,31 +207,23 @@ def distance(spec: DistanceSpec, a, b) -> float:
     return float(pairwise_to_rows(spec, a, b[None, :])[0])
 
 
-_UNIT = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-900  # a smaller squared norm may have lost bits to underflow
 _HUGE = 2.0**1000  # from a squared norm this large up, kernel terms may overflow
 
 
 def screen(spec: DistanceSpec, predicted, truth):
-    """Certified bounds on pairwise_to_rows for every prediction row, from one matrix product.
+    """Bounds on pairwise_to_rows for every prediction row, from one matrix product.
 
     Returns bounds(i, column=None) -> (lo, hi) with lo[j] <= v[j] <= hi[j] for
-    v = pairwise_to_rows(spec, a, rows), where a is row i of predicted and rows
-    is truth, both without that column when one is given (a masked target
-    gene: the product is corrected by that one gene's term). An entry is NaN
-    where no bound is certain: a squared norm below 2**-900 or from 2**1000 up,
-    or an undefined cosine. For sign-cosine lo is hi and holds v itself: sign
-    products and counts are integers below 2**53, exact in any summation
-    order, and v is finished with the kernel's own operations. l1 has no
-    product form and returns None.
-
-    The other measures are inner products and squared norms. Any evaluation
-    of such a sum of p terms errs by at most gamma_p * sum|a_k r_k| <= gamma_p
-    |a| |r|, gamma_p = p u / (1 - p u), whatever its summation order (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1), so
-    the bounds hold for any BLAS and thread count. The radius 4 (p + 4) u
-    covers the product here and the kernel's own evaluation, with room for
-    the rounding of the bounds themselves.
+    v = pairwise_to_rows(spec, predicted[i], truth), both without that column
+    when it is given (a masked target gene: one term off each product). An
+    entry is NaN where no bound is certain: a squared norm below 2**-900 or
+    from 2**1000 up, or an undefined cosine. For sign-cosine lo is hi and is
+    v itself, since sign products and counts are integers below 2**53. l1 has
+    no product form and returns None. An inner product of p terms errs by at
+    most gamma_p |a| |r|, gamma_p = p u / (1 - p u), in any summation order
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1); the
+    radius 4 (p + 4) u covers the product, the kernel and the bounds' rounding.
     """
     kind = spec.kind
     if kind is DistanceKind.L1:
@@ -239,20 +231,18 @@ def screen(spec: DistanceSpec, predicted, truth):
     P = np.asarray(predicted, dtype=np.float64)
     T = np.asarray(truth, dtype=np.float64)
     threshold = spec.sign_threshold
-    eps = 4.0 * (T.shape[1] + 4) * _UNIT
+    eps = 4.0 * (T.shape[1] + 4) * 2.0**-53  # u = 2**-53, the unit roundoff
 
     if kind is DistanceKind.SIGN_COSINE_DISSIM:
         signs_p = _signs(P, threshold)
         signs_t = _signs(T, threshold, out=_scratch_like(T))
         dots = signs_p @ signs_t.T
-        nnz_p = np.count_nonzero(signs_p, axis=1).astype(np.float64)
-        nnz_t = np.count_nonzero(signs_t, axis=1).astype(np.float64)
+        nnz_p, nnz_t = (np.count_nonzero(m, axis=1).astype(np.float64) for m in (signs_p, signs_t))
 
         def bounds(i, column=None):
             dot, nnz_a, nnz_r = dots[i], nnz_p[i], nnz_t
             if column is not None:
-                sa = _signs(P[i, column : column + 1], threshold)
-                sr = _signs(T[:, column], threshold)
+                sa, sr = _signs(P[i, [column]], threshold), _signs(T[:, column], threshold)
                 dot, nnz_a, nnz_r = dot - sa * sr, nnz_a - (sa != 0.0), nnz_r - (sr != 0.0)
             with np.errstate(all="ignore"):  # a zero count leaves NaN
                 exact = 1.0 - dot / np.sqrt(nnz_a * nnz_r)
@@ -262,29 +252,27 @@ def screen(spec: DistanceSpec, predicted, truth):
 
     if kind is DistanceKind.L1_LIMIT:
         # score = sum of |r_k| where sign(a_k) = 0, minus sign(a) . r
-        signs_p = _signs(P, threshold)
+        signs = _signs(P, threshold)
         abs_t = np.abs(T, out=_scratch_like(T))
-        with np.errstate(over="ignore"):  # sums that overflow meet a NaN radius
-            dots = signs_p @ T.T
+        with np.errstate(all="ignore"):  # sums that overflow meet a NaN radius
+            dots = signs @ T.T
             l1 = abs_t.sum(axis=1)
-            zero_sums = np.subtract(1.0, np.square(signs_p, out=signs_p), out=signs_p) @ abs_t.T
+            scores = np.subtract(1.0, np.square(signs, out=signs), out=signs) @ abs_t.T - dots
         radius = np.where(l1 < _HUGE, eps * l1, np.nan)
 
         def bounds(i, column=None):
-            dot, zero_sum = dots[i], zero_sums[i]
-            with np.errstate(all="ignore"):  # overflow meets a NaN radius
-                if column is not None:
-                    sa, r = _signs(P[i, column : column + 1], threshold), T[:, column]
-                    dot, zero_sum = dot - sa * r, zero_sum - (sa == 0.0) * np.abs(r)
-                score = zero_sum - dot
-                return score - radius, score + radius
+            score = scores[i]
+            if column is not None:
+                sa, r = _signs(P[i, [column]], threshold), T[:, column]
+                with np.errstate(all="ignore"):
+                    score = score - np.where(sa == 0.0, np.abs(r), -sa * r)
+            return score - radius, score + radius
 
         return bounds
 
     with np.errstate(over="ignore"):  # overflow leaves a squared norm unsafe
         dots = P @ T.T
-        sq_p = np.einsum("ij,ij->i", P, P)
-        sq_t = np.einsum("ij,ij->i", T, T)
+        sq_p, sq_t = (np.einsum("ij,ij->i", m, m) for m in (P, T))
     norm_p, norm_t = np.sqrt(sq_p), np.sqrt(sq_t)
     safe_t = (_TINY <= sq_t) & (sq_t < _HUGE)
 
