@@ -112,9 +112,9 @@ def compute_pds(
 
     def distances(i: int) -> np.ndarray:
         """Anchor i's measure to every truth row, or a value on the same side of its own."""
-        if bounds is None:
-            return measure(i)
         lo, hi = bounds(i, target_column(pair, i, apply_target_mask))
+        if np.isnan(lo).all():  # nothing screened: measure every row in place
+            return measure(i)
         own = lo[i] if lo is hi and np.isfinite(lo[i]) else measure(i, [i])[0]
         undecided = ~((hi < own) | (lo > own) | (lo == hi))  # NaN bounds stay undecided
         undecided[i] = False

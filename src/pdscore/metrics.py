@@ -220,16 +220,16 @@ def screen(spec: DistanceSpec, predicted, truth):
     entry is NaN where no bound is certain: a squared norm below 2**-900 or
     from 2**1000 up, or an undefined cosine. For sign-cosine lo is hi and is
     v itself, since sign products and counts are integers below 2**53. l1 has
-    no product form and returns None. An inner product of p terms errs by at
+    no product form: every entry is NaN. An inner product of p terms errs by at
     most gamma_p |a| |r|, gamma_p = p u / (1 - p u), in any summation order
     (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1); the
     radius 4 (p + 4) u covers the product, the kernel and the bounds' rounding.
     """
     kind = spec.kind
-    if kind is DistanceKind.L1:
-        return None
     P = np.asarray(predicted, dtype=np.float64)
     T = np.asarray(truth, dtype=np.float64)
+    if kind is DistanceKind.L1:
+        return lambda i, column=None: (np.full(len(T), np.nan), np.full(len(T), np.nan))
     threshold = spec.sign_threshold
     eps = 4.0 * (T.shape[1] + 4) * 2.0**-53  # u = 2**-53, the unit roundoff
 

@@ -344,5 +344,6 @@ class TestScreen:
                 lo, hi = screen(spec, pred, truth)(3, column)
                 assert np.all(hi - lo <= 1e-11), (kind.value, column)
 
-    def test_l1_has_no_screen(self):
-        assert screen(DistanceSpec(DistanceKind.L1), np.ones((2, 2)), np.ones((2, 2))) is None
+    def test_l1_has_no_bounds(self):
+        lo, hi = screen(DistanceSpec(DistanceKind.L1), np.ones((2, 2)), np.ones((2, 2)))(0)
+        assert np.isnan(lo).all() and np.isnan(hi).all()
