@@ -84,5 +84,5 @@ class ParseError(PdsError):
         self.reason = reason
 
 
-class DuplicateRowLabel(ParseError, DuplicateLabel):
-    """A row label repeated in an input file, at the line that repeats it."""
+class DuplicateLabelInFile(ParseError, DuplicateLabel):
+    """A row or column label repeated in an input file, at the cell that repeats it."""

@@ -19,7 +19,7 @@ from . import __version__
 from .asymptotics import ScaleSweepResult
 from .discrimination import PdsEntry, PdsReport
 from .effects import EffectMatrix
-from .errors import DuplicateRowLabel, ParseError
+from .errors import DuplicateLabelInFile, ParseError
 from .geometry import CertificateResult
 from .preprocessing import CountMatrix, PipelineComparison
 from .transforms import chain_tokens
@@ -74,6 +74,8 @@ def _read_table(path, n_label_columns: int, parse, what: str, label_text: str):
     if len(header) <= n_label_columns:
         raise ParseError(header_line, 1, f"expected gene columns after {label_text}")
     gene_ids = [cell.strip() for cell in header[n_label_columns:]]
+    columns = range(n_label_columns + 1, len(header) + 1)
+    _check_unique(gene_ids, [(header_line, column) for column in columns], "gene")
     if not rows:
         raise ParseError(header_line, 1, "no data rows")
     labels = []
@@ -92,6 +94,16 @@ def _read_table(path, n_label_columns: int, parse, what: str, label_text: str):
     return gene_ids, labels, data, rows
 
 
+def _check_unique(labels, cells, what: str) -> None:
+    """Raise at the (line, column) cell of the first label seen before, naming where."""
+    first = {}
+    for cell, label in zip(cells, labels):
+        line, column = first.setdefault(label, cell)
+        if (line, column) != cell:
+            where = f"on line {line}" if column == cell[1] else f"in column {column}"
+            raise DuplicateLabelInFile(*cell, f"duplicate {what} id {label!r}, first {where}")
+
+
 def _write_matrix(path, label_columns, labels, gene_ids, values, cell=fmt) -> Path:
     """Write a labelled table: each row's label cells, then cell(v) for each of its values."""
     rows = ([*label, *map(cell, row)] for label, row in zip(labels, values))
@@ -106,11 +118,7 @@ def read_effect_matrix(path) -> EffectMatrix:
     if bad.size:
         raise _bad_cell(rows, 1, bad[0], "not a finite number")
     (ids,) = zip(*labels)
-    first_line = {}
-    for (line, _), pid in zip(rows, ids):
-        if first_line.setdefault(pid, line) != line:
-            reason = f"duplicate perturbation id {pid!r}, first on line {first_line[pid]}"
-            raise DuplicateRowLabel(line, 1, reason)
+    _check_unique(ids, [(line, 1) for line, _ in rows], "perturbation")
     return EffectMatrix(values, ids, tuple(gene_ids))
 
 
@@ -137,6 +145,7 @@ def read_count_matrix(path) -> CountMatrix:
         line, row = rows[empty[0]]
         raise ParseError(line, 1, f"cell {row[0].strip()!r} has library size 0")
     cell_ids, conditions = zip(*labels)
+    _check_unique(cell_ids, [(line, 1) for line, _ in rows], "cell")
     return CountMatrix(counts, conditions, tuple(gene_ids), cell_ids)
 
 

@@ -68,6 +68,13 @@ class TestEffectMatrixRoundTrip:
             pio.read_effect_matrix(path)
         assert (info.value.line, info.value.column) == (5, 1)
 
+    def test_duplicate_gene_id_has_position(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("perturbation,g1,g2,g1\nA,1,2,3\n")
+        with pytest.raises(ParseError, match="gene id 'g1', first in column 2") as info:
+            pio.read_effect_matrix(path)
+        assert (info.value.line, info.value.column) == (1, 4)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("perturbation,g1,g2\nA,1\n")
@@ -124,6 +131,19 @@ class TestCountsRoundTrip:
                 pio.read_count_matrix(path)
             assert (info.value.line, info.value.column) == (line, column)
 
+    def test_duplicate_gene_id_has_position(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("\ncell,condition,g1,g1\nc0,control,1,2\nc1,A,3,4\n")
+        with pytest.raises(ParseError, match="gene id 'g1', first in column 3") as info:
+            pio.read_count_matrix(path)
+        assert (info.value.line, info.value.column) == (2, 4)
+
+    def test_duplicate_cell_id_has_position(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("cell,condition,g1\nc0,control,1\nc1,A,2\n\nc0,A,3\n")
+        with pytest.raises(ParseError, match="cell id 'c0', first on line 2") as info:
+            pio.read_count_matrix(path)
+        assert (info.value.line, info.value.column) == (5, 1)
 
     def test_zero_library_size_has_position(self, tmp_path):
         path = tmp_path / "c.csv"
