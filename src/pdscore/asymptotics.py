@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import ErrorPolicy, compute_pds
-from .effects import EffectMatrix, EffectPair, anchor_subproblem
+from .effects import EffectMatrix, EffectPair, anchor_subproblem, target_column
 from .errors import BadParameter, DegeneratePair
 from .metrics import DistanceKind, DistanceSpec, pairwise_to_rows, sign_vector
 from .transforms import global_scale
@@ -129,17 +129,17 @@ def convergence_threshold_l1(pair: EffectPair, apply_target_mask: bool = False) 
 
     Once c |a_j| >= |r_j| for every coordinate with a_j != 0 and every
     candidate r, each |c a_j - r_j| resolves exactly, so the threshold is
-    the max over anchors, nonzero predicted coordinates, and candidates of
-    |r_j| / |a_j|. Zero-coordinate contributions are scale free.
+    the max over anchors and nonzero unmasked predicted coordinates of
+    max_r |r_j| / |a_j|, which rounds as the max of the ratios (x -> x / |a_j|
+    is monotone). Zero-coordinate contributions are scale free.
     """
-    best = 0.0
+    abs_p = np.abs(pair.predicted.values)
+    ratios = np.abs(pair.truth.values).max(axis=0) / np.where(abs_p > 0.0, abs_p, np.inf)
     for i in range(pair.n_perturbations):
-        a, rows = anchor_subproblem(pair, i, apply_target_mask)
-        nz = a != 0.0
-        if nz.any():
-            ratios = np.abs(rows[:, nz]) / np.abs(a[nz])
-            best = max(best, float(ratios.max()))
-    return best
+        column = target_column(pair, i, apply_target_mask)
+        if column is not None:
+            ratios[i, column] = 0.0
+    return float(ratios.max(initial=0.0))
 
 
 def _limit_spec(spec: DistanceSpec) -> DistanceSpec:

@@ -58,6 +58,19 @@ def per_anchor_pds(pair, spec, apply_target_mask=False, error_policy=ErrorPolicy
     return finish_report(pair, spec, entries, apply_target_mask, error_policy)
 
 
+def threshold_l1_per_anchor(pair, apply_target_mask=False):
+    """convergence_threshold_l1 as a ratio matrix per anchor: the max over anchors,
+    nonzero predicted coordinates and candidate rows of |r_j| / |a_j|."""
+    best = 0.0
+    for i in range(pair.n_perturbations):
+        a, rows = anchor_subproblem(pair, i, apply_target_mask)
+        nz = a != 0.0
+        if nz.any():
+            ratios = np.abs(rows[:, nz]) / np.abs(a[nz])
+            best = max(best, float(ratios.max()))
+    return best
+
+
 def region_win_threshold(rho: float, kappa: float) -> float:
     """s such that the distractor rho * u beats the truth iff u_1 > s.
 

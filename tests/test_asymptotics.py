@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdscore import (
     BadParameter,
@@ -16,7 +18,7 @@ from pdscore import (
     scale_sweep,
 )
 
-from helpers import pair_from, random_pair
+from helpers import pair_from, random_pair, threshold_l1_per_anchor
 
 
 def truths(rows, genes=None):
@@ -136,6 +138,28 @@ class TestConvergenceThresholdL1:
         # ratios |truth_j| / |pred_j| over nonzero predicted coordinates
         # anchor 0: max(1/2, 3/2) = 1.5; anchor 1: max(1, 5/4, 3, 1/8) = 3
         assert convergence_threshold_l1(pair) == 3.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 9),
+        st.integers(1, 12),
+        st.integers(-150, 150),
+        st.integers(-150, 150),
+        st.sampled_from([0.0, 0.3, 0.9]),
+    )
+    def test_column_maxima_equal_the_per_anchor_ratios(self, seed, n, p, pred_exp, truth_exp, zeros):
+        rng = np.random.default_rng(seed)
+        pred = rng.standard_normal((n, p)) * 10.0**pred_exp
+        pred[rng.random((n, p)) < zeros] = 0.0
+        truth = rng.standard_normal((n, p)) * 10.0**truth_exp
+        truth[rng.random((n, p)) < zeros] = 0.0
+        targets = {f"P{i:04d}": f"G{int(rng.integers(p)):04d}" for i in range(n) if i % 3}
+        pair = pair_from(pred, truth, targets)
+        for masked in (False, True) if p > 1 else (False,):
+            got = convergence_threshold_l1(pair, masked)
+            want = threshold_l1_per_anchor(pair, masked)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), masked
 
     def test_ranking_exact_at_twice_threshold_with_zero_coordinates(self):
         rng = np.random.default_rng(41)
