@@ -95,9 +95,9 @@ def compute_pds(
     target gene and apply_target_mask is set, that gene is excluded from the
     anchor's predicted row and from every truth row it is compared against.
 
-    Where metrics.screen bounds the measure, a candidate whose interval lies
-    wholly below or above the anchor's own measure is closer or farther; only
-    the rest are measured with pairwise_to_rows, which gives every number.
+    metrics.screen bounds every measure (l1 from below): a candidate whose
+    interval lies wholly below or above the anchor's own measure is closer or
+    farther; only the rest are measured with pairwise_to_rows, which gives every number.
     """
     n = pair.n_perturbations
     if n < 2:

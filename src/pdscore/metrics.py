@@ -7,8 +7,8 @@ numpy lays out in Fortran order, sum sequentially along each row. A gather
 of two or more of their rows keeps that order, but a single row is
 contiguous and sums pairwise.
 
-screen bounds the same values from one matrix product per call, so a
-caller can settle most comparisons without the elementwise kernel.
+screen bounds the same values (l1 from below) from one matrix product per
+call, so a caller can settle most comparisons without the elementwise kernel.
 """
 
 import threading
@@ -216,21 +216,28 @@ def screen(spec: DistanceSpec, predicted, truth):
 
     Returns bounds(i, column=None) -> (lo, hi) with lo[j] <= v[j] <= hi[j] for
     v = pairwise_to_rows(spec, predicted[i], truth), both without that column
-    when it is given (a masked target gene: one term off each product). An
-    entry is NaN where no bound is certain: a squared norm below 2**-900 or
-    from 2**1000 up, or an undefined cosine. For sign-cosine lo is hi and is
-    v itself, since sign products and counts are integers below 2**53. l1 has
-    no product form: every entry is NaN. An inner product of p terms errs by at
-    most gamma_p |a| |r|, gamma_p = p u / (1 - p u), in any summation order
-    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1); the
-    radius 4 (p + 4) u covers the product, the kernel and the bounds' rounding.
+    when it is given (a masked target gene: one term off each product). An entry
+    is NaN where no bound is certain: a squared norm below 2**-900 or from 2**1000
+    up, or an undefined cosine. For sign-cosine lo is hi and is v itself, since
+    sign products and counts are integers below 2**53. An inner product of p terms
+    errs by at most gamma_p |a| |r|, gamma_p = p u / (1 - p u), in any summation
+    order (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1);
+    the radius 4 (p + 4) u covers the product, the kernel and the bounds' rounding.
+
+    l1 has hi = +inf and lo from the l1-limit score s at sign threshold 0: as
+    |a_k - r_k| >= |a_k| - sign(a_k) r_k, equal where a_k = 0 (s has |r_k|) or
+    |a_k| >= |r_k|, |a - r|_1 >= |a|_1 + s. Every step of lo and of the kernel
+    adds or subtracts (sign products are exact), erring by u times at most
+    A + R = |a|_1 + |r|_1 to first order: p steps in the kernel, p in |a|_1, p in
+    the two products (their terms split the k) and 5 more, (3 p + 5) u (A + R) in
+    all, inside the radius 4 (p + 4) u (A + R), which is NaN from A + R = 2**1000
+    up (|r|_1 alone for l1-limit). Sums below 2**-1022 are exact, and the radius
+    underflows only where every sum is, so tiny norms need no guard.
     """
     kind = spec.kind
     P = np.asarray(predicted, dtype=np.float64)
     T = np.asarray(truth, dtype=np.float64)
-    if kind is DistanceKind.L1:
-        return lambda i, column=None: (np.full(len(T), np.nan), np.full(len(T), np.nan))
-    threshold = spec.sign_threshold
+    threshold = 0.0 if kind is DistanceKind.L1 else spec.sign_threshold
     eps = 4.0 * (T.shape[1] + 4) * 2.0**-53  # u = 2**-53, the unit roundoff
 
     if kind is DistanceKind.SIGN_COSINE_DISSIM:
@@ -250,23 +257,27 @@ def screen(spec: DistanceSpec, predicted, truth):
 
         return bounds
 
-    if kind is DistanceKind.L1_LIMIT:
-        # score = sum of |r_k| where sign(a_k) = 0, minus sign(a) . r
+    if kind in (DistanceKind.L1, DistanceKind.L1_LIMIT):
+        # score = sum of |r_k| where sign(a_k) = 0, minus sign(a) . r; l1 >= |a|_1 + score
         signs = _signs(P, threshold)
         abs_t = np.abs(T, out=_scratch_like(T))
+        l1_p = np.abs(P).sum(axis=1) if kind is DistanceKind.L1 else np.zeros(len(P))
         with np.errstate(all="ignore"):  # sums that overflow meet a NaN radius
             dots = signs @ T.T
-            l1 = abs_t.sum(axis=1)
+            l1_t = abs_t.sum(axis=1)
             scores = np.subtract(1.0, np.square(signs, out=signs), out=signs) @ abs_t.T - dots
-        radius = np.where(l1 < _HUGE, eps * l1, np.nan)
 
         def bounds(i, column=None):
-            score = scores[i]
-            if column is not None:
-                sa, r = _signs(P[i, [column]], threshold), T[:, column]
-                with np.errstate(all="ignore"):
+            score, l1_a = scores[i], l1_p[i]
+            with np.errstate(all="ignore"):
+                radius = np.where(l1_a + l1_t < _HUGE, eps * (l1_a + l1_t), np.nan)
+                if column is not None:
+                    sa, r = _signs(P[i, [column]], threshold), T[:, column]
+                    l1_a = l1_a - abs(P[i, column])
                     score = score - np.where(sa == 0.0, np.abs(r), -sa * r)
-            return score - radius, score + radius
+            if kind is DistanceKind.L1_LIMIT:
+                return score - radius, score + radius
+            return l1_a + score - radius, np.full(len(T), np.inf)
 
         return bounds
 

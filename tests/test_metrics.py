@@ -11,6 +11,7 @@ from pdscore import (
     DistanceSpec,
     ZeroSignVector,
     ZeroVector,
+    convergence_threshold_l1,
     cosine,
     dist_l1,
     dist_l2,
@@ -22,6 +23,8 @@ from pdscore import (
 )
 from pdscore.errors import BadParameter
 from pdscore.metrics import screen
+
+from helpers import pair_from
 
 METRIC_SPECS = [
     DistanceSpec(DistanceKind.L1),
@@ -293,7 +296,8 @@ class TestSummationOrder:
 class TestScreen:
     """metrics.screen bounds what pairwise_to_rows returns, masked or not."""
 
-    SCREENED = [kind for kind in DistanceKind if kind is not DistanceKind.L1]
+    SCREENED = list(DistanceKind)
+    TWO_SIDED = [kind for kind in DistanceKind if kind is not DistanceKind.L1]
 
     @staticmethod
     def _kernel(spec, a, rows):
@@ -338,12 +342,29 @@ class TestScreen:
     def test_bounds_are_known_and_narrow_at_unit_scale(self):
         rng = np.random.default_rng(15)
         pred, truth = rng.standard_normal((8, 50)), rng.standard_normal((8, 50))
-        for kind in self.SCREENED:
+        for kind in self.TWO_SIDED:
             spec = DistanceSpec(kind)
             for column in (None, 7):
                 lo, hi = screen(spec, pred, truth)(3, column)
                 assert np.all(hi - lo <= 1e-11), (kind.value, column)
 
-    def test_l1_has_no_bounds(self):
-        lo, hi = screen(DistanceSpec(DistanceKind.L1), np.ones((2, 2)), np.ones((2, 2)))(0)
-        assert np.isnan(lo).all() and np.isnan(hi).all()
+    def test_l1_bound_is_exact_above_threshold(self):
+        rng = np.random.default_rng(16)
+        n, p = 12, 40
+        pred, truth = rng.standard_normal((n, p)), rng.standard_normal((n, p))
+        pred[rng.random((n, p)) < 0.2] = 0.0
+        truth[5] = truth[3]  # an exact tie for anchor 3, which settles nothing
+        pred *= 2.0 * convergence_threshold_l1(pair_from(pred, truth))
+        spec = DistanceSpec(DistanceKind.L1, 0.5)  # l1 ignores the sign threshold
+        bounds = screen(spec, pred, truth)
+        for i in range(n):
+            for column in (None, i % p):
+                keep = np.arange(p) != column
+                a, rows = pred[i][keep], truth[:, keep]
+                values = pairwise_to_rows(spec, a, rows)
+                lo, hi = bounds(i, column)
+                radius = 4.0 * (p + 4) * 2.0**-53 * (np.abs(pred[i]).sum() + np.abs(truth).sum(1))
+                assert np.all(values - 2.0 * radius <= lo) and np.all(lo <= values)
+                assert np.isinf(hi).all()
+                farther = values > values[i]
+                assert np.all(lo[farther] > values[i]), (i, column)
