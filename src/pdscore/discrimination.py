@@ -97,7 +97,7 @@ def compute_pds(
 
     metrics.screen bounds every measure (l1 from below): a candidate whose
     interval lies wholly below or above the anchor's own measure is closer or
-    farther; only the rest are measured with pairwise_to_rows, which gives every number.
+    farther; the rest are measured with pairwise_to_rows, which gives every number.
     """
     n = pair.n_perturbations
     if n < 2:
