@@ -97,24 +97,20 @@ def compute_pds(
 
     metrics.screen bounds every measure (l1 from below): a candidate whose
     interval lies wholly below or above the anchor's own measure is closer or
-    farther; the rest are measured with pairwise_to_rows, which gives every number.
+    farther; the rest, and the anchor's own, are measured with pairwise_to_rows,
+    which sums every row pairwise, so reports equal synth.oracle_pds's.
     """
     n = pair.n_perturbations
     if n < 2:
         raise ValidationError("need at least two perturbations to rank")
     bounds = screen(spec, pair.predicted.values, pair.truth.values)
 
-    def measure(i: int, candidates=None) -> np.ndarray:
-        # one masked row alone would sum pairwise, unlike the whole matrix
-        take = candidates if candidates is None or len(candidates) > 1 else [*candidates] * 2
-        values = pairwise_to_rows(spec, *anchor_subproblem(pair, i, apply_target_mask, take))
-        return values if candidates is None else values[: len(candidates)]
+    def measure(i: int, candidates) -> np.ndarray:
+        return pairwise_to_rows(spec, *anchor_subproblem(pair, i, apply_target_mask, candidates))
 
     def distances(i: int) -> np.ndarray:
         """Anchor i's measure to every truth row, or a value on the same side of its own."""
         lo, hi = bounds(i, target_column(pair, i, apply_target_mask))
-        if np.isnan(lo).all():  # nothing screened: measure every row in place
-            return measure(i)
         own = lo[i] if lo is hi and np.isfinite(lo[i]) else measure(i, [i])[0]
         undecided = ~((hi < own) | (lo > own) | (lo == hi))  # NaN bounds stay undecided
         undecided[i] = False

@@ -189,5 +189,4 @@ def anchor_subproblem(pair: EffectPair, i: int, apply_target_mask: bool, candida
     column = target_column(pair, i, apply_target_mask)
     if column is None:
         return a, rows
-    keep = np.arange(pair.n_genes) != column
-    return a[keep], rows[:, keep]
+    return np.delete(a, column), np.delete(rows, column, axis=1)

@@ -1,11 +1,8 @@
 """Distance and dissimilarity measures between effect vectors.
 
-Every reduction in pairwise_to_rows sums in an order fixed by the layout of
-its rows, so repeated runs and anchor-level parallelism reproduce results to
-the last bit. C-contiguous rows sum pairwise. Column-masked copies, which
-numpy lays out in Fortran order, sum sequentially along each row. A gather
-of two or more of their rows keeps that order, but a single row is
-contiguous and sums pairwise.
+Every reduction in pairwise_to_rows sums each row pairwise, whatever the
+layout of its input, so a row measures the same alone, in any gather and in
+any run, and anchor-level parallelism reproduces results to the last bit.
 
 screen bounds the same values (l1 from below) from one matrix product per
 call, so a caller can settle most comparisons without the elementwise kernel.
@@ -138,7 +135,7 @@ _scratch = threading.local()
 
 
 def _scratch_like(rows: np.ndarray) -> np.ndarray:
-    """Scratch laid out as numpy lays out rows - a, reused by this thread's later calls.
+    """C-ordered scratch shaped like rows, reused by this thread's later calls.
 
     Fresh matrix-sized temporaries per anchor cost page faults whenever the allocator
     has returned freed ones to the system, which depends on earlier allocations.
@@ -146,8 +143,7 @@ def _scratch_like(rows: np.ndarray) -> np.ndarray:
     buf = getattr(_scratch, "buf", None)
     if buf is None or buf.size < rows.size:
         buf = _scratch.buf = np.empty(rows.size)
-    order = "F" if 0 < abs(rows.strides[0]) < abs(rows.strides[1]) else "C"
-    return buf[: rows.size].reshape(rows.shape, order=order)
+    return buf[: rows.size].reshape(rows.shape)
 
 
 def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
@@ -165,11 +161,8 @@ def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
         raise DimensionMismatch(
             f"row length {rows.shape[1]} does not match vector length {a.shape[0]}"
         )
-    # Reductions below use elementwise products plus sums along the last axis
-    # (never BLAS matrix products), in the order the layout of rows fixes:
-    # pairwise for C-contiguous rows, sequential per row for column-masked
-    # Fortran-ordered copies. A gather of two or more rows sums as the whole
-    # matrix does; a single row is contiguous, so it sums pairwise.
+    # Reductions below use elementwise products (never BLAS matrix products)
+    # written into C-ordered scratch, so each row sums pairwise along the last axis.
     kind = spec.kind
     w = _scratch_like(rows)
     if kind is DistanceKind.L1:

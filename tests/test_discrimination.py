@@ -11,6 +11,7 @@ from pdscore import (
     PdsError,
     ValidationError,
     compute_pds,
+    oracle_pds,
     pds_row,
 )
 
@@ -248,3 +249,4 @@ def test_screened_ranks_equal_measuring_every_candidate(case):
             )
             want = _outcome(lambda: per_anchor_pds(pair, spec, mask, policy))
             assert got == want, (kind.value, mask)
+            assert got == _outcome(lambda: oracle_pds(pair, spec, mask, policy)), (kind.value, mask)

@@ -189,16 +189,29 @@ class TestProperties:
         assert abs(lhs - rhs) <= 1e-10 * scale
 
     def test_batch_matches_scalar_bitwise(self):
+        """Every layout sums each row pairwise, as distance() sums one contiguous row.
+
+        At p = 400 numpy's blocked pairwise sum runs, so a sequential order would differ.
+        """
         rng = np.random.default_rng(5)
-        a = rng.standard_normal(12)
-        rows = rng.standard_normal((9, 12))
-        for spec in METRIC_SPECS + [
-            DistanceSpec(DistanceKind.L2_LIMIT),
-            DistanceSpec(DistanceKind.L1_LIMIT),
-        ]:
-            batch = pairwise_to_rows(spec, a, rows)
-            singles = np.array([distance(spec, a, row) for row in rows])
-            assert np.array_equal(batch, singles)
+        full = rng.standard_normal((30, 400))
+        full[rng.random(full.shape) < 0.2] = 0.0
+        keep = np.arange(400) != 5
+        layouts = {
+            "C": full,
+            "column mask (F-ordered copy)": full[:, keep],
+            "Fortran": np.asfortranarray(full),
+            "strided rows": full[::2],
+            "reversed columns": full[:, ::-1],
+        }
+        for name, rows in layouts.items():
+            a = rng.standard_normal(rows.shape[1])
+            a[:3] = 0.0
+            for kind in DistanceKind:
+                spec = DistanceSpec(kind)
+                batch = pairwise_to_rows(spec, a, rows)
+                singles = [distance(spec, a, np.ascontiguousarray(row)) for row in rows]
+                assert batch.tobytes() == np.array(singles).tobytes(), (name, kind.value)
 
 
 def _fresh_temporaries(spec, a, rows):
@@ -243,7 +256,7 @@ class TestScratch:
             a[:3] = 0.0
             for spec in self.SPECS:
                 got = pairwise_to_rows(spec, a, rows)
-                want = _fresh_temporaries(spec, a, rows)
+                want = _fresh_temporaries(spec, a, np.ascontiguousarray(rows))
                 assert got.tobytes() == want.tobytes(), (name, spec.token)
 
     def test_repeated_call_allocates_no_matrix_sized_array(self):
@@ -261,36 +274,6 @@ class TestScratch:
             finally:
                 tracemalloc.stop()
             assert peak < rows.nbytes / 4, spec.token
-
-
-class TestSummationOrder:
-    """The order of pairwise_to_rows' sums follows the layout of its rows."""
-
-    def test_gathers_of_two_or_more_masked_rows_sum_as_the_whole_matrix(self):
-        rng = np.random.default_rng(13)
-        truth = rng.standard_normal((30, 400))
-        keep = np.arange(400) != 5
-        a = rng.standard_normal(400)[keep]
-        whole = truth[:, keep]  # a column-masked copy is Fortran-ordered
-        assert whole.flags.f_contiguous and not whole.flags.c_contiguous
-        for kind in DistanceKind:
-            spec = DistanceSpec(kind)
-            batch = pairwise_to_rows(spec, a, whole)
-            for rows in ([3, 3], [3, 17], [29, 0, 11]):
-                got = pairwise_to_rows(spec, a, truth[rows][:, keep])
-                assert got.tobytes() == batch[rows].tobytes(), (kind.value, rows)
-
-    def test_a_single_masked_row_sums_pairwise(self):
-        rng = np.random.default_rng(14)
-        truth = rng.standard_normal((30, 400))
-        keep = np.arange(400) != 5
-        a = rng.standard_normal(400)[keep]
-        spec = DistanceSpec(DistanceKind.L2)
-        batch = pairwise_to_rows(spec, a, truth[:, keep])
-        single = [pairwise_to_rows(spec, a, truth[[j]][:, keep])[0] for j in range(30)]
-        contiguous = [distance(spec, a, np.ascontiguousarray(truth[j, keep])) for j in range(30)]
-        assert single == contiguous
-        assert single != batch.tolist()
 
 
 class TestScreen:
