@@ -33,6 +33,8 @@ def _metric_list(text: str):
             raise argparse.ArgumentTypeError(
                 f"unknown metric {token!r}; choose from: {', '.join(METRIC_TOKENS)}"
             )
+        if tokens.count(token) > 1:
+            raise argparse.ArgumentTypeError(f"metric {token!r} given more than once")
     return tokens
 
 
@@ -51,8 +53,8 @@ def _grid(text: str):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError("grid must be <lo>:<hi>:<n>, for example 1e-2:1e4:25") from None
-    if lo <= 0 or hi <= lo or n < 2:
-        raise argparse.ArgumentTypeError("grid needs 0 < lo < hi and at least 2 points")
+    if not (0 < lo < hi < np.inf) or n < 2:
+        raise argparse.ArgumentTypeError("grid needs finite 0 < lo < hi and at least 2 points")
     return tuple(float(x) for x in np.geomspace(lo, hi, n))
 
 
@@ -68,9 +70,12 @@ def _positive_int(text: str) -> int:
 
 def _int_list(text: str):
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        values = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma-separated list of integers") from None
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
 
 
 # Options that name input files, in the order their digests are recorded.

@@ -166,9 +166,24 @@ class TestSweepCommand:
 
     def test_bad_grid_exits_2(self, pair_files):
         pred, truth = pair_files
-        assert main(
-            ["sweep", "--pred", str(pred), "--truth", str(truth), "--grid", "5:1:3"]
-        ) == 2
+        for grid in ("5:1:3", "nan:1e4:25", "1e-2:inf:25"):
+            assert main(
+                ["sweep", "--pred", str(pred), "--truth", str(truth), "--grid", grid]
+            ) == 2, grid
+
+    def test_repeated_metric_exits_2(self, pair_files, tmp_path, capsys):
+        pred, truth = pair_files
+        for command in ("pds", "sweep"):
+            out = tmp_path / command
+            code = main(
+                [
+                    command, "--pred", str(pred), "--truth", str(truth),
+                    "--metric", "l2,l2", "--out", str(out),
+                ]
+            )
+            assert code == 2, command
+            assert "more than once" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestNormMatchCommand:
@@ -244,6 +259,18 @@ class TestGeometryCommands:
         rows = list(csv.reader((out / "region.csv").open()))
         assert rows[0] == ["d", "rho", "kappa", "fraction", "stderr"]
         assert len(rows) == 3
+
+    def test_region_without_dims_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "region"
+        code = main(
+            [
+                "geometry", "region",
+                "--dims", "", "--rho", "0.5", "--kappa", "0.4", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "--dims" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPreprocessCommands:
