@@ -34,6 +34,19 @@ METRIC_SPECS = [
 ]
 
 
+def _layouts(rng, n, p):
+    """An n x p matrix with 20% zero cells in the row layouts pairwise_to_rows can meet."""
+    full = rng.standard_normal((n, p))
+    full[rng.random(full.shape) < 0.2] = 0.0
+    return {
+        "C": full,
+        "column mask (F-ordered copy)": full[:, np.arange(p) != 5],
+        "Fortran": np.asfortranarray(full),
+        "strided rows": full[::2],
+        "reversed columns": full[:, ::-1],
+    }
+
+
 def vec_pairs(min_dim=2, max_dim=24):
     elements = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     return st.integers(min_dim, max_dim).flatmap(
@@ -194,17 +207,7 @@ class TestProperties:
         At p = 400 numpy's blocked pairwise sum runs, so a sequential order would differ.
         """
         rng = np.random.default_rng(5)
-        full = rng.standard_normal((30, 400))
-        full[rng.random(full.shape) < 0.2] = 0.0
-        keep = np.arange(400) != 5
-        layouts = {
-            "C": full,
-            "column mask (F-ordered copy)": full[:, keep],
-            "Fortran": np.asfortranarray(full),
-            "strided rows": full[::2],
-            "reversed columns": full[:, ::-1],
-        }
-        for name, rows in layouts.items():
+        for name, rows in _layouts(rng, 30, 400).items():
             a = rng.standard_normal(rows.shape[1])
             a[:3] = 0.0
             for kind in DistanceKind:
@@ -241,17 +244,7 @@ class TestScratch:
 
     def test_bitwise_equal_to_fresh_temporaries_in_every_layout(self):
         rng = np.random.default_rng(11)
-        full = rng.standard_normal((17, 40))
-        full[rng.random(full.shape) < 0.2] = 0.0
-        keep = np.arange(40) != 7
-        layouts = {
-            "C": full,
-            "column mask (F-ordered copy)": full[:, keep],
-            "Fortran": np.asfortranarray(full),
-            "strided rows": full[::2],
-            "reversed columns": full[:, ::-1],
-        }
-        for name, rows in layouts.items():
+        for name, rows in _layouts(rng, 17, 40).items():
             a = rng.standard_normal(rows.shape[1])
             a[:3] = 0.0
             for spec in self.SPECS:
