@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .asymptotics import (
     DEFAULT_SWEEP_SCALES,
-    LimitSurrogateRow,
     ScaleSweepResult,
     convergence_threshold_l1,
     convergence_threshold_l2,

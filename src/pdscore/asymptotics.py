@@ -15,25 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import ErrorPolicy, compute_pds
-from .effects import EffectMatrix, EffectPair, anchor_subproblem, target_column
+from .effects import EffectMatrix, EffectPair, anchor_subproblem, masked_columns
 from .errors import BadParameter, DegeneratePair
 from .metrics import DistanceKind, DistanceSpec, pairwise_to_rows, sign_vector
 from .transforms import global_scale
 
 DEFAULT_SWEEP_SCALES = tuple(float(x) for x in np.geomspace(1e-2, 1e4, 25))
-
-
-@dataclass(frozen=True)
-class LimitSurrogateRow:
-    """Limit scores for one anchor; smaller means closer in the limit."""
-
-    anchor_index: int
-    scores: np.ndarray
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
 
 
 @dataclass(frozen=True)
@@ -51,7 +38,7 @@ def _truth_rows(truth) -> np.ndarray:
     return np.asarray(truth, dtype=np.float64)
 
 
-def l2_limit_scores(predicted_row, truth, anchor_index: int = -1) -> LimitSurrogateRow:
+def l2_limit_scores(predicted_row, truth) -> np.ndarray:
     """Scores whose ascending order is the large-scale limit of the l2 ranking.
 
     The score for candidate r is -(a . r): squared-distance gaps between
@@ -59,10 +46,7 @@ def l2_limit_scores(predicted_row, truth, anchor_index: int = -1) -> LimitSurrog
     ranking is inner-product based. It coincides with the cosine ranking
     only when all candidate norms are equal.
     """
-    scores = pairwise_to_rows(
-        DistanceSpec(DistanceKind.L2_LIMIT), predicted_row, _truth_rows(truth)
-    )
-    return LimitSurrogateRow(anchor_index, scores)
+    return pairwise_to_rows(DistanceSpec(DistanceKind.L2_LIMIT), predicted_row, _truth_rows(truth))
 
 
 def l1_limit_scores(
@@ -71,8 +55,7 @@ def l1_limit_scores(
     sign_threshold: float = 0.0,
     *,
     corrected: bool = True,
-    anchor_index: int = -1,
-) -> LimitSurrogateRow:
+) -> np.ndarray:
     """Scores whose ascending order is the large-scale limit of the l1 ranking.
 
     Corrected form: -(sum over sign(a_j) != 0 of sign(a_j) r_j)
@@ -88,7 +71,7 @@ def l1_limit_scores(
         spec, a = DistanceSpec(DistanceKind.L1_LIMIT, sign_threshold), predicted_row
     else:  # the plain form is the l2-limit score of the sign vector
         spec, a = DistanceSpec(DistanceKind.L2_LIMIT), sign_vector(predicted_row, sign_threshold)
-    return LimitSurrogateRow(anchor_index, pairwise_to_rows(spec, a, _truth_rows(truth)))
+    return pairwise_to_rows(spec, a, _truth_rows(truth))
 
 
 def convergence_threshold_l2(pair: EffectPair, apply_target_mask: bool = False) -> float:
@@ -97,21 +80,27 @@ def convergence_threshold_l2(pair: EffectPair, apply_target_mask: bool = False) 
     The squared-distance gap between candidates r and s at scale c is
     (|r|^2 - |s|^2) - 2c (a.r - a.s); for every candidate pair with a
     nonzero inner-product gap the sign is settled once
-    c > |(|r|^2 - |s|^2)| / (2 |a.r - a.s|). Returns the max over anchors
-    and candidate pairs. Candidate pairs with equal inner products must
-    also have equal norms (a consistent tie at every scale); otherwise no
-    finite threshold exists and DegeneratePair is raised.
+    c > |(|r|^2 - |s|^2)| / (2 |a.r - a.s|), half the |slope| between the
+    points (a.r, |r|^2) and (a.s, |s|^2). Returns the max over anchors and
+    candidate pairs. The slope across a point is a weighted mean of the two
+    slopes beside it, so the max lies between neighbours in a.r order, found
+    with one sort per anchor. Candidates with equal inner products must also
+    have equal norms (a consistent tie at every scale); otherwise no finite
+    threshold exists and DegeneratePair is raised. A tied group with mixed
+    norms always has two neighbours of different norms, whatever order the
+    sort leaves it in.
     """
     best = 0.0
     for i in range(pair.n_perturbations):
         a, rows = anchor_subproblem(pair, i, apply_target_mask)
         inner = rows @ a
         sqnorm = (rows**2).sum(axis=1)
-        gaps = inner[:, None] - inner[None, :]
-        consts = sqnorm[:, None] - sqnorm[None, :]
-        degenerate = (gaps == 0.0) & (consts != 0.0)
-        if degenerate.any():
-            r, s = map(int, np.argwhere(degenerate)[0])
+        order = np.argsort(inner)
+        gaps = np.diff(inner[order])
+        consts = np.diff(sqnorm[order])
+        degenerate = np.flatnonzero((gaps == 0.0) & (consts != 0.0))
+        if degenerate.size:
+            r, s = order[degenerate[0]], order[degenerate[0] + 1]
             raise DegeneratePair(
                 f"anchor {pair.perturbation_ids[i]!r}: candidates "
                 f"{pair.perturbation_ids[r]!r} and {pair.perturbation_ids[s]!r} tie in the "
@@ -119,7 +108,7 @@ def convergence_threshold_l2(pair: EffectPair, apply_target_mask: bool = False) 
             )
         nz = gaps != 0.0
         if nz.any():
-            candidates = np.abs(consts[nz]) / (2.0 * np.abs(gaps[nz]))
+            candidates = np.abs(consts[nz]) / (2.0 * gaps[nz])  # gaps are positive
             best = max(best, float(candidates.max()))
     return best
 
@@ -135,16 +124,16 @@ def convergence_threshold_l1(pair: EffectPair, apply_target_mask: bool = False) 
     """
     abs_p = np.abs(pair.predicted.values)
     ratios = np.abs(pair.truth.values).max(axis=0) / np.where(abs_p > 0.0, abs_p, np.inf)
-    for i in range(pair.n_perturbations):
-        column = target_column(pair, i, apply_target_mask)
-        if column is not None:
-            ratios[i, column] = 0.0
+    masked = masked_columns(pair, apply_target_mask)
+    ratios[list(masked), list(masked.values())] = 0.0
     return float(ratios.max(initial=0.0))
 
 
 def _limit_spec(spec: DistanceSpec) -> DistanceSpec:
+    # l1 measures every coordinate whatever the sign threshold, and so does its
+    # limit: a coordinate counts as zero only where the prediction is exactly zero
     if spec.kind is DistanceKind.L1:
-        return DistanceSpec(DistanceKind.L1_LIMIT, spec.sign_threshold)
+        return DistanceSpec(DistanceKind.L1_LIMIT)
     if spec.kind is DistanceKind.L2:
         return DistanceSpec(DistanceKind.L2_LIMIT)
     return spec

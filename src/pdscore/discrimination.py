@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .effects import EffectPair, anchor_subproblem, target_column
+from .effects import EffectPair, anchor_subproblem, masked_columns
 from .errors import BadIndex, ValidationError, ZeroVector
 from .metrics import DistanceSpec, pairwise_to_rows, screen
 
@@ -110,7 +110,7 @@ def compute_pds(
 
     def distances(i: int) -> np.ndarray:
         """Anchor i's measure to every truth row, or a value on the same side of its own."""
-        lo, hi = bounds(i, target_column(pair, i, apply_target_mask))
+        lo, hi = bounds(i, masked_columns(pair, apply_target_mask).get(i))
         own = lo[i] if lo is hi and np.isfinite(lo[i]) else measure(i, [i])[0]
         undecided = ~((hi < own) | (lo > own) | (lo == hi))  # NaN bounds stay undecided
         undecided[i] = False

@@ -85,13 +85,16 @@ class EffectPair:
 
     target_gene_of optionally maps a perturbation id to the gene it targets;
     scoring can exclude that gene from the perturbation's own comparisons.
-    transform_chain records descriptors already applied to the predicted side.
+    target_column_of, derived from it, maps the row of each perturbation with a
+    target to that gene's column. transform_chain records descriptors already
+    applied to the predicted side.
     """
 
     predicted: EffectMatrix
     truth: EffectMatrix
     target_gene_of: dict = field(default_factory=dict)
     transform_chain: tuple = ()
+    target_column_of: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.predicted.perturbation_ids != self.truth.perturbation_ids:
@@ -100,12 +103,18 @@ class EffectPair:
             )
         if self.predicted.gene_ids != self.truth.gene_ids:
             raise ValidationError("predicted and truth must list identical genes in identical order")
-        genes = set(self.predicted.gene_ids)
+        column_of = {gene: j for j, gene in enumerate(self.gene_ids)}
         targets = {str(k): str(v) for k, v in dict(self.target_gene_of).items()}
         for pert, gene in targets.items():
-            if gene not in genes:
+            if gene not in column_of:
                 raise ValidationError(f"target gene {gene!r} of {pert!r} is not a gene of this pair")
+        columns = {
+            i: column_of[targets[pert]]
+            for i, pert in enumerate(self.perturbation_ids)
+            if pert in targets
+        }
         object.__setattr__(self, "target_gene_of", targets)
+        object.__setattr__(self, "target_column_of", columns)
         object.__setattr__(self, "transform_chain", tuple(self.transform_chain))
 
     @property
@@ -164,14 +173,13 @@ def align_pair(predicted: EffectMatrix, truth: EffectMatrix, target_gene_of=None
     return EffectPair(reindex(predicted), reindex(truth), targets)
 
 
-def target_column(pair: EffectPair, i: int, apply_target_mask: bool) -> int | None:
-    """Column of anchor i's target gene when it is masked, else None."""
-    gene = pair.target_gene_of.get(pair.perturbation_ids[i]) if apply_target_mask else None
-    if gene is None:
-        return None
-    if pair.n_genes < 2:
+def masked_columns(pair: EffectPair, apply_target_mask: bool) -> dict:
+    """Column of each masked anchor's target gene, by anchor row; empty without a mask."""
+    if not apply_target_mask:
+        return {}
+    if pair.target_column_of and pair.n_genes < 2:
         raise ValidationError("masking would leave no gene coordinates")
-    return pair.gene_ids.index(gene)
+    return pair.target_column_of
 
 
 def anchor_subproblem(pair: EffectPair, i: int, apply_target_mask: bool, candidates=None):
@@ -186,7 +194,7 @@ def anchor_subproblem(pair: EffectPair, i: int, apply_target_mask: bool, candida
     """
     a = pair.predicted.values[i]
     rows = pair.truth.values if candidates is None else pair.truth.values[candidates]
-    column = target_column(pair, i, apply_target_mask)
+    column = masked_columns(pair, apply_target_mask).get(i)
     if column is None:
         return a, rows
     return np.delete(a, column), np.delete(rows, column, axis=1)

@@ -4,6 +4,7 @@ import numpy as np
 from scipy.special import betainc
 
 from pdscore import (
+    DegeneratePair,
     EffectMatrix,
     EffectPair,
     ZeroVector,
@@ -68,6 +69,32 @@ def threshold_l1_per_anchor(pair, apply_target_mask=False):
         if nz.any():
             ratios = np.abs(rows[:, nz]) / np.abs(a[nz])
             best = max(best, float(ratios.max()))
+    return best
+
+
+def threshold_l2_all_pairs(pair, apply_target_mask=False):
+    """convergence_threshold_l2 over every candidate pair: the max over anchors and
+    pairs (r, s) with a.r != a.s of |(|r|^2 - |s|^2)| / (2 |a.r - a.s|), from N x N
+    gap matrices per anchor; DegeneratePair where a.r == a.s but |r| != |s|."""
+    best = 0.0
+    for i in range(pair.n_perturbations):
+        a, rows = anchor_subproblem(pair, i, apply_target_mask)
+        inner = rows @ a
+        sqnorm = (rows**2).sum(axis=1)
+        gaps = inner[:, None] - inner[None, :]
+        consts = sqnorm[:, None] - sqnorm[None, :]
+        degenerate = (gaps == 0.0) & (consts != 0.0)
+        if degenerate.any():
+            r, s = map(int, np.argwhere(degenerate)[0])
+            raise DegeneratePair(
+                f"anchor {pair.perturbation_ids[i]!r}: candidates "
+                f"{pair.perturbation_ids[r]!r} and {pair.perturbation_ids[s]!r} tie in the "
+                "limit but differ in norm; no finite threshold"
+            )
+        nz = gaps != 0.0
+        if nz.any():
+            candidates = np.abs(consts[nz]) / (2.0 * np.abs(gaps[nz]))
+            best = max(best, float(candidates.max()))
     return best
 
 

@@ -145,7 +145,7 @@ def test_criterion_05_l1_limit_with_correction():
     corrected = compute_pds(pair, DistanceSpec(DistanceKind.L1_LIMIT)).per_perturbation[0].rank
     from pdscore import l1_limit_scores
 
-    uncorrected = l1_limit_scores([1.0, 0.0], pair.truth, corrected=False).scores
+    uncorrected = l1_limit_scores([1.0, 0.0], pair.truth, corrected=False)
     corrected_matches = brute[0] == corrected == 2.0
     uncorrected_disagrees = int(np.argmin(uncorrected)) == 0 and int(brute.argmin()) == 1
     ok = mismatches == 0 and corrected_matches and uncorrected_disagrees

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from pdscore import (
     scale_sweep,
 )
 
-from helpers import pair_from, random_pair, threshold_l1_per_anchor
+from helpers import pair_from, random_pair, threshold_l1_per_anchor, threshold_l2_all_pairs
 
 
 def truths(rows, genes=None):
@@ -34,34 +36,27 @@ def ranks_of(report):
 
 class TestL2LimitScores:
     def test_inner_product_example(self):
-        scores = l2_limit_scores([1.0, 0.0], truths([[1.0, 1.0], [0.1, 0.0]])).scores
+        scores = l2_limit_scores([1.0, 0.0], truths([[1.0, 1.0], [0.1, 0.0]]))
         assert scores.tolist() == [-1.0, -0.1]
 
     def test_orthogonal_distractor_loses_regardless_of_norms(self):
         # prediction orthogonal to the distractor, positive inner product
         # with the truth: any distractor norm still scores 0
         for distractor_scale in (0.01, 1.0, 100.0):
-            scores = l2_limit_scores(
-                [1.0, 0.0], truths([[0.5, 3.0], [0.0, distractor_scale]])
-            ).scores
+            scores = l2_limit_scores([1.0, 0.0], truths([[0.5, 3.0], [0.0, distractor_scale]]))
             assert scores[0] < scores[1] == 0.0
 
     def test_longer_collinear_distractor_wins_the_limit(self):
-        scores = l2_limit_scores([1.0, 2.0], truths([[1.0, 2.0], [2.0, 4.0]])).scores
+        scores = l2_limit_scores([1.0, 2.0], truths([[1.0, 2.0], [2.0, 4.0]]))
         assert scores[1] < scores[0]
-
-    def test_scores_are_readonly(self):
-        row = l2_limit_scores([1.0, 0.0], truths([[1.0, 1.0], [0.1, 0.0]]))
-        with pytest.raises(ValueError):
-            row.scores[0] = 5.0
 
 
 class TestL1LimitScores:
     def test_zero_coordinate_correction_example(self):
         t = truths([[1.0, 5.0], [-1.0, 0.0]])
-        corrected = l1_limit_scores([1.0, 0.0], t).scores
+        corrected = l1_limit_scores([1.0, 0.0], t)
         assert corrected.tolist() == [4.0, 1.0]
-        uncorrected = l1_limit_scores([1.0, 0.0], t, corrected=False).scores
+        uncorrected = l1_limit_scores([1.0, 0.0], t, corrected=False)
         assert uncorrected.tolist() == [-1.0, 1.0]
         # corrected ranks the distractor first, matching brute force at
         # large scales; the plain weighted sign form ranks the truth first
@@ -72,15 +67,13 @@ class TestL1LimitScores:
         rng = np.random.default_rng(21)
         a = rng.standard_normal(9)
         t = truths(rng.standard_normal((5, 9)))
-        assert np.array_equal(
-            l1_limit_scores(a, t).scores, l1_limit_scores(a, t, corrected=False).scores
-        )
+        assert np.array_equal(l1_limit_scores(a, t), l1_limit_scores(a, t, corrected=False))
 
     def test_full_agreement_vs_full_disagreement(self):
         a = [1.0, -1.0, 1.0]
         agree = [2.0, -3.0, 1.0]
         disagree = [-1.0, 2.0, -2.0]
-        scores = l1_limit_scores(a, truths([agree, disagree])).scores
+        scores = l1_limit_scores(a, truths([agree, disagree]))
         assert scores[0] == -float(np.abs(agree).sum())
         assert scores[1] == float(np.abs(disagree).sum())
 
@@ -107,6 +100,48 @@ class TestConvergenceThresholdL2:
         pair = pair_from([[1.0, 0.0], [1.0, 0.0]], [[1.0, 5.0], [1.0, -3.0]])
         with pytest.raises(DegeneratePair, match="P0000"):
             convergence_threshold_l2(pair)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 40),
+        st.integers(2, 30),
+        st.integers(-100, 100),
+        st.integers(-100, 100),
+        st.sampled_from([0.0, 0.3]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_neighbour_scan_matches_all_pairs(
+        self, seed, n, p, pred_exp, truth_exp, zeros, integer_rows, duplicate_rows
+    ):
+        # Each slope is within three roundings of the exact slope between the same
+        # computed points, whose maxima over neighbours and over all pairs are equal.
+        rng = np.random.default_rng(seed)
+
+        def draw(exponent):
+            if integer_rows:
+                x = rng.integers(-20, 21, (n, p)).astype(np.float64)
+            else:
+                x = rng.standard_normal((n, p))
+            x[rng.random((n, p)) < zeros] = 0.0
+            return x * 10.0**exponent
+
+        pred, truth = draw(pred_exp), draw(truth_exp)
+        if duplicate_rows:
+            truth[rng.integers(n, size=n // 2 + 1)] = truth[rng.integers(n, size=n // 2 + 1)]
+        targets = {f"P{i:04d}": f"G{int(rng.integers(p)):04d}" for i in range(n) if i % 3}
+        pair = pair_from(pred, truth, targets)
+        for masked in (False, True):
+            try:
+                want = threshold_l2_all_pairs(pair, masked)
+            except DegeneratePair as exc:
+                anchor = str(exc).split(":")[0]
+                with pytest.raises(DegeneratePair, match=f"^{re.escape(anchor)}:"):
+                    convergence_threshold_l2(pair, masked)
+                continue
+            got = convergence_threshold_l2(pair, masked)
+            assert got <= want <= got * (1.0 + 8.0 * 2.0**-53), masked
 
     def test_ranking_exact_beyond_threshold(self):
         rng = np.random.default_rng(31)
@@ -199,6 +234,14 @@ class TestScaleSweep:
             assert beyond, "grid must extend past the threshold"
             assert all(v == result.limit_mean_pds[token] for v in beyond)
 
+    def test_l1_limit_ignores_the_sign_threshold(self):
+        # the l1 kernel measures every coordinate whatever the threshold, so its
+        # curve meets the limit with only exactly-zero predictions counted as zero
+        pair = random_pair(np.random.default_rng(54), n=30, p=40)
+        c1 = convergence_threshold_l1(pair)
+        result = scale_sweep(pair, [DistanceSpec(DistanceKind.L1, 0.5)], (2.0 * c1, 10.0 * c1))
+        assert all(v == result.limit_mean_pds["l1"] for v in result.mean_pds_per_scale["l1"])
+
     def test_rejects_bad_grids(self):
         pair = random_pair(np.random.default_rng(52), n=3, p=4)
         specs = [DistanceSpec(DistanceKind.L2)]
@@ -227,7 +270,7 @@ class TestEqualNormReduction:
         pair = pair_from(pred, truth_rows)
         cosine_spec = DistanceSpec(DistanceKind.COSINE_DISSIM)
         for i in range(8):
-            limit = l2_limit_scores(pred[i], pair.truth).scores
+            limit = l2_limit_scores(pred[i], pair.truth)
             cos_d = 1.0 - (truth_rows @ pred[i]) / (
                 np.linalg.norm(truth_rows, axis=1) * np.linalg.norm(pred[i])
             )

@@ -198,7 +198,7 @@ class TestOracleL1Limit:
         pair = pair_from(pred, truth)
         brute = oracle_l1_limit(pair, 1e8)
         for i in range(4):
-            scores = l1_limit_scores(pred[i], pair.truth, corrected=False).scores
+            scores = l1_limit_scores(pred[i], pair.truth, corrected=False)
             order_expected = np.argsort(scores)
             order_brute = np.argsort([brute[i, j] for j in range(4)])
             assert np.array_equal(order_expected, order_brute)
