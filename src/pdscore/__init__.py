@@ -64,7 +64,6 @@ from .preprocessing import (
     CONTROL_LABEL,
     CountMatrix,
     PipelineComparison,
-    PipelineKind,
     PipelineSpec,
     compare_pipelines,
     mean_effects,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import ErrorPolicy, compute_pds
+from .discrimination import compute_pds
 from .effects import EffectMatrix, EffectPair, anchor_subproblem, masked_columns
 from .errors import BadParameter, DegeneratePair
 from .metrics import DistanceKind, DistanceSpec, pairwise_to_rows, sign_vector
@@ -90,11 +90,12 @@ def convergence_threshold_l2(pair: EffectPair, apply_target_mask: bool = False) 
     norms always has two neighbours of different norms, whatever order the
     sort leaves it in.
     """
+    truth_sqnorm = (pair.truth.values**2).sum(axis=1)  # for every anchor without a mask
     best = 0.0
     for i in range(pair.n_perturbations):
         a, rows = anchor_subproblem(pair, i, apply_target_mask)
         inner = rows @ a
-        sqnorm = (rows**2).sum(axis=1)
+        sqnorm = truth_sqnorm if rows is pair.truth.values else (rows**2).sum(axis=1)
         order = np.argsort(inner)
         gaps = np.diff(inner[order])
         consts = np.diff(sqnorm[order])
@@ -144,14 +145,13 @@ def scale_sweep(
     specs,
     scales=DEFAULT_SWEEP_SCALES,
     apply_target_mask: bool = False,
-    *,
-    error_policy: ErrorPolicy = ErrorPolicy.WORST,
 ) -> ScaleSweepResult:
     """Mean discrimination score per metric across globally rescaled predictions.
 
     Each metric also gets one limit value: the norm kinds are scored under
     their limit surrogate, the scale-invariant kinds reuse their constant
-    score. Scales must be positive and ascending.
+    score. Undefined anchors score as worst. Scales must be positive and
+    ascending.
     """
     specs = tuple(specs)
     scales = tuple(float(c) for c in scales)
@@ -167,16 +167,12 @@ def scale_sweep(
     for c in scales:
         scaled = pair.with_predicted(global_scale(pair.predicted, c))
         for spec, token in zip(specs, tokens):
-            report = compute_pds(
-                scaled, spec, apply_target_mask, error_policy=error_policy
-            )
+            report = compute_pds(scaled, spec, apply_target_mask)
             curves[token].append(report.mean_pds)
 
     limits: dict = {}
     for spec, token in zip(specs, tokens):
-        limit_report = compute_pds(
-            pair, _limit_spec(spec), apply_target_mask, error_policy=error_policy
-        )
+        limit_report = compute_pds(pair, _limit_spec(spec), apply_target_mask)
         limits[token] = limit_report.mean_pds
 
     return ScaleSweepResult(scales, {k: tuple(v) for k, v in curves.items()}, limits)

@@ -125,7 +125,7 @@ def _load_pair(args):
     return align_pair(predicted, truth, targets)
 
 
-def _cmd_pds(args, out: Path, meta: dict | None) -> int:
+def _cmd_pds(args, out: Path, meta: dict | None) -> None:
     pair = apply_chain(_load_pair(args), args.transform or ())
     policy = ErrorPolicy(args.error_policy)
     for token in args.metric:
@@ -137,37 +137,33 @@ def _cmd_pds(args, out: Path, meta: dict | None) -> int:
             args, out, f"pds_{token}", report, meta, io.pds_report_payload, io.write_pds_report_csv
         )
         print(f"metric={token} mean_pds={report.mean_pds:.6f}")
-    return 0
 
 
-def _cmd_sweep(args, out: Path, meta: dict | None) -> int:
+def _cmd_sweep(args, out: Path, meta: dict | None) -> None:
     specs = [spec_from_token(t, args.sign_threshold) for t in args.metric]
     grid = args.grid if args.grid is not None else DEFAULT_SWEEP_SCALES
     result = scale_sweep(_load_pair(args), specs, grid, args.mask_target)
     _emit(args, out, "sweep", result, meta, io.sweep_payload, io.write_sweep_csv)
     for token, value in result.limit_mean_pds.items():
         print(f"metric={token} limit_mean_pds={value:.6f}")
-    return 0
 
 
-def _cmd_norm_match(args, out: Path, meta: dict | None) -> int:
+def _cmd_norm_match(args, out: Path, meta: dict | None) -> None:
     matched = norm_match(_load_pair(args), 1 if args.norm == "l1" else 2)
     path = io.write_effect_matrix(matched.predicted, out / "norm_matched_predictions.csv")
     print(f"wrote {path}")
-    return 0
 
 
-def _cmd_geometry_certificate(args, out: Path, meta: dict | None) -> int:
+def _cmd_geometry_certificate(args, out: Path, meta: dict | None) -> None:
     result = orthogonal_ray_certificate(args.pred_norm, args.true_norm, args.cosine)
     io.write_json(io.certificate_payload(result, meta), out / "certificate.json")
     print(
         f"safe={result.safe} cosine={result.cosine:g} "
         f"threshold={result.threshold:g} margin={result.margin:g}"
     )
-    return 0
 
 
-def _cmd_geometry_region(args, out: Path, meta: dict | None) -> int:
+def _cmd_geometry_region(args, out: Path, meta: dict | None) -> None:
     results = [
         region_fraction(d, args.rho, args.kappa, args.samples, args.seed, args.metric)
         for d in args.dims
@@ -175,27 +171,24 @@ def _cmd_geometry_region(args, out: Path, meta: dict | None) -> int:
     _emit(args, out, "region", results, meta, io.region_payload, io.write_region_csv)
     for r in results:
         print(f"d={r.dimension} fraction={r.fraction_closer:.6f} stderr={r.standard_error:.6f}")
-    return 0
 
 
-def _cmd_preprocess_normalize(args, out: Path, meta: dict | None) -> int:
+def _cmd_preprocess_normalize(args, out: Path, meta: dict | None) -> None:
     counts = io.read_count_matrix(args.counts)
     values = normalize(counts, pipeline_from_token(args.pipeline))
     path = io.write_normalized_matrix(values, counts, out / "normalized.csv")
     print(f"wrote {path}")
-    return 0
 
 
-def _cmd_preprocess_effects(args, out: Path, meta: dict | None) -> int:
+def _cmd_preprocess_effects(args, out: Path, meta: dict | None) -> None:
     counts = io.read_count_matrix(args.counts)
     values = normalize(counts, pipeline_from_token(args.pipeline))
     effects = mean_effects(values, counts.cell_condition, counts.gene_ids)
     path = io.write_effect_matrix(effects, out / "effects.csv")
     print(f"wrote {path}")
-    return 0
 
 
-def _cmd_preprocess_compare(args, out: Path, meta: dict | None) -> int:
+def _cmd_preprocess_compare(args, out: Path, meta: dict | None) -> None:
     counts = io.read_count_matrix(args.counts)
     result = compare_pipelines(
         counts,
@@ -208,10 +201,9 @@ def _cmd_preprocess_compare(args, out: Path, meta: dict | None) -> int:
         f"perturbations={len(result.perturbation_ids)} "
         f"median_cosine={float(np.median(result.cosine_between)):.4f}"
     )
-    return 0
 
 
-def _cmd_synth_pair(args, out: Path, meta: dict | None) -> int:
+def _cmd_synth_pair(args, out: Path, meta: dict | None) -> None:
     spec = SynthSpec(
         n_perturbations=args.n,
         n_genes=args.genes,
@@ -225,10 +217,9 @@ def _cmd_synth_pair(args, out: Path, meta: dict | None) -> int:
     io.write_effect_matrix(pair.predicted, out / "predicted.csv")
     io.write_effect_matrix(pair.truth, out / "truth.csv")
     print(f"wrote {out / 'predicted.csv'} and {out / 'truth.csv'}")
-    return 0
 
 
-def _cmd_synth_counts(args, out: Path, meta: dict | None) -> int:
+def _cmd_synth_counts(args, out: Path, meta: dict | None) -> None:
     spec = CountSynthSpec(
         n_perturbations=args.perturbations,
         cells_per_condition=args.cells_per_condition,
@@ -242,7 +233,6 @@ def _cmd_synth_counts(args, out: Path, meta: dict | None) -> int:
     counts = generate_counts(spec)
     path = io.write_count_matrix(counts, out / "counts.csv")
     print(f"wrote {path}")
-    return 0
 
 
 def _formats(text: str):
@@ -416,13 +406,14 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         inputs = {name: getattr(args, name) for name in _INPUTS if getattr(args, name, None)}
         digests = _echo_config(args, out, inputs)
-        return args.func(args, out, {"inputs": digests} if inputs else None)
+        args.func(args, out, {"inputs": digests} if inputs else None)
     except PdsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def run() -> None:

@@ -57,8 +57,8 @@ def orthogonal_ray_certificate(
     if not np.isfinite(cosine_to_true) or abs(cosine_to_true) > 1.0:
         raise BadParameter(f"cosine must lie in [-1, 1], got {cosine_to_true!r}")
     threshold = true_norm / (2.0 * pred_norm)
-    margin = cosine_to_true - threshold
-    return CertificateResult(margin >= 0.0, float(cosine_to_true), float(threshold), float(margin))
+    margin = float(cosine_to_true - threshold)  # a plain float, so safe is a plain bool
+    return CertificateResult(margin >= 0.0, float(cosine_to_true), float(threshold), margin)
 
 
 def region_fraction(

@@ -187,10 +187,10 @@ def _json_default(obj):
 
 
 def write_json(payload: dict, path) -> Path:
+    # Encode first, so a payload that cannot be encoded leaves no partial file behind.
+    text = json.dumps(payload, indent=2, default=_json_default) + "\n"
     path = Path(path)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_json_default)
-        fh.write("\n")
+    path.write_text(text)
     return path
 
 
@@ -241,10 +241,8 @@ def write_sweep_csv(result: ScaleSweepResult, path) -> Path:
     return _write_csv(path, ["c", "metric", "mean_pds"], rows)
 
 
-# Per-perturbation columns of a comparison, each an array attribute of PipelineComparison.
-_COMPARISON_COLUMNS = (
-    "l1_norm_a", "l1_norm_b", "l2_norm_a", "l2_norm_b", "cosine_between", "sign_cosine_between"
-)
+# Per-perturbation columns of a comparison: the array fields of PipelineComparison.
+_COMPARISON_COLUMNS = tuple(f.name for f in fields(PipelineComparison) if f.type is np.ndarray)
 
 
 def _comparison_rows(result: PipelineComparison, cell):
@@ -256,7 +254,7 @@ def _comparison_rows(result: PipelineComparison, cell):
 def comparison_payload(result: PipelineComparison, meta: dict | None = None) -> dict:
     keys = ("perturbation_id", *_COMPARISON_COLUMNS)
     rows = [dict(zip(keys, row)) for row in _comparison_rows(result, float)]
-    pipelines = {"pipeline_a": result.spec_a.token, "pipeline_b": result.spec_b.token}
+    pipelines = {"pipeline_a": result.spec_a.value, "pipeline_b": result.spec_b.value}
     return _payload("pipeline-comparison", meta, {**pipelines, "per_perturbation": rows})
 
 

@@ -103,8 +103,8 @@ def cosine(a, b) -> float:
 def sign_vector(a, threshold: float = 0.0) -> np.ndarray:
     """Coordinatewise sign, with |x| <= threshold mapped to 0."""
     a = _vector(a)
-    if threshold < 0.0:
-        raise BadParameter("threshold must be >= 0")
+    if not np.isfinite(threshold) or threshold < 0.0:
+        raise BadParameter("threshold must be finite and >= 0")
     return _signs(a, threshold)
 
 

@@ -25,42 +25,24 @@ from .metrics import cosine, sign_cosine
 CONTROL_LABEL = "control"
 
 
-class PipelineKind(Enum):
-    MEDIAN_LIBRARY_SIZE = "median"
-    PER_10K_LOG1P = "per10k"
+class PipelineSpec(Enum):
+    """Normalization pipeline, valued by its command-line token.
 
-
-@dataclass(frozen=True)
-class PipelineSpec:
-    """Normalization pipeline choice.
-
-    apply_log1p is fixed true for the per-10k pipeline and configurable for
-    median scaling (default true, since effect vectors are log-scale
-    differences).
+    per10k always applies log1p; median scaling applies it unless the
+    token says median-nolog (effect vectors are log-scale differences).
     """
 
-    kind: PipelineKind
-    apply_log1p: bool = True
-
-    def __post_init__(self):
-        if self.kind is PipelineKind.PER_10K_LOG1P and not self.apply_log1p:
-            raise BadParameter("the per-10k pipeline always applies log1p")
-
-    @property
-    def token(self) -> str:
-        if self.kind is PipelineKind.MEDIAN_LIBRARY_SIZE and not self.apply_log1p:
-            return "median-nolog"
-        return self.kind.value
+    PER10K = "per10k"
+    MEDIAN = "median"
+    MEDIAN_NOLOG = "median-nolog"
 
 
 def pipeline_from_token(token: str) -> PipelineSpec:
-    if token == "per10k":
-        return PipelineSpec(PipelineKind.PER_10K_LOG1P)
-    if token == "median":
-        return PipelineSpec(PipelineKind.MEDIAN_LIBRARY_SIZE)
-    if token == "median-nolog":
-        return PipelineSpec(PipelineKind.MEDIAN_LIBRARY_SIZE, apply_log1p=False)
-    raise BadParameter(f"unknown pipeline {token!r}; choose from: per10k, median, median-nolog")
+    try:
+        return PipelineSpec(token)
+    except ValueError:
+        choices = ", ".join(spec.value for spec in PipelineSpec)
+        raise BadParameter(f"unknown pipeline {token!r}; choose from: {choices}") from None
 
 
 @dataclass(frozen=True)
@@ -157,18 +139,18 @@ def normalize(counts: CountMatrix, spec: PipelineSpec) -> np.ndarray:
     spec : PipelineSpec
         per10k scales each cell to 10,000 total counts and applies log1p.
         median divides each cell by its size factor, library size over the
-        median library size, then applies log1p when apply_log1p is set.
+        median library size, then applies log1p; median-nolog skips the log1p.
     """
     raw = counts.counts.astype(np.float64)
     libsizes = raw.sum(axis=1)
-    if spec.kind is PipelineKind.PER_10K_LOG1P:
+    if spec is PipelineSpec.PER10K:
         scaled = raw * (10000.0 / libsizes)[:, None]
         return np.log1p(scaled)
     factors = libsizes / np.median(libsizes)
     scaled = raw / factors[:, None]
-    if spec.apply_log1p:
-        return np.log1p(scaled)
-    return scaled
+    if spec is PipelineSpec.MEDIAN_NOLOG:
+        return scaled
+    return np.log1p(scaled)
 
 
 def mean_effects(
@@ -215,26 +197,14 @@ def compare_pipelines(
     effects_b = mean_effects(normalize(counts, spec_b), counts.cell_condition, counts.gene_ids)
     a = effects_a.values
     b = effects_b.values
-    cosines = np.array([cosine(x, y) for x, y in zip(a, b)])
-    sign_cosines = np.array([sign_cosine(x, y, sign_threshold) for x, y in zip(a, b)])
-    result = PipelineComparison(
-        spec_a,
-        spec_b,
-        effects_a.perturbation_ids,
-        l1_norm_a=np.abs(a).sum(axis=1),
-        l1_norm_b=np.abs(b).sum(axis=1),
-        l2_norm_a=np.sqrt((a**2).sum(axis=1)),
-        l2_norm_b=np.sqrt((b**2).sum(axis=1)),
-        cosine_between=cosines,
-        sign_cosine_between=sign_cosines,
-    )
-    for arr in (
-        result.l1_norm_a,
-        result.l1_norm_b,
-        result.l2_norm_a,
-        result.l2_norm_b,
-        result.cosine_between,
-        result.sign_cosine_between,
-    ):
+    columns = {
+        "l1_norm_a": np.abs(a).sum(axis=1),
+        "l1_norm_b": np.abs(b).sum(axis=1),
+        "l2_norm_a": np.sqrt((a**2).sum(axis=1)),
+        "l2_norm_b": np.sqrt((b**2).sum(axis=1)),
+        "cosine_between": np.array([cosine(x, y) for x, y in zip(a, b)]),
+        "sign_cosine_between": np.array([sign_cosine(x, y, sign_threshold) for x, y in zip(a, b)]),
+    }
+    for arr in columns.values():
         arr.setflags(write=False)
-    return result
+    return PipelineComparison(spec_a, spec_b, effects_a.perturbation_ids, **columns)

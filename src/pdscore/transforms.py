@@ -106,21 +106,16 @@ def apply_chain(pair: EffectPair, chain) -> EffectPair:
     out = pair
     for descriptor in tuple(chain):
         if descriptor.kind is TransformKind.GLOBAL_SCALE:
-            out = out.with_predicted(
-                global_scale(out.predicted, descriptor.parameter), (descriptor,)
-            )
+            predicted = global_scale(out.predicted, descriptor.parameter)
         elif descriptor.kind is TransformKind.NORM_MATCH_L1:
-            matched = norm_match(out, 1)
-            out = matched.with_predicted(matched.predicted, (descriptor,))
+            predicted = norm_match(out, 1).predicted
         elif descriptor.kind is TransformKind.NORM_MATCH_L2:
-            matched = norm_match(out, 2)
-            out = matched.with_predicted(matched.predicted, (descriptor,))
+            predicted = norm_match(out, 2).predicted
         elif descriptor.kind is TransformKind.SIGN_PROJECT:
-            out = out.with_predicted(
-                sign_project(out.predicted, descriptor.parameter), (descriptor,)
-            )
+            predicted = sign_project(out.predicted, descriptor.parameter)
         else:
             raise BadParameter(f"unhandled transform kind {descriptor.kind!r}")
+        out = out.with_predicted(predicted, (descriptor,))
     return out
 
 
@@ -129,29 +124,26 @@ def parse_chain(text: str) -> tuple[TransformDescriptor, ...]:
     text = text.strip()
     if not text:
         return ()
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if token == "norm-match:l1":
-            out.append(TransformDescriptor(TransformKind.NORM_MATCH_L1))
-        elif token == "norm-match:l2":
-            out.append(TransformDescriptor(TransformKind.NORM_MATCH_L2))
-        elif token.startswith("scale:"):
-            out.append(TransformDescriptor(TransformKind.GLOBAL_SCALE, _number(token, "scale")))
-        elif token.startswith("sign:"):
-            out.append(TransformDescriptor(TransformKind.SIGN_PROJECT, _number(token, "sign")))
-        else:
-            raise BadParameter(f"unknown transform {token!r}; grammar: {CHAIN_GRAMMAR}")
-    return tuple(out)
+    return tuple(_descriptor(token.strip()) for token in text.split(","))
 
 
 def chain_tokens(chain) -> list[str]:
     return [descriptor.token for descriptor in chain]
 
 
-def _number(token: str, prefix: str) -> float:
-    raw = token[len(prefix) + 1 :]
+def _descriptor(token: str) -> TransformDescriptor:
+    """A kind that takes no parameter by its name, any other as <name>:<number>."""
     try:
-        return float(raw)
+        return TransformDescriptor(TransformKind(token))
+    except ValueError:  # not a kind, or a kind that needs a parameter
+        pass
+    name, _, raw = token.partition(":")
+    try:
+        kind = TransformKind(name)
     except ValueError:
-        raise BadParameter(f"bad {prefix} parameter {raw!r}; grammar: {CHAIN_GRAMMAR}") from None
+        raise BadParameter(f"unknown transform {token!r}; grammar: {CHAIN_GRAMMAR}") from None
+    try:
+        value = float(raw)
+    except ValueError:
+        raise BadParameter(f"bad {name} parameter {raw!r}; grammar: {CHAIN_GRAMMAR}") from None
+    return TransformDescriptor(kind, value)

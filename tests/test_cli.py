@@ -315,6 +315,19 @@ class TestPreprocessCommands:
         config = json.loads((out / "run_config.json").read_text())
         assert list(config["input_digests"]) == [str(counts)]
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_sign_threshold_exits_1(self, counts_file, tmp_path, threshold, capsys):
+        out = tmp_path / "cmp"
+        code = main(
+            [
+                "preprocess", "compare", "--counts", str(counts_file),
+                "--sign-threshold", threshold, "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "must be finite and >= 0" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
+
     def test_unknown_pipeline_exits_1(self, counts_file, tmp_path):
         assert main(
             [

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from pdscore import (
     compute_pds,
     generate_counts,
     CountSynthSpec,
+    PipelineComparison,
+    compare_pipelines,
+    orthogonal_ray_certificate,
+    pipeline_from_token,
     scale_sweep,
 )
 from pdscore import io as pio
@@ -218,3 +223,25 @@ class TestReports:
         path.write_bytes(b"abc123")
         assert pio.sha256_file(path) == pio.sha256_file(path)
         assert len(pio.sha256_file(path)) == 64
+
+    def test_comparison_csv_header_is_the_array_fields(self, tmp_path):
+        counts = generate_counts(CountSynthSpec(n_perturbations=3, cells_per_condition=5, n_genes=30))
+        result = compare_pipelines(counts, pipeline_from_token("per10k"), pipeline_from_token("median"))
+        path = pio.write_comparison_csv(result, tmp_path / "c.csv")
+        header = next(csv.reader(path.open()))
+        assert header == ["perturbation", *(f.name for f in fields(PipelineComparison)[3:])]
+        assert header[1:] == [
+            "l1_norm_a", "l1_norm_b", "l2_norm_a", "l2_norm_b", "cosine_between", "sign_cosine_between"
+        ]
+
+    def test_certificate_from_numpy_inputs_is_json(self, tmp_path):
+        result = orthogonal_ray_certificate(np.float64(1), 1.0, np.float64(0.6))
+        assert type(result.safe) is bool
+        path = pio.write_json(pio.certificate_payload(result), tmp_path / "certificate.json")
+        assert json.loads(path.read_text())["safe"] is True
+
+    def test_unencodable_payload_writes_no_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        with pytest.raises(TypeError):
+            pio.write_json({"x": object()}, path)
+        assert not path.exists()

@@ -123,6 +123,13 @@ class TestErrors:
         with pytest.raises(ZeroSignVector):
             sign_cosine([0.05, -0.05], [1.0, 2.0], threshold=0.1)
 
+    def test_non_finite_sign_threshold(self):
+        for threshold in (math.nan, math.inf):
+            with pytest.raises(BadParameter, match="must be finite and >= 0"):
+                sign_vector([1.0, -2.0], threshold)
+            with pytest.raises(BadParameter, match="must be finite and >= 0"):
+                sign_cosine([1.0, -2.0], [2.0, 1.0], threshold)
+
     def test_bad_spec_parameters(self):
         with pytest.raises(BadParameter):
             DistanceSpec(DistanceKind.SIGN_COSINE_DISSIM, sign_threshold=-1.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from pdscore import (
     CountMatrix,
     EmptyPerturbation,
     MissingControl,
-    PipelineKind,
     PipelineSpec,
     ValidationError,
     ZeroLibrarySize,
@@ -18,9 +18,9 @@ from pdscore import (
 )
 from pdscore.errors import BadParameter
 
-PER10K = PipelineSpec(PipelineKind.PER_10K_LOG1P)
-MEDIAN = PipelineSpec(PipelineKind.MEDIAN_LIBRARY_SIZE)
-MEDIAN_RAW = PipelineSpec(PipelineKind.MEDIAN_LIBRARY_SIZE, apply_log1p=False)
+PER10K = PipelineSpec.PER10K
+MEDIAN = PipelineSpec.MEDIAN
+MEDIAN_RAW = PipelineSpec.MEDIAN_NOLOG
 
 
 def counts_of(rows, conditions, genes=None):
@@ -95,15 +95,11 @@ class TestNormalize:
             assert out.shape == (12, 7)
             assert np.all(out >= 0.0)
 
-    def test_per10k_requires_log1p(self):
-        with pytest.raises(BadParameter):
-            PipelineSpec(PipelineKind.PER_10K_LOG1P, apply_log1p=False)
-
     def test_pipeline_tokens(self):
         assert pipeline_from_token("per10k") == PER10K
         assert pipeline_from_token("median") == MEDIAN
         assert pipeline_from_token("median-nolog") == MEDIAN_RAW
-        with pytest.raises(BadParameter):
+        with pytest.raises(BadParameter, match="choose from: per10k, median, median-nolog"):
             pipeline_from_token("cpm")
 
 
@@ -196,3 +192,19 @@ class TestComparePipelines:
         )
         assert float(np.median(ratio)) > 1.2
         assert np.all(np.abs(result.sign_cosine_between) <= 1.0)
+
+    def test_arrays_are_readonly(self):
+        rng = np.random.default_rng(75)
+        cm = counts_of(rng.integers(0, 30, (12, 9)) + 1, ["control"] * 6 + ["A"] * 3 + ["B"] * 3)
+        result = compare_pipelines(cm, PER10K, MEDIAN)
+        arrays = [getattr(result, f.name) for f in fields(result)[3:]]
+        assert len(arrays) == 6
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_non_finite_sign_threshold_rejected(self):
+        cm = counts_of([[5, 3, 2], [4, 4, 2], [9, 1, 2]], ["control", "control", "A"])
+        for threshold in (math.nan, math.inf):
+            with pytest.raises(BadParameter, match="must be finite and >= 0"):
+                compare_pipelines(cm, PER10K, MEDIAN, threshold)
