@@ -28,7 +28,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateLabel,
     EmptyIntersection,
-    EmptyPerturbation,
     MissingControl,
     NonpositiveNorm,
     NonpositiveScale,

@@ -49,28 +49,20 @@ def l2_limit_scores(predicted_row, truth) -> np.ndarray:
     return pairwise_to_rows(DistanceSpec(DistanceKind.L2_LIMIT), predicted_row, _truth_rows(truth))
 
 
-def l1_limit_scores(
-    predicted_row,
-    truth,
-    sign_threshold: float = 0.0,
-    *,
-    corrected: bool = True,
-) -> np.ndarray:
+def l1_limit_scores(predicted_row, truth, *, corrected: bool = True) -> np.ndarray:
     """Scores whose ascending order is the large-scale limit of the l1 ranking.
 
     Corrected form: -(sum over sign(a_j) != 0 of sign(a_j) r_j)
     + (sum over sign(a_j) == 0 of |r_j|). Coordinates where the prediction
     is exactly zero contribute |r_j| at every scale, so the second term is
     required for the scores to match brute-force rankings; corrected=False
-    drops it (the plain weighted sign similarity) for comparison.
-
-    A positive sign_threshold changes which coordinates count as zero and
-    then describes a thresholded-sign variant rather than the exact limit.
+    drops it (the plain weighted sign similarity) for comparison. A
+    thresholded-sign variant is DistanceSpec(DistanceKind.L1_LIMIT, t).
     """
     if corrected:
-        spec, a = DistanceSpec(DistanceKind.L1_LIMIT, sign_threshold), predicted_row
+        spec, a = DistanceSpec(DistanceKind.L1_LIMIT), predicted_row
     else:  # the plain form is the l2-limit score of the sign vector
-        spec, a = DistanceSpec(DistanceKind.L2_LIMIT), sign_vector(predicted_row, sign_threshold)
+        spec, a = DistanceSpec(DistanceKind.L2_LIMIT), sign_vector(predicted_row)
     return pairwise_to_rows(spec, a, _truth_rows(truth))
 
 

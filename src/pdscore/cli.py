@@ -197,10 +197,9 @@ def _cmd_preprocess_compare(args, out: Path, meta: dict | None) -> None:
         args.sign_threshold,
     )
     _emit(args, out, "comparison", result, meta, io.comparison_payload, io.write_comparison_csv)
-    print(
-        f"perturbations={len(result.perturbation_ids)} "
-        f"median_cosine={float(np.median(result.cosine_between)):.4f}"
-    )
+    defined = result.cosine_between[~np.isnan(result.cosine_between)]  # NaN for zero effects
+    median = float(np.median(defined)) if defined.size else float("nan")
+    print(f"perturbations={len(result.perturbation_ids)} median_cosine={median:.4f}")
 
 
 def _cmd_synth_pair(args, out: Path, meta: dict | None) -> None:

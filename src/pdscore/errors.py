@@ -70,10 +70,6 @@ class MissingControl(ValidationError):
     pass
 
 
-class EmptyPerturbation(ValidationError):
-    pass
-
-
 class ParseError(PdsError):
     """A file could not be parsed; carries a 1-based line and column."""
 

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, NonpositiveNorm
+from .metrics import DistanceKind, DistanceSpec, distance, pairwise_to_rows
 
 _BATCH = 1 << 14
+_L2 = DistanceSpec(DistanceKind.L2)  # a draw's l2 distance from the origin is its norm
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,11 @@ def region_fraction(
     one orthogonal completion axis. Directions u are sampled uniformly on
     the unit sphere and the fraction with |pred - norm_ratio u| strictly
     below the truth's distance is returned with its binomial standard
-    error. Draws are partitioned into fixed-size batches with per-batch
-    child seeds, so results are identical for any worker partitioning.
+    error. Draws come in fixed-size batches, which bound memory; each batch
+    has its own child seed, which fixes the random stream. Every norm and
+    distance comes from pairwise_to_rows, whose per-thread scratch keeps one
+    batch of min(samples, 2**14) x dimension floats after the call, for
+    reuse by later calls.
 
     Under l2 the distractor wins iff u_1 > s = (norm_ratio^2 + 2 true_cosine
     - 1) / (2 norm_ratio). As dimension grows u_1 concentrates at 0, so the
@@ -95,15 +100,14 @@ def region_fraction(
     if metric not in ("l1", "l2"):
         raise BadParameter(f"metric must be 'l1' or 'l2', got {metric!r}")
 
+    spec = DistanceSpec(DistanceKind(metric))
+    origin = np.zeros(dimension)
     pred = np.zeros(dimension)
     pred[0] = 1.0
     truth = np.zeros(dimension)
     truth[0] = true_cosine
     truth[1] = math.sqrt(max(0.0, 1.0 - true_cosine * true_cosine))
-    if metric == "l2":
-        true_distance = float(np.sqrt(((pred - truth) ** 2).sum()))
-    else:
-        true_distance = float(np.abs(pred - truth).sum())
+    true_distance = distance(spec, pred, truth)
 
     n_batches = (samples + _BATCH - 1) // _BATCH
     children = np.random.SeedSequence(seed).spawn(n_batches)
@@ -114,18 +118,13 @@ def region_fraction(
         m = min(_BATCH, remaining)
         remaining -= m
         draws = rng.standard_normal((m, dimension))
-        norms = np.linalg.norm(draws, axis=1)
+        norms = pairwise_to_rows(_L2, origin, draws)
         while np.any(norms == 0.0):  # essentially unreachable; keeps the math valid
             bad = norms == 0.0
             draws[bad] = rng.standard_normal((int(bad.sum()), dimension))
-            norms = np.linalg.norm(draws, axis=1)
-        points = draws * (norm_ratio / norms)[:, None]
-        points[:, 0] -= 1.0  # points now hold (norm_ratio * u) - pred
-        if metric == "l2":
-            dists = np.sqrt((points**2).sum(axis=1))
-        else:
-            dists = np.abs(points).sum(axis=1)
-        wins += int((dists < true_distance).sum())
+            norms = pairwise_to_rows(_L2, origin, draws)
+        draws *= (norm_ratio / norms)[:, None]  # draws now hold norm_ratio * u
+        wins += int((pairwise_to_rows(spec, pred, draws) < true_distance).sum())
 
     fraction = wins / samples
     stderr = math.sqrt(fraction * (1.0 - fraction) / samples)

@@ -104,9 +104,14 @@ def _check_unique(labels, cells, what: str) -> None:
             raise DuplicateLabelInFile(*cell, f"duplicate {what} id {label!r}, first {where}")
 
 
-def _write_matrix(path, label_columns, labels, gene_ids, values, cell=fmt) -> Path:
-    """Write a labelled table: each row's label cells, then cell(v) for each of its values."""
-    rows = ([*label, *map(cell, row)] for label, row in zip(labels, values))
+def _write_matrix(path, label_columns, labels, gene_ids, values) -> Path:
+    """Write a labelled table: each row's label cells, then its values as integers
+    (%d) for an integer array and with 17 significant digits (%.17g) otherwise."""
+    values = np.asarray(values)
+    cell = "%d" if np.issubdtype(values.dtype, np.integer) else "%.17g"
+    row_format = ",".join([cell] * values.shape[1])
+    cells = ((row_format % tuple(row.tolist())).split(",") for row in values)
+    rows = ([*label, *row] for label, row in zip(labels, cells))
     return _write_csv(path, [*label_columns, *gene_ids], rows)
 
 
@@ -153,10 +158,8 @@ _COUNT_LABELS = ["cell", "condition"]
 
 
 def write_count_matrix(counts: CountMatrix, path) -> Path:
-    # tolist() gives Python ints, so each cell is written as str(int(v)).
-    values = (row.tolist() for row in counts.counts)
     labels = zip(counts.cell_ids, counts.cell_condition)
-    return _write_matrix(path, _COUNT_LABELS, labels, counts.gene_ids, values, str)
+    return _write_matrix(path, _COUNT_LABELS, labels, counts.gene_ids, counts.counts)
 
 
 def write_normalized_matrix(values, counts: CountMatrix, path) -> Path:

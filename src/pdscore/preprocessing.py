@@ -12,14 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-from .effects import EffectMatrix
-from .errors import (
-    BadParameter,
-    EmptyPerturbation,
-    MissingControl,
-    ValidationError,
-    ZeroLibrarySize,
-)
+from .effects import EffectMatrix, _check_unique
+from .errors import BadParameter, MissingControl, ValidationError, ZeroLibrarySize, ZeroVector
 from .metrics import cosine, sign_cosine
 
 CONTROL_LABEL = "control"
@@ -75,8 +69,7 @@ class CountMatrix:
             raise ValidationError(f"{len(condition)} condition labels for {n_cells} cells")
         if len(genes) != n_genes:
             raise ValidationError(f"{len(genes)} gene ids for {n_genes} columns")
-        if len(set(genes)) != len(genes):
-            raise ValidationError("duplicate gene ids")
+        _check_unique(genes, "gene")
         libsizes = counts.sum(axis=1)
         zero = np.flatnonzero(libsizes < 1)
         if zero.size:
@@ -90,8 +83,7 @@ class CountMatrix:
             cell_ids = tuple(str(c) for c in cell_ids)
             if len(cell_ids) != n_cells:
                 raise ValidationError(f"{len(cell_ids)} cell ids for {n_cells} cells")
-            if len(set(cell_ids)) != len(cell_ids):
-                raise ValidationError("duplicate cell ids")
+            _check_unique(cell_ids, "cell")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "cell_condition", condition)
         object.__setattr__(self, "gene_ids", genes)
@@ -153,17 +145,12 @@ def normalize(counts: CountMatrix, spec: PipelineSpec) -> np.ndarray:
     return np.log1p(scaled)
 
 
-def mean_effects(
-    normalized: np.ndarray,
-    cell_condition,
-    gene_ids,
-    perturbation_ids=None,
-) -> EffectMatrix:
+def mean_effects(normalized: np.ndarray, cell_condition, gene_ids) -> EffectMatrix:
     """Per-perturbation mean effect relative to control cells.
 
     Effect row i is the columnwise mean over cells of perturbation i minus
     the columnwise mean over control cells. Perturbations are listed in
-    lexicographic order unless an explicit list is given.
+    lexicographic order.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
     condition = np.asarray([str(x) for x in cell_condition])
@@ -172,18 +159,21 @@ def mean_effects(
     control = condition == CONTROL_LABEL
     if not control.any():
         raise MissingControl(f"no cell labeled {CONTROL_LABEL!r}")
-    if perturbation_ids is None:
-        perts = sorted(set(condition.tolist()) - {CONTROL_LABEL})
-    else:
-        perts = [str(x) for x in perturbation_ids]
+    perts = sorted(set(condition.tolist()) - {CONTROL_LABEL})
     control_mean = normalized[control].mean(axis=0)
-    rows = []
-    for pert in perts:
-        members = condition == pert
-        if not members.any():
-            raise EmptyPerturbation(f"perturbation {pert!r} has no cells")
-        rows.append(normalized[members].mean(axis=0) - control_mean)
+    rows = [normalized[condition == pert].mean(axis=0) - control_mean for pert in perts]
     return EffectMatrix(np.vstack(rows), tuple(perts), tuple(gene_ids))
+
+
+def _where_defined(measure, a, b, *args) -> np.ndarray:
+    """measure(x, y, *args) for each pair of rows; NaN where a zero vector leaves it undefined."""
+    out = np.full(len(a), np.nan)
+    for i, (x, y) in enumerate(zip(a, b)):
+        try:
+            out[i] = measure(x, y, *args)
+        except ZeroVector:  # ZeroSignVector too; a bad threshold still raises
+            pass
+    return out
 
 
 def compare_pipelines(
@@ -192,18 +182,23 @@ def compare_pipelines(
     spec_b: PipelineSpec,
     sign_threshold: float = 0.0,
 ) -> PipelineComparison:
-    """Contrast the mean effects produced by two pipelines from the same counts."""
+    """Contrast the mean effects produced by two pipelines from the same counts.
+
+    A perturbation whose effect is the zero vector under either pipeline gets
+    NaN cosine and sign cosine; one whose sign vector is all zero (every
+    |value| at or below sign_threshold) gets NaN sign cosine.
+    """
     effects_a = mean_effects(normalize(counts, spec_a), counts.cell_condition, counts.gene_ids)
     effects_b = mean_effects(normalize(counts, spec_b), counts.cell_condition, counts.gene_ids)
     a = effects_a.values
     b = effects_b.values
     columns = {
-        "l1_norm_a": np.abs(a).sum(axis=1),
-        "l1_norm_b": np.abs(b).sum(axis=1),
-        "l2_norm_a": np.sqrt((a**2).sum(axis=1)),
-        "l2_norm_b": np.sqrt((b**2).sum(axis=1)),
-        "cosine_between": np.array([cosine(x, y) for x, y in zip(a, b)]),
-        "sign_cosine_between": np.array([sign_cosine(x, y, sign_threshold) for x, y in zip(a, b)]),
+        "l1_norm_a": np.linalg.norm(a, 1, axis=1),
+        "l1_norm_b": np.linalg.norm(b, 1, axis=1),
+        "l2_norm_a": np.linalg.norm(a, 2, axis=1),
+        "l2_norm_b": np.linalg.norm(b, 2, axis=1),
+        "cosine_between": _where_defined(cosine, a, b),
+        "sign_cosine_between": _where_defined(sign_cosine, a, b, sign_threshold),
     }
     for arr in columns.values():
         arr.setflags(write=False)

@@ -213,7 +213,7 @@ def oracle_pds(
     return finish_report(pair, spec, entries, apply_target_mask, error_policy)
 
 
-def oracle_l1_limit(pair: EffectPair, c: float, apply_target_mask: bool = False) -> np.ndarray:
+def oracle_l1_limit(pair: EffectPair, c: float) -> np.ndarray:
     """Brute-force l1 ranking of candidates for predictions scaled by c.
 
     Returns an (N, N) matrix of mid-ranks, one row per anchor, computed
@@ -224,33 +224,28 @@ def oracle_l1_limit(pair: EffectPair, c: float, apply_target_mask: bool = False)
         raise BadParameter(f"c must be positive, got {c!r}")
     n = pair.n_perturbations
     out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        a, rows = anchor_subproblem(pair, i, apply_target_mask)
+    for i, a in enumerate(pair.predicted.values):
         scaled = c * a
-        dists = np.array([np.abs(scaled - r).sum() for r in rows])
+        dists = np.array([np.abs(scaled - r).sum() for r in pair.truth.values])
         out[i] = _sorted_average_ranks(dists)
     return out
 
 
-def oracle_ray_certificate(
-    pred_norm: float,
-    true_norm: float,
-    cosine_to_true: float,
-    grid: int = 4001,
-    refinements: int = 3,
-) -> bool:
+def oracle_ray_certificate(pred_norm: float, true_norm: float, cosine_to_true: float) -> bool:
     """Brute-force check of the orthogonal-ray certificate.
 
-    Minimizes |pred - t u| over a t grid with local refinement for a unit u
-    orthogonal to the prediction (the value depends only on t), then asks
-    whether the truth's distance is at most that minimum.
+    Minimizes |pred - t u| over a 4001-point t grid, refined three times
+    around its minimum, for a unit u orthogonal to the prediction (the value
+    depends only on t), then asks whether the truth's distance is at most
+    that minimum.
     """
+    grid = 4001
     true_distance = math.sqrt(
         pred_norm**2 + true_norm**2 - 2.0 * pred_norm * true_norm * cosine_to_true
     )
     lo, hi = 1e-9, 4.0 * max(pred_norm, true_norm)
     best = math.inf
-    for _ in range(refinements):
+    for _ in range(3):
         ts = np.linspace(lo, hi, grid)
         values = np.sqrt(pred_norm**2 + ts**2)
         k = int(np.argmin(values))

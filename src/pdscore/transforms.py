@@ -80,13 +80,8 @@ def norm_match(pair: EffectPair, p_norm: int) -> EffectPair:
     if p_norm not in (1, 2):
         raise BadParameter(f"p_norm must be 1 or 2, got {p_norm!r}")
     predicted = pair.predicted.values
-    truth = pair.truth.values
-    if p_norm == 1:
-        pred_norms = np.abs(predicted).sum(axis=1)
-        true_norms = np.abs(truth).sum(axis=1)
-    else:
-        pred_norms = np.sqrt((predicted**2).sum(axis=1))
-        true_norms = np.sqrt((truth**2).sum(axis=1))
+    pred_norms = np.linalg.norm(predicted, p_norm, axis=1)
+    true_norms = np.linalg.norm(pair.truth.values, p_norm, axis=1)
     zero = np.flatnonzero(pred_norms == 0.0)
     if zero.size:
         pid = pair.perturbation_ids[int(zero[0])]

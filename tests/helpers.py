@@ -124,3 +124,37 @@ def region_fraction_exact(d: int, rho: float, kappa: float) -> float:
         return 1.0
     tail = 0.5 * float(betainc((d - 1) / 2.0, 0.5, 1.0 - s * s))
     return tail if s >= 0.0 else 1.0 - tail
+
+
+def region_wins_reference(dimension, norm_ratio, true_cosine, samples, seed, metric="l2"):
+    """Win count of ``region_fraction`` from its own l1/l2 arithmetic, not the kernel's.
+
+    Same batches (2**14 draws, one child seed each) and the same draws; each
+    batch's norms come from np.linalg.norm, the distractors from a rescaled
+    copy shifted by the prediction, and the distances from written-out sums.
+    """
+    pred = np.zeros(dimension)
+    pred[0] = 1.0
+    truth = np.zeros(dimension)
+    truth[0] = true_cosine
+    truth[1] = np.sqrt(max(0.0, 1.0 - true_cosine * true_cosine))
+    if metric == "l2":
+        true_distance = float(np.sqrt(((pred - truth) ** 2).sum()))
+    else:
+        true_distance = float(np.abs(pred - truth).sum())
+    batch = 1 << 14
+    wins = 0
+    remaining = samples
+    for child in np.random.SeedSequence(seed).spawn((samples + batch - 1) // batch):
+        rng = np.random.default_rng(child)
+        m = min(batch, remaining)
+        remaining -= m
+        draws = rng.standard_normal((m, dimension))
+        points = draws * (norm_ratio / np.linalg.norm(draws, axis=1))[:, None]
+        points[:, 0] -= 1.0  # points now hold (norm_ratio * u) - pred
+        if metric == "l2":
+            dists = np.sqrt((points**2).sum(axis=1))
+        else:
+            dists = np.abs(points).sum(axis=1)
+        wins += int((dists < true_distance).sum())
+    return wins

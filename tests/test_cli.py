@@ -328,6 +328,28 @@ class TestPreprocessCommands:
         assert "must be finite and >= 0" in capsys.readouterr().err
         assert not (out / "comparison.csv").exists()
 
+    def test_zero_effect_perturbation_is_reported_with_nan_cosines(self, tmp_path, capsys):
+        # A's cells repeat the control cells, so A's effect is the zero vector under both pipelines
+        counts = tmp_path / "counts.csv"
+        counts.write_text(
+            "cell,condition,g1,g2,g3\nc0,control,1,2,3\nc1,control,2,1,3\n"
+            "c2,A,1,2,3\nc3,A,2,1,3\nc4,B,5,0,1\n"
+        )
+        out = tmp_path / "cmp"
+        assert main(["preprocess", "compare", "--counts", str(counts), "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "comparison.csv").open()))
+        assert [row["perturbation"] for row in rows] == ["A", "B"]
+        assert rows[0]["cosine_between"] == rows[0]["sign_cosine_between"] == "nan"
+        cosine_b = float(rows[1]["cosine_between"])
+        assert f"perturbations=2 median_cosine={cosine_b:.4f}" in capsys.readouterr().out
+
+    def test_compare_with_no_defined_cosine_prints_nan_median(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("cell,condition,g1,g2\nc0,control,1,2\nc1,A,1,2\n")
+        out = tmp_path / "cmp"
+        assert main(["preprocess", "compare", "--counts", str(counts), "--out", str(out)]) == 0
+        assert "perturbations=1 median_cosine=nan" in capsys.readouterr().out
+
     def test_unknown_pipeline_exits_1(self, counts_file, tmp_path):
         assert main(
             [

@@ -11,7 +11,7 @@ from pdscore import (
     region_fraction,
 )
 
-from helpers import region_fraction_exact
+from helpers import region_fraction_exact, region_wins_reference
 
 
 def closed_form_2d_fraction(rho, kappa):
@@ -114,6 +114,16 @@ class TestRegionFraction:
             band = 3.0 * math.hypot(earlier.standard_error, later.standard_error)
             assert later.fraction_closer >= earlier.fraction_closer - band
         assert fractions[-1] > fractions[0]
+
+    @pytest.mark.parametrize("metric", ["l1", "l2"])
+    @pytest.mark.parametrize("d", [2, 3, 100, 1000])
+    def test_win_counts_match_the_reference_arithmetic(self, metric, d):
+        # 20,000 samples are two batches; each (rho, kappa) sits near a win
+        # boundary under l2 or under l1 at d = 100 or d = 1000
+        for seed, (rho, kappa) in enumerate(((0.5, 0.375), (0.04, -1.0), (0.175, -0.6))):
+            result = region_fraction(d, rho, kappa, 20_000, seed, metric)
+            wins = region_wins_reference(d, rho, kappa, 20_000, seed, metric)
+            assert result.fraction_closer == wins / 20_000
 
     def test_validation(self):
         with pytest.raises(BadParameter):

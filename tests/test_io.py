@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from dataclasses import fields
 
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 
 from pdscore import (
+    CountMatrix,
     DistanceKind,
     DistanceSpec,
     DuplicateLabel,
+    EffectMatrix,
     ParseError,
     compute_pds,
     generate_counts,
@@ -156,6 +159,52 @@ class TestCountsRoundTrip:
         with pytest.raises(ParseError, match="cell 'c1' has library size 0") as info:
             pio.read_count_matrix(path)
         assert (info.value.line, info.value.column) == (3, 1)
+
+
+def seventeen_digits(value: float) -> str:
+    return format(value, ".17g")
+
+
+def csv_bytes(header, labels, values, cell) -> bytes:
+    """A labelled table as csv.writer writes it, each value formatted by cell."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([*label, *map(cell, row)] for label, row in zip(labels, values.tolist()))
+    return text.getvalue().encode()
+
+
+class TestMatrixBytes:
+    # extremes, subnormals, -0.0, negatives and integer-valued floats
+    VALUES = np.array(
+        [
+            [5e-324, 1.7e308, -0.0, -2.5],
+            [1.0, -3.0, 0.1, -1.7976931348623157e308],
+            [2.0**53, 1e-310, 123456789.0, -5e-324],
+        ]
+    )
+    GENES = ("g,1", 'g"2', "g 3", "g4")  # labels that csv.writer must quote
+    COUNTS = CountMatrix(
+        np.array([[2**63 - 1, 0, 0, 0], [0, 1, 7, 12345678901234], [3, 0, 0, 1]]),
+        ("control", "A,1", 'B "x"'),
+        GENES,
+        ("c,0", 'c"1', "c\n2"),
+    )
+
+    def test_effect_matrix(self, tmp_path):
+        ids = ("a,b", 'say "hi"', "two\nlines")
+        matrix = EffectMatrix(self.VALUES, ids, self.GENES)
+        path = pio.write_effect_matrix(matrix, tmp_path / "e.csv")
+        header = ["perturbation", *self.GENES]
+        assert path.read_bytes() == csv_bytes(header, zip(ids), self.VALUES, seventeen_digits)
+
+    def test_normalized_and_count_matrices(self, tmp_path):
+        header = ["cell", "condition", *self.GENES]
+        labels = list(zip(self.COUNTS.cell_ids, self.COUNTS.cell_condition))
+        path = pio.write_normalized_matrix(self.VALUES, self.COUNTS, tmp_path / "n.csv")
+        assert path.read_bytes() == csv_bytes(header, labels, self.VALUES, seventeen_digits)
+        path = pio.write_count_matrix(self.COUNTS, tmp_path / "c.csv")
+        assert path.read_bytes() == csv_bytes(header, labels, self.COUNTS.counts, str)
 
 
 class TestTargetMap:

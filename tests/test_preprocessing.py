@@ -6,7 +6,7 @@ import pytest
 
 from pdscore import (
     CountMatrix,
-    EmptyPerturbation,
+    DuplicateLabel,
     MissingControl,
     PipelineSpec,
     ValidationError,
@@ -49,6 +49,12 @@ class TestCountMatrix:
     def test_requires_control(self):
         with pytest.raises(MissingControl):
             counts_of([[1, 2], [3, 4]], ["A", "B"])
+
+    def test_duplicate_ids_are_named(self):
+        with pytest.raises(DuplicateLabel, match="duplicate gene label 'G0'"):
+            counts_of([[1, 2]], ["control"], ("G0", "G0"))
+        with pytest.raises(DuplicateLabel, match="duplicate cell label 'c1'"):
+            CountMatrix([[1], [2]], ("control", "A"), ("G0",), ("c1", "c1"))
 
     def test_counts_are_readonly(self):
         cm = counts_of([[1, 2]], ["control"])
@@ -124,10 +130,6 @@ class TestMeanEffects:
         with pytest.raises(MissingControl):
             mean_effects(np.ones((2, 2)), ["A", "A"], ("g1", "g2"))
 
-    def test_empty_perturbation_with_explicit_ids(self):
-        with pytest.raises(EmptyPerturbation):
-            mean_effects(np.ones((2, 2)), ["control", "A"], ("g1", "g2"), perturbation_ids=["B"])
-
     def test_linear_in_the_normalized_matrix(self):
         rng = np.random.default_rng(73)
         a = rng.standard_normal((10, 6))
@@ -142,6 +144,10 @@ class TestMeanEffects:
         normalized = np.arange(8.0).reshape(4, 2)
         effects = mean_effects(normalized, ["control", "B", "A", "control"], ("g1", "g2"))
         assert effects.perturbation_ids == ("A", "B")
+
+
+ZERO_EFFECT_ROWS = [[1, 2, 3], [2, 1, 3], [1, 2, 3], [2, 1, 3], [5, 0, 1]]
+ZERO_EFFECT_CONDITIONS = ["control", "control", "A", "A", "B"]
 
 
 class TestComparePipelines:
@@ -203,8 +209,26 @@ class TestComparePipelines:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    def test_zero_effect_gets_nan_cosines_and_the_rest_are_reported(self):
+        # perturbation A's cells repeat the control cells, so its effect is the zero vector
+        cm = counts_of(ZERO_EFFECT_ROWS, ZERO_EFFECT_CONDITIONS)
+        result = compare_pipelines(cm, PER10K, MEDIAN)
+        assert result.perturbation_ids == ("A", "B")
+        assert result.l1_norm_a[0] == result.l2_norm_b[0] == 0.0
+        assert np.isnan(result.cosine_between[0]) and np.isnan(result.sign_cosine_between[0])
+        assert np.isfinite(result.cosine_between[1]) and np.isfinite(result.sign_cosine_between[1])
+
+    def test_all_zero_sign_vector_gets_nan_sign_cosine(self):
+        cm = counts_of(ZERO_EFFECT_ROWS, ZERO_EFFECT_CONDITIONS)
+        result = compare_pipelines(cm, PER10K, MEDIAN, sign_threshold=1e6)
+        assert np.isnan(result.sign_cosine_between).all()
+        assert np.isfinite(result.cosine_between[1])
+
     def test_non_finite_sign_threshold_rejected(self):
         cm = counts_of([[5, 3, 2], [4, 4, 2], [9, 1, 2]], ["control", "control", "A"])
         for threshold in (math.nan, math.inf):
             with pytest.raises(BadParameter, match="must be finite and >= 0"):
                 compare_pipelines(cm, PER10K, MEDIAN, threshold)
+        zero_effect = counts_of(ZERO_EFFECT_ROWS, ZERO_EFFECT_CONDITIONS)
+        with pytest.raises(BadParameter, match="must be finite and >= 0"):
+            compare_pipelines(zero_effect, PER10K, MEDIAN, math.nan)
