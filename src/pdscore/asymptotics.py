@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import compute_pds
-from .effects import EffectMatrix, EffectPair, anchor_subproblem, masked_columns
+from .effects import EffectMatrix, EffectPair, anchor_subproblem, target_columns
 from .errors import BadParameter, DegeneratePair
 from .metrics import DistanceKind, DistanceSpec, pairwise_to_rows, sign_vector
 from .transforms import global_scale
@@ -117,8 +117,8 @@ def convergence_threshold_l1(pair: EffectPair, apply_target_mask: bool = False) 
     """
     abs_p = np.abs(pair.predicted.values)
     ratios = np.abs(pair.truth.values).max(axis=0) / np.where(abs_p > 0.0, abs_p, np.inf)
-    masked = masked_columns(pair, apply_target_mask)
-    ratios[list(masked), list(masked.values())] = 0.0
+    columns = target_columns(pair, apply_target_mask)
+    ratios[columns >= 0, columns[columns >= 0]] = 0.0
     return float(ratios.max(initial=0.0))
 
 

@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="undefined-anchor handling: worst rank, or skip from the mean",
     )
     p.add_argument(
-        "--workers", type=_positive_int, default=1, help="anchor-level worker threads (>= 1)"
+        "--workers", type=_positive_int, default=1, help="threads over anchor row-blocks (>= 1)"
     )
     _add_common_io(p)
     p.set_defaults(func=_cmd_pds)

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .effects import EffectPair, anchor_subproblem, masked_columns
+from .effects import EffectPair, target_columns
 from .errors import BadIndex, ValidationError, ZeroVector
 from .metrics import DistanceSpec, pairwise_to_rows, screen
 
@@ -58,12 +58,25 @@ class PdsReport:
         return np.array([e.pds for e in self.per_perturbation], dtype=np.float64)
 
 
-def pds_row(distances, true_index: int) -> tuple[float, float]:
-    """Mid-rank of the true distance among all N candidates, and its score.
+# Anchor blocks of about this many candidate pairs, and gathered chunks of about this
+# many values, stay in cache and bound the memory compute_pds adds at any size.
+_CACHED = 2**16
+
+
+def _mid_ranks(distances: np.ndarray, own: np.ndarray):
+    """Mid-rank of each row's own value among the row's N distances, and its score.
 
     rank = 1 + (# others strictly closer) + 0.5 * (# others exactly tied);
     pds  = 1 - (rank - 1) / (N - 1).
     """
+    closer = (distances < own[:, None]).sum(axis=1)
+    tied_others = (distances == own[:, None]).sum(axis=1) - 1
+    rank = 1.0 + closer + 0.5 * tied_others
+    return rank.tolist(), (1.0 - (rank - 1.0) / (distances.shape[1] - 1.0)).tolist()
+
+
+def pds_row(distances, true_index: int) -> tuple[float, float]:
+    """Mid-rank of the true distance among all N candidates, and its score."""
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 1 or d.size < 2:
         raise ValidationError("need a 1-d vector of at least two distances")
@@ -72,12 +85,8 @@ def pds_row(distances, true_index: int) -> tuple[float, float]:
         raise BadIndex(f"true_index {true_index!r} out of range for {n} candidates")
     if not np.isfinite(d).all():
         raise ValidationError("distances must be finite")
-    dt = d[int(true_index)]
-    closer = int((d < dt).sum())
-    tied_others = int((d == dt).sum()) - 1
-    rank = 1.0 + closer + 0.5 * tied_others
-    pds = 1.0 - (rank - 1.0) / (n - 1.0)
-    return rank, pds
+    rank, pds = _mid_ranks(d[None, :], d[[int(true_index)]])
+    return rank[0], pds[0]
 
 
 def compute_pds(
@@ -90,50 +99,67 @@ def compute_pds(
 ) -> PdsReport:
     """Score every anchor perturbation of an aligned pair under one measure.
 
-    Anchors are independent work items over read-only inputs; any worker
-    count yields a bit-identical report. When the anchor has a declared
-    target gene and apply_target_mask is set, that gene is excluded from the
-    anchor's predicted row and from every truth row it is compared against.
-
-    metrics.screen bounds every measure (l1 from below): a candidate whose
-    interval lies wholly below or above the anchor's own measure is closer or
-    farther; the rest, and the anchor's own, are measured with pairwise_to_rows,
-    which sums every row pairwise, so reports equal synth.oracle_pds's.
+    With apply_target_mask, an anchor's declared target gene is left out of its
+    predicted row and of every truth row it is compared against. A candidate
+    whose metrics.screen interval lies wholly below or above the anchor's own
+    measure is settled; the own measure and the rest come from pairwise_to_rows,
+    so reports equal synth.oracle_pds's bit for bit, whatever the number of
+    workers (threads over row-blocks of anchors).
     """
     n = pair.n_perturbations
     if n < 2:
         raise ValidationError("need at least two perturbations to rank")
-    bounds = screen(spec, pair.predicted.values, pair.truth.values)
+    P, T, ids = pair.predicted.values, pair.truth.values, pair.perturbation_ids
+    columns, p = target_columns(pair, apply_target_mask), pair.n_genes
+    step = max(1, min(n, _CACHED // p))  # pairs per gathered chunk
+    kept = P  # each prediction row without its target column (column 0 where it has none)
+    if apply_target_mask:
+        kept = P[np.arange(p) != np.maximum(columns, 0)[:, None]].reshape(n, -1)
 
-    def measure(i: int, candidates) -> np.ndarray:
-        return pairwise_to_rows(spec, *anchor_subproblem(pair, i, apply_target_mask, candidates))
+    def measure(anchors, candidates):
+        """pairwise_to_rows from each anchor's prediction to the truth row paired with
+        it, both without the anchor's target column if it has one, chunk by chunk.
+        Returns the measures, which are undefined and the message they raised."""
+        values, undefined, error = np.empty(len(anchors)), np.zeros(len(anchors), bool), None
+        masked = columns[anchors] >= 0
+        for group, source in ((np.flatnonzero(~masked), P), (np.flatnonzero(masked), kept)):
+            for part in (group[k : k + step] for k in range(0, len(group), step)):
+                a, r = source[anchors[part]], T[candidates[part]]
+                if masked[part[0]]:
+                    keep = np.ones(r.shape, bool)
+                    keep[np.arange(len(part)), columns[anchors[part]]] = False
+                    r = r[keep].reshape(len(part), -1)
+                try:
+                    values[part] = pairwise_to_rows(spec, a, r)
+                except ZeroVector as exc:  # covers ZeroSignVector
+                    values[part], undefined[part], error = exc.values, exc.undefined, str(exc)
+        return values, undefined, error
 
-    def distances(i: int) -> np.ndarray:
-        """Anchor i's measure to every truth row, or a value on the same side of its own."""
-        lo, hi = bounds(i, masked_columns(pair, apply_target_mask).get(i))
-        own = lo[i] if lo is hi and np.isfinite(lo[i]) else measure(i, [i])[0]
-        undecided = ~((hi < own) | (lo > own) | (lo == hi))  # NaN bounds stay undecided
-        undecided[i] = False
-        d = np.where(hi < own, hi, lo)
-        if undecided.any():
-            d[undecided] = measure(i, np.flatnonzero(undecided))
-        d[i] = own
-        return d
+    def score(anchors) -> list:
+        lo, hi = screen(spec, P[anchors], T, columns[anchors])
+        own, undefined, error = measure(anchors, anchors)
+        closer, block = hi < own[:, None], np.arange(len(anchors))
+        undecided = ~(closer | (lo > own[:, None]) | (lo == hi))  # NaN bounds stay undecided
+        undecided[block, anchors] = False
+        undecided[undefined] = False  # one undefined measure settles the anchor
+        d = np.where(closer, hi, lo)  # on the same side of own as the measure
+        rows, cols = np.nonzero(undecided)
+        d[rows, cols], failed, raised = measure(anchors[rows], cols)
+        undefined[rows[failed]] = True
+        d[block, anchors] = own
+        if not np.isfinite(d[~undefined]).all():
+            raise ValidationError("distances must be finite")
+        entries = map(PdsEntry, [ids[i] for i in anchors], own.tolist(), *_mid_ranks(d, own))
+        error = error or raised
+        return [
+            undefined_entry(e.perturbation_id, n, error_policy, error) if bad else e
+            for e, bad in zip(entries, undefined.tolist())
+        ]
 
-    def score(i: int) -> PdsEntry:
-        pid = pair.perturbation_ids[i]
-        try:
-            dists = distances(i)
-            rank, value = pds_row(dists, i)
-            return PdsEntry(pid, float(dists[i]), rank, value)
-        except ZeroVector as exc:  # covers ZeroSignVector
-            return undefined_entry(pid, n, error_policy, exc)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = tuple(pool.map(score, range(n)))
-    else:
-        entries = tuple(score(i) for i in range(n))
+    with ThreadPoolExecutor(workers) as pool:  # starts no thread for one worker
+        anchors = np.array_split(np.arange(n), max(workers, -(-n * n // _CACHED)))
+        blocks = (pool.map if workers > 1 else map)(score, anchors)
+        entries = [entry for block in blocks for entry in block]
     return finish_report(pair, spec, entries, apply_target_mask, error_policy)
 
 

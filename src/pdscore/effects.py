@@ -85,16 +85,16 @@ class EffectPair:
 
     target_gene_of optionally maps a perturbation id to the gene it targets;
     scoring can exclude that gene from the perturbation's own comparisons.
-    target_column_of, derived from it, maps the row of each perturbation with a
-    target to that gene's column. transform_chain records descriptors already
-    applied to the predicted side.
+    target_columns, derived from it, holds each row's target gene column, -1
+    for a perturbation without one. transform_chain records descriptors
+    already applied to the predicted side.
     """
 
     predicted: EffectMatrix
     truth: EffectMatrix
     target_gene_of: dict = field(default_factory=dict)
     transform_chain: tuple = ()
-    target_column_of: dict = field(init=False, repr=False, compare=False)
+    target_columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.predicted.perturbation_ids != self.truth.perturbation_ids:
@@ -108,13 +108,12 @@ class EffectPair:
         for pert, gene in targets.items():
             if gene not in column_of:
                 raise ValidationError(f"target gene {gene!r} of {pert!r} is not a gene of this pair")
-        columns = {
-            i: column_of[targets[pert]]
-            for i, pert in enumerate(self.perturbation_ids)
-            if pert in targets
-        }
+        columns = np.array(
+            [column_of[targets[pert]] if pert in targets else -1 for pert in self.perturbation_ids]
+        )
+        columns.setflags(write=False)
         object.__setattr__(self, "target_gene_of", targets)
-        object.__setattr__(self, "target_column_of", columns)
+        object.__setattr__(self, "target_columns", columns)
         object.__setattr__(self, "transform_chain", tuple(self.transform_chain))
 
     @property
@@ -173,28 +172,26 @@ def align_pair(predicted: EffectMatrix, truth: EffectMatrix, target_gene_of=None
     return EffectPair(reindex(predicted), reindex(truth), targets)
 
 
-def masked_columns(pair: EffectPair, apply_target_mask: bool) -> dict:
-    """Column of each masked anchor's target gene, by anchor row; empty without a mask."""
+def target_columns(pair: EffectPair, apply_target_mask: bool) -> np.ndarray:
+    """Column of each anchor's masked target gene, -1 where the anchor is not masked."""
     if not apply_target_mask:
-        return {}
-    if pair.target_column_of and pair.n_genes < 2:
+        return np.full(pair.n_perturbations, -1)
+    if pair.n_genes < 2 and (pair.target_columns >= 0).any():
         raise ValidationError("masking would leave no gene coordinates")
-    return pair.target_column_of
+    return pair.target_columns
 
 
-def anchor_subproblem(pair: EffectPair, i: int, apply_target_mask: bool, candidates=None):
+def anchor_subproblem(pair: EffectPair, i: int, apply_target_mask: bool):
     """Predicted row of anchor i and the truth matrix it is ranked against.
 
     When apply_target_mask is set and the anchor declares a target gene,
     that gene is dropped from the anchor's predicted row and from every
     truth row, keeping all comparisons for the anchor in one common
-    subspace. candidates, an index array, restricts the truth to those rows
-    in that order. Returns (a, rows); without a mask or candidates they are
-    a row view of the predictions and the truth values themselves.
+    subspace. Returns (a, rows); without a mask they are a row view of the
+    predictions and the truth values themselves.
     """
-    a = pair.predicted.values[i]
-    rows = pair.truth.values if candidates is None else pair.truth.values[candidates]
-    column = masked_columns(pair, apply_target_mask).get(i)
-    if column is None:
+    a, rows = pair.predicted.values[i], pair.truth.values
+    column = target_columns(pair, apply_target_mask)[i]
+    if column < 0:
         return a, rows
     return np.delete(a, column), np.delete(rows, column, axis=1)

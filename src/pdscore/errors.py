@@ -27,7 +27,12 @@ class UnknownPerturbation(ValidationError, KeyError):
 
 
 class ZeroVector(ValidationError):
-    pass
+    """A cosine measure is undefined. From pairwise_to_rows, `undefined` marks the
+    rows concerned and `values` holds every row's measure, NaN in those rows."""
+
+    def __init__(self, message, undefined=None, values=None):
+        super().__init__(message)
+        self.undefined, self.values = undefined, values
 
 
 class ZeroSignVector(ZeroVector):

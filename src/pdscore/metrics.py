@@ -2,7 +2,7 @@
 
 Every reduction in pairwise_to_rows sums each row pairwise, whatever the
 layout of its input, so a row measures the same alone, in any gather and in
-any run, and anchor-level parallelism reproduces results to the last bit.
+any run, and parallel row-blocks of anchors reproduce results to the last bit.
 
 screen bounds the same values (l1 from below) from one matrix product per
 call, so a caller can settle most comparisons without the elementwise kernel.
@@ -137,7 +137,7 @@ _scratch = threading.local()
 def _scratch_like(rows: np.ndarray) -> np.ndarray:
     """C-ordered scratch shaped like rows, reused by this thread's later calls.
 
-    Fresh matrix-sized temporaries per anchor cost page faults whenever the allocator
+    Fresh matrix-sized temporaries per call cost page faults whenever the allocator
     has returned freed ones to the system, which depends on earlier allocations.
     """
     buf = getattr(_scratch, "buf", None)
@@ -147,20 +147,21 @@ def _scratch_like(rows: np.ndarray) -> np.ndarray:
 
 
 def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
-    """Measure from one prediction row to every row of a truth matrix.
+    """Measure from one prediction row to every row of a truth matrix, or from each
+    row of a matrix a to the same row of rows.
 
     The limit kinds return scores, not distances: their ascending order
     equals the large-scale limit of the matching norm-based ranking, and
     smaller still means closer. See the asymptotics module for derivations.
+
+    A zero norm (cosine) or sign count (sign-cosine) leaves a row undefined: then
+    ZeroVector (ZeroSignVector) is raised once every row is measured, with those
+    rows in its `undefined` and every row's measure in its `values`.
     """
-    a = _vector(a)
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise DimensionMismatch("expected a 2-d matrix of candidate rows")
-    if rows.shape[1] != a.shape[0]:
-        raise DimensionMismatch(
-            f"row length {rows.shape[1]} does not match vector length {a.shape[0]}"
-        )
+    a, rows = np.asarray(a, dtype=np.float64), np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or a.shape not in ((rows.shape[1],), rows.shape):
+        raise DimensionMismatch(f"cannot measure {a.shape} against rows of shape {rows.shape}")
+    a = a.reshape(-1, rows.shape[1])  # one row broadcasts over every row
     # Reductions below use elementwise products (never BLAS matrix products)
     # written into C-ordered scratch, so each row sums pairwise along the last axis.
     kind = spec.kind
@@ -169,29 +170,33 @@ def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
         return np.abs(np.subtract(rows, a, out=w), out=w).sum(axis=1)
     if kind is DistanceKind.L2:
         return np.sqrt(np.square(np.subtract(rows, a, out=w), out=w).sum(axis=1))
-    if kind is DistanceKind.COSINE_DISSIM:
-        na = float(np.sqrt((a * a).sum()))
-        rn = np.sqrt(np.multiply(rows, rows, out=w).sum(axis=1))
-        if na == 0.0 or np.any(rn == 0.0):
-            raise ZeroVector("cosine undefined for a zero vector")
-        return 1.0 - np.multiply(rows, a, out=w).sum(axis=1) / (rn * na)
-    if kind is DistanceKind.SIGN_COSINE_DISSIM:
-        sa = sign_vector(a, spec.sign_threshold)
-        sr = _signs(rows, spec.sign_threshold, out=w)
-        nnz_a = float((sa != 0.0).sum())
-        nnz_r = (sr != 0.0).sum(axis=1).astype(np.float64)
-        if nnz_a == 0.0 or np.any(nnz_r == 0.0):
-            raise ZeroSignVector("sign cosine undefined when a sign vector is all zero")
-        return 1.0 - np.multiply(sr, sa, out=w).sum(axis=1) / np.sqrt(nnz_a * nnz_r)
     if kind is DistanceKind.L2_LIMIT:
         return -np.multiply(rows, a, out=w).sum(axis=1)
     if kind is DistanceKind.L1_LIMIT:
-        sa = sign_vector(a, spec.sign_threshold)
+        sa = _signs(a, spec.sign_threshold)
         # coordinate with a zero predicted sign contributes |r_j|, any other
         # contributes -sign(a_j) r_j
         np.multiply(rows, -sa, out=w)
         return np.abs(rows, out=w, where=sa == 0.0).sum(axis=1)
-    raise BadParameter(f"unhandled distance kind {kind!r}")
+    if kind is DistanceKind.COSINE_DISSIM:
+        na = np.sqrt(np.multiply(a, a, out=w[: len(a)]).sum(axis=1))
+        rn = np.sqrt(np.multiply(rows, rows, out=w).sum(axis=1))
+        undefined, denominators = (na == 0.0) | (rn == 0.0), rn * na
+        dots = np.multiply(rows, a, out=w).sum(axis=1)
+        error, message = ZeroVector, "cosine undefined for a zero vector"
+    elif kind is DistanceKind.SIGN_COSINE_DISSIM:
+        sa = _signs(a, spec.sign_threshold)
+        sr = _signs(rows, spec.sign_threshold, out=w)
+        nnz_a, nnz_r = ((s != 0.0).sum(axis=1).astype(np.float64) for s in (sa, sr))
+        undefined, denominators = (nnz_a == 0.0) | (nnz_r == 0.0), np.sqrt(nnz_a * nnz_r)
+        dots = np.multiply(sr, sa, out=w).sum(axis=1)
+        error, message = ZeroSignVector, "sign cosine undefined when a sign vector is all zero"
+    else:
+        raise BadParameter(f"unhandled distance kind {kind!r}")
+    values = 1.0 - np.divide(dots, denominators, out=np.full(len(dots), np.nan), where=~undefined)
+    if undefined.any():  # raised unnamed: a local naming it would be a cycle via its traceback
+        raise error(message, undefined, values)
+    return values
 
 
 def distance(spec: DistanceSpec, a, b) -> float:
@@ -204,12 +209,12 @@ _TINY = 2.0**-900  # a smaller squared norm may have lost bits to underflow
 _HUGE = 2.0**1000  # from a squared norm this large up, kernel terms may overflow
 
 
-def screen(spec: DistanceSpec, predicted, truth):
+def screen(spec: DistanceSpec, predicted, truth, columns):
     """Bounds on pairwise_to_rows for every prediction row, from one matrix product.
 
-    Returns bounds(i, column=None) -> (lo, hi) with lo[j] <= v[j] <= hi[j] for
-    v = pairwise_to_rows(spec, predicted[i], truth), both without that column
-    when it is given (a masked target gene: one term off each product). An entry
+    Returns (lo, hi), len(predicted) x len(truth), with lo[i] <= v <= hi[i] for
+    v = pairwise_to_rows(spec, predicted[i], truth), both without column columns[i]
+    unless it is -1 (a masked target gene: one term off each product). An entry
     is NaN where no bound is certain: a squared norm below 2**-900 or from 2**1000
     up, or an undefined cosine. For sign-cosine lo is hi and is v itself, since
     sign products and counts are integers below 2**53. An inner product of p terms
@@ -232,77 +237,64 @@ def screen(spec: DistanceSpec, predicted, truth):
     T = np.asarray(truth, dtype=np.float64)
     threshold = 0.0 if kind is DistanceKind.L1 else spec.sign_threshold
     eps = 4.0 * (T.shape[1] + 4) * 2.0**-53  # u = 2**-53, the unit roundoff
+    masked = np.flatnonzero(columns >= 0)
+    a_k = P[masked, columns[masked]][:, None]  # each masked row's target, against
+    r_k = T[:, columns[masked]].T  # that column of every truth row
+
+    def less(values, term):  # values broadcast to a row per prediction, less term on masked rows
+        out = np.array(np.broadcast_to(values, (len(P), values.shape[-1])))
+        out[masked] -= term
+        return out
 
     if kind is DistanceKind.SIGN_COSINE_DISSIM:
         signs_p = _signs(P, threshold)
         signs_t = _signs(T, threshold, out=_scratch_like(T))
-        dots = signs_p @ signs_t.T
+        s_a, s_r = _signs(a_k, threshold), signs_t[:, columns[masked]].T
+        dots = less(signs_p @ signs_t.T, s_a * s_r)
         nnz_p, nnz_t = (np.count_nonzero(m, axis=1).astype(np.float64) for m in (signs_p, signs_t))
-
-        def bounds(i, column=None):
-            dot, nnz_a, nnz_r = dots[i], nnz_p[i], nnz_t
-            if column is not None:
-                sa, sr = _signs(P[i, [column]], threshold), _signs(T[:, column], threshold)
-                dot, nnz_a, nnz_r = dot - sa * sr, nnz_a - (sa != 0.0), nnz_r - (sr != 0.0)
-            with np.errstate(all="ignore"):  # a zero count leaves NaN
-                exact = 1.0 - dot / np.sqrt(nnz_a * nnz_r)
-            return exact, exact
-
-        return bounds
+        nnz_a, nnz_r = less(nnz_p[:, None], s_a != 0.0), less(nnz_t, s_r != 0.0)
+        with np.errstate(all="ignore"):  # a zero count leaves NaN
+            exact = 1.0 - dots / np.sqrt(nnz_a * nnz_r)
+        return exact, exact
 
     if kind in (DistanceKind.L1, DistanceKind.L1_LIMIT):
         # score = sum of |r_k| where sign(a_k) = 0, minus sign(a) . r; l1 >= |a|_1 + score
         signs = _signs(P, threshold)
         abs_t = np.abs(T, out=_scratch_like(T))
         l1_p = np.abs(P).sum(axis=1) if kind is DistanceKind.L1 else np.zeros(len(P))
+        s_a = _signs(a_k, threshold)
         with np.errstate(all="ignore"):  # sums that overflow meet a NaN radius
             dots = signs @ T.T
             l1_t = abs_t.sum(axis=1)
             scores = np.subtract(1.0, np.square(signs, out=signs), out=signs) @ abs_t.T - dots
-
-        def bounds(i, column=None):
-            score, l1_a = scores[i], l1_p[i]
-            with np.errstate(all="ignore"):
-                radius = np.where(l1_a + l1_t < _HUGE, eps * (l1_a + l1_t), np.nan)
-                if column is not None:
-                    sa, r = _signs(P[i, [column]], threshold), T[:, column]
-                    l1_a = l1_a - abs(P[i, column])
-                    score = score - np.where(sa == 0.0, np.abs(r), -sa * r)
+            total = l1_p[:, None] + l1_t
+            radius = np.where(total < _HUGE, eps * total, np.nan)
+            score = less(scores, np.where(s_a == 0.0, np.abs(r_k), -s_a * r_k))
             if kind is DistanceKind.L1_LIMIT:
                 return score - radius, score + radius
-            return l1_a + score - radius, np.full(len(T), np.inf)
-
-        return bounds
+            return less(l1_p[:, None], np.abs(a_k)) + score - radius, np.full(dots.shape, np.inf)
 
     with np.errstate(over="ignore"):  # overflow leaves a squared norm unsafe
         dots = P @ T.T
-        sq_p, sq_t = (np.einsum("ij,ij->i", m, m) for m in (P, T))
+        sq_p, sq_t = np.einsum("ij,ij->i", P, P)[:, None], np.einsum("ij,ij->i", T, T)
     norm_p, norm_t = np.sqrt(sq_p), np.sqrt(sq_t)
-    safe_t = (_TINY <= sq_t) & (sq_t < _HUGE)
-
-    def bounds(i, column=None):
-        dot, sq_a, sq_r = dots[i], sq_p[i], sq_t
-        safe = safe_t & (_TINY <= sq_p[i] < _HUGE)
-        with np.errstate(all="ignore"):  # entries that overflow or divide by 0 are unsafe
-            if column is not None:
-                a_k, r_k = P[i, column], T[:, column]
-                dot, sq_a, sq_r = dot - a_k * r_k, sq_a - a_k * a_k, sq_r - r_k * r_k
-            if kind is DistanceKind.L2_LIMIT:
-                radius = eps * norm_p[i] * norm_t
-                lo, hi = -dot - radius, radius - dot
-            elif kind is DistanceKind.L2:
-                squared = sq_a + sq_r - 2.0 * dot
-                radius = eps * np.square(norm_p[i] + norm_t)
-                lo, hi = np.sqrt(np.maximum(squared - radius, 0.0)), np.sqrt(squared + radius)
-            else:  # cosine: quotient of the dot product's and the two norms' intervals
-                low_a, low_r = sq_a - eps * sq_p[i], sq_r - eps * sq_t
-                safe &= (low_a >= _TINY) & (low_r >= _TINY)
-                norms_lo = np.sqrt(low_a) * np.sqrt(low_r)
-                norms_hi = np.sqrt(sq_a + eps * sq_p[i]) * np.sqrt(sq_r + eps * sq_t)
-                dot_lo, dot_hi = dot - eps * norm_p[i] * norm_t, dot + eps * norm_p[i] * norm_t
-                cos_lo = np.minimum(dot_lo / norms_lo, dot_lo / norms_hi).clip(-1.0, 1.0)
-                cos_hi = np.maximum(dot_hi / norms_lo, dot_hi / norms_hi).clip(-1.0, 1.0)
-                lo, hi = 1.0 - cos_hi - eps, 1.0 - cos_lo + eps
-        return np.where(safe, lo, np.nan), np.where(safe, hi, np.nan)
-
-    return bounds
+    safe = ((_TINY <= sq_p) & (sq_p < _HUGE)) & ((_TINY <= sq_t) & (sq_t < _HUGE))
+    with np.errstate(all="ignore"):  # entries that overflow or divide by 0 are unsafe
+        dot, sq_a, sq_r = less(dots, a_k * r_k), less(sq_p, a_k * a_k), less(sq_t, r_k * r_k)
+        if kind is DistanceKind.L2_LIMIT:
+            radius = eps * norm_p * norm_t
+            lo, hi = -dot - radius, radius - dot
+        elif kind is DistanceKind.L2:
+            squared = sq_a + sq_r - 2.0 * dot
+            radius = eps * np.square(norm_p + norm_t)
+            lo, hi = np.sqrt(np.maximum(squared - radius, 0.0)), np.sqrt(squared + radius)
+        else:  # cosine: quotient of the dot product's and the two norms' intervals
+            low_a, low_r = sq_a - eps * sq_p, sq_r - eps * sq_t
+            safe &= (low_a >= _TINY) & (low_r >= _TINY)
+            norms_lo = np.sqrt(low_a) * np.sqrt(low_r)
+            norms_hi = np.sqrt(sq_a + eps * sq_p) * np.sqrt(sq_r + eps * sq_t)
+            dot_lo, dot_hi = dot - eps * norm_p * norm_t, dot + eps * norm_p * norm_t
+            cos_lo = np.minimum(dot_lo / norms_lo, dot_lo / norms_hi).clip(-1.0, 1.0)
+            cos_hi = np.maximum(dot_hi / norms_lo, dot_hi / norms_hi).clip(-1.0, 1.0)
+            lo, hi = 1.0 - cos_hi - eps, 1.0 - cos_lo + eps
+    return np.where(safe, lo, np.nan), np.where(safe, hi, np.nan)

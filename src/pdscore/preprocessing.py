@@ -160,6 +160,8 @@ def mean_effects(normalized: np.ndarray, cell_condition, gene_ids) -> EffectMatr
     if not control.any():
         raise MissingControl(f"no cell labeled {CONTROL_LABEL!r}")
     perts = sorted(set(condition.tolist()) - {CONTROL_LABEL})
+    if not perts:
+        raise ValidationError(f"no perturbation cells found: all cells are {CONTROL_LABEL!r}")
     control_mean = normalized[control].mean(axis=0)
     rows = [normalized[condition == pert].mean(axis=0) - control_mean for pert in perts]
     return EffectMatrix(np.vstack(rows), tuple(perts), tuple(gene_ids))

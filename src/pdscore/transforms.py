@@ -77,17 +77,19 @@ def norm_match(pair: EffectPair, p_norm: int) -> EffectPair:
     Row i is multiplied by c_i = |truth_i|_p / |predicted_i|_p. A zero-norm
     predicted row cannot be matched by scaling and is a hard error.
     """
+    return pair.with_predicted(_norm_matched(pair.predicted, pair.truth, p_norm))
+
+
+def _norm_matched(predicted: EffectMatrix, truth: EffectMatrix, p_norm: int) -> EffectMatrix:
     if p_norm not in (1, 2):
         raise BadParameter(f"p_norm must be 1 or 2, got {p_norm!r}")
-    predicted = pair.predicted.values
-    pred_norms = np.linalg.norm(predicted, p_norm, axis=1)
-    true_norms = np.linalg.norm(pair.truth.values, p_norm, axis=1)
+    pred_norms = np.linalg.norm(predicted.values, p_norm, axis=1)
+    true_norms = np.linalg.norm(truth.values, p_norm, axis=1)
     zero = np.flatnonzero(pred_norms == 0.0)
     if zero.size:
-        pid = pair.perturbation_ids[int(zero[0])]
+        pid = predicted.perturbation_ids[int(zero[0])]
         raise ZeroPredictionNorm(f"predicted row {pid!r} has zero l{p_norm} norm")
-    scaled = predicted * (true_norms / pred_norms)[:, None]
-    return pair.with_predicted(pair.predicted.with_values(scaled))
+    return predicted.with_values(predicted.values * (true_norms / pred_norms)[:, None])
 
 
 def sign_project(predicted: EffectMatrix, threshold: float = 0.0) -> EffectMatrix:
@@ -98,20 +100,19 @@ def sign_project(predicted: EffectMatrix, threshold: float = 0.0) -> EffectMatri
 
 def apply_chain(pair: EffectPair, chain) -> EffectPair:
     """Apply descriptors left to right to the predicted side, recording provenance."""
-    out = pair
-    for descriptor in tuple(chain):
+    chain, predicted = tuple(chain), pair.predicted
+    for descriptor in chain:
         if descriptor.kind is TransformKind.GLOBAL_SCALE:
-            predicted = global_scale(out.predicted, descriptor.parameter)
+            predicted = global_scale(predicted, descriptor.parameter)
         elif descriptor.kind is TransformKind.NORM_MATCH_L1:
-            predicted = norm_match(out, 1).predicted
+            predicted = _norm_matched(predicted, pair.truth, 1)
         elif descriptor.kind is TransformKind.NORM_MATCH_L2:
-            predicted = norm_match(out, 2).predicted
+            predicted = _norm_matched(predicted, pair.truth, 2)
         elif descriptor.kind is TransformKind.SIGN_PROJECT:
-            predicted = sign_project(out.predicted, descriptor.parameter)
+            predicted = sign_project(predicted, descriptor.parameter)
         else:
             raise BadParameter(f"unhandled transform kind {descriptor.kind!r}")
-        out = out.with_predicted(predicted, (descriptor,))
-    return out
+    return pair.with_predicted(predicted, chain)
 
 
 def parse_chain(text: str) -> tuple[TransformDescriptor, ...]:

@@ -350,6 +350,15 @@ class TestPreprocessCommands:
         assert main(["preprocess", "compare", "--counts", str(counts), "--out", str(out)]) == 0
         assert "perturbations=1 median_cosine=nan" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["effects", "compare"])
+    def test_only_control_cells_exits_1(self, tmp_path, command, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("cell,condition,g1,g2\nc0,control,1,2\nc1,control,2,1\n")
+        out = tmp_path / command
+        code = main(["preprocess", command, "--counts", str(counts), "--out", str(out)])
+        assert code == 1
+        assert "no perturbation cells found" in capsys.readouterr().err
+
     def test_unknown_pipeline_exits_1(self, counts_file, tmp_path):
         assert main(
             [

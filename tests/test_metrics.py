@@ -11,6 +11,7 @@ from pdscore import (
     DistanceSpec,
     ZeroSignVector,
     ZeroVector,
+    compute_pds,
     convergence_threshold_l1,
     cosine,
     dist_l1,
@@ -139,6 +140,27 @@ class TestErrors:
     def test_pairwise_shape_checks(self):
         with pytest.raises(DimensionMismatch):
             pairwise_to_rows(DistanceSpec(DistanceKind.L1), [1.0, 2.0], np.ones((3, 3)))
+        with pytest.raises(DimensionMismatch):
+            pairwise_to_rows(DistanceSpec(DistanceKind.L1), np.ones((2, 3)), np.ones((3, 3)))
+
+    def test_undefined_rows_are_marked(self):
+        """The error lists which rows are undefined and carries the others' measures."""
+        a = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0], [1e-170, 0.0]])
+        rows = np.array([[2.0, 1.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        for kind, error in (
+            (DistanceKind.COSINE_DISSIM, ZeroVector),
+            (DistanceKind.SIGN_COSINE_DISSIM, ZeroSignVector),
+        ):
+            spec = DistanceSpec(kind)
+            with pytest.raises(error) as caught:
+                pairwise_to_rows(spec, a, rows)
+            # 1e-170 squares to 0, so its cosine is undefined, not its sign cosine
+            undefined = [False, True, True, kind is DistanceKind.COSINE_DISSIM]
+            assert caught.value.undefined.tolist() == undefined
+            assert np.isnan(caught.value.values[undefined]).all()
+            assert caught.value.values[0] == distance(spec, a[0], rows[0])
+            with pytest.raises(error):
+                pairwise_to_rows(spec, a[0], rows)
 
 
 class TestProperties:
@@ -209,7 +231,8 @@ class TestProperties:
         assert abs(lhs - rhs) <= 1e-10 * scale
 
     def test_batch_matches_scalar_bitwise(self):
-        """Every layout sums each row pairwise, as distance() sums one contiguous row.
+        """Every layout sums each row pairwise, as distance() sums one contiguous row,
+        and so does the paired form.
 
         At p = 400 numpy's blocked pairwise sum runs, so a sequential order would differ.
         """
@@ -220,8 +243,10 @@ class TestProperties:
             for kind in DistanceKind:
                 spec = DistanceSpec(kind)
                 batch = pairwise_to_rows(spec, a, rows)
+                paired = pairwise_to_rows(spec, np.tile(a, (len(rows), 1)), rows)
                 singles = [distance(spec, a, np.ascontiguousarray(row)) for row in rows]
                 assert batch.tobytes() == np.array(singles).tobytes(), (name, kind.value)
+                assert paired.tobytes() == batch.tobytes(), (name, kind.value)
 
 
 def _fresh_temporaries(spec, a, rows):
@@ -275,6 +300,33 @@ class TestScratch:
                 tracemalloc.stop()
             assert peak < rows.nbytes / 4, spec.token
 
+    def test_undecided_pairs_are_measured_in_bounded_chunks(self):
+        """An l1 input where no candidate is settled by the screen, masked or not.
+
+        Zero predictions with permuted truth rows leave every l1 lower bound just
+        below every own distance, so all n (n - 1) pairs are measured; gathered
+        at once, their rows would take about 2 n times the truth's size.
+        """
+        import tracemalloc
+
+        rng = np.random.default_rng(13)
+        n, p = 40, 2000
+        base = rng.standard_normal(p)
+        truth = np.array([rng.permutation(base) for _ in range(n)])
+        pair = pair_from(np.zeros((n, p)), truth, {f"P{i:04d}": f"G{i:04d}" for i in range(n)})
+        spec = DistanceSpec(DistanceKind.L1)
+        lo, _ = screen(spec, pair.predicted.values, truth, np.full(n, -1))
+        assert np.all(lo < np.abs(truth).sum(axis=1)[:, None])
+        for mask in (False, True):
+            compute_pds(pair, spec, mask)
+            tracemalloc.start()
+            try:
+                compute_pds(pair, spec, mask)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * truth.nbytes, mask
+
 
 class TestScreen:
     """metrics.screen bounds what pairwise_to_rows returns, masked or not."""
@@ -306,29 +358,29 @@ class TestScreen:
         truth[4] = truth[2]
         for kind in self.SCREENED:
             spec = DistanceSpec(kind, threshold * 10.0**pred_exp)
-            bounds = screen(spec, pred, truth)
+            columns = rng.integers(-1, 9, size=6) if masked else np.full(6, -1)
+            lo, hi = screen(spec, pred, truth, columns)
+            if kind is DistanceKind.SIGN_COSINE_DISSIM:
+                assert lo is hi
             for i in range(6):
-                column = int(rng.integers(9)) if masked else None
-                keep = np.arange(9) != column
-                lo, hi = bounds(i, column)
+                keep = np.arange(9) != columns[i]
                 values = self._kernel(spec, pred[i][keep], truth[:, keep])
                 if values is None:
                     continue
-                known = ~np.isnan(lo)
+                known = ~np.isnan(lo[i])
                 if kind is DistanceKind.SIGN_COSINE_DISSIM:
-                    assert lo is hi
-                    assert lo[known].tobytes() == values[known].tobytes()
+                    assert lo[i][known].tobytes() == values[known].tobytes()
                 else:
-                    assert np.all(lo[known] <= values[known]), kind.value
-                    assert np.all(values[known] <= hi[known]), kind.value
+                    assert np.all(lo[i][known] <= values[known]), kind.value
+                    assert np.all(values[known] <= hi[i][known]), kind.value
 
     def test_bounds_are_known_and_narrow_at_unit_scale(self):
         rng = np.random.default_rng(15)
         pred, truth = rng.standard_normal((8, 50)), rng.standard_normal((8, 50))
         for kind in self.TWO_SIDED:
             spec = DistanceSpec(kind)
-            for column in (None, 7):
-                lo, hi = screen(spec, pred, truth)(3, column)
+            for column in (-1, 7):
+                lo, hi = screen(spec, pred, truth, np.full(8, column))
                 assert np.all(hi - lo <= 1e-11), (kind.value, column)
 
     def test_l1_bound_is_exact_above_threshold(self):
@@ -339,15 +391,14 @@ class TestScreen:
         truth[5] = truth[3]  # an exact tie for anchor 3, which settles nothing
         pred *= 2.0 * convergence_threshold_l1(pair_from(pred, truth))
         spec = DistanceSpec(DistanceKind.L1, 0.5)  # l1 ignores the sign threshold
-        bounds = screen(spec, pred, truth)
-        for i in range(n):
-            for column in (None, i % p):
-                keep = np.arange(p) != column
+        for columns in (np.full(n, -1), np.arange(n) % p):
+            lo, hi = screen(spec, pred, truth, columns)
+            assert np.isinf(hi).all()
+            for i in range(n):
+                keep = np.arange(p) != columns[i]
                 a, rows = pred[i][keep], truth[:, keep]
                 values = pairwise_to_rows(spec, a, rows)
-                lo, hi = bounds(i, column)
                 radius = 4.0 * (p + 4) * 2.0**-53 * (np.abs(pred[i]).sum() + np.abs(truth).sum(1))
-                assert np.all(values - 2.0 * radius <= lo) and np.all(lo <= values)
-                assert np.isinf(hi).all()
+                assert np.all(values - 2.0 * radius <= lo[i]) and np.all(lo[i] <= values)
                 farther = values > values[i]
-                assert np.all(lo[farther] > values[i]), (i, column)
+                assert np.all(lo[i][farther] > values[i]), (i, columns[i])
