@@ -111,14 +111,14 @@ def convergence_threshold_l1(pair: EffectPair, apply_target_mask: bool = False) 
 
     Once c |a_j| >= |r_j| for every coordinate with a_j != 0 and every
     candidate r, each |c a_j - r_j| resolves exactly, so the threshold is
-    the max over anchors and nonzero unmasked predicted coordinates of
-    max_r |r_j| / |a_j|, which rounds as the max of the ratios (x -> x / |a_j|
-    is monotone). Zero-coordinate contributions are scale free.
+    the max over anchors and nonzero predicted coordinates (a masked target
+    is zero) of max_r |r_j| / |a_j|, which rounds as the max of the ratios
+    (x -> x / |a_j| is monotone). Zero-coordinate contributions are scale free.
     """
     abs_p = np.abs(pair.predicted.values)
-    ratios = np.abs(pair.truth.values).max(axis=0) / np.where(abs_p > 0.0, abs_p, np.inf)
     columns = target_columns(pair, apply_target_mask)
-    ratios[columns >= 0, columns[columns >= 0]] = 0.0
+    abs_p[columns >= 0, columns[columns >= 0]] = 0.0  # a masked target is zero
+    ratios = np.abs(pair.truth.values).max(axis=0) / np.where(abs_p > 0.0, abs_p, np.inf)
     return float(ratios.max(initial=0.0))
 
 

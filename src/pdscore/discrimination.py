@@ -99,12 +99,13 @@ def compute_pds(
 ) -> PdsReport:
     """Score every anchor perturbation of an aligned pair under one measure.
 
-    With apply_target_mask, an anchor's declared target gene is left out of its
-    predicted row and of every truth row it is compared against. A candidate
-    whose metrics.screen interval lies wholly below or above the anchor's own
-    measure is settled; the own measure and the rest come from pairwise_to_rows,
-    so reports equal synth.oracle_pds's bit for bit, whatever the number of
-    workers (threads over row-blocks of anchors).
+    With apply_target_mask, an anchor's declared target gene is zeroed in its
+    predicted row and in every truth row it is compared against (as if left out,
+    see effects.anchor_subproblem). A candidate whose metrics.screen interval
+    lies wholly below or above the anchor's own measure is settled; the own
+    measure and the rest come from pairwise_to_rows, so reports equal
+    synth.oracle_pds's bit for bit, whatever the number of workers (threads over
+    row-blocks of anchors).
     """
     n = pair.n_perturbations
     if n < 2:
@@ -112,31 +113,25 @@ def compute_pds(
     P, T, ids = pair.predicted.values, pair.truth.values, pair.perturbation_ids
     columns, p = target_columns(pair, apply_target_mask), pair.n_genes
     step = max(1, min(n, _CACHED // p))  # pairs per gathered chunk
-    kept = P  # each prediction row without its target column (column 0 where it has none)
-    if apply_target_mask:
-        kept = P[np.arange(p) != np.maximum(columns, 0)[:, None]].reshape(n, -1)
 
     def measure(anchors, candidates):
         """pairwise_to_rows from each anchor's prediction to the truth row paired with
-        it, both without the anchor's target column if it has one, chunk by chunk.
-        Returns the measures, which are undefined and the message they raised."""
+        it, both with the anchor's target column zeroed, chunk by chunk. Returns
+        the measures, which are undefined and the message they raised."""
         values, undefined, error = np.empty(len(anchors)), np.zeros(len(anchors), bool), None
-        masked = columns[anchors] >= 0
-        for group, source in ((np.flatnonzero(~masked), P), (np.flatnonzero(masked), kept)):
-            for part in (group[k : k + step] for k in range(0, len(group), step)):
-                a, r = source[anchors[part]], T[candidates[part]]
-                if masked[part[0]]:
-                    keep = np.ones(r.shape, bool)
-                    keep[np.arange(len(part)), columns[anchors[part]]] = False
-                    r = r[keep].reshape(len(part), -1)
-                try:
-                    values[part] = pairwise_to_rows(spec, a, r)
-                except ZeroVector as exc:  # covers ZeroSignVector
-                    values[part], undefined[part], error = exc.values, exc.undefined, str(exc)
+        for part in (slice(k, k + step) for k in range(0, len(anchors), step)):
+            a, r, column = P[anchors[part]], T[candidates[part]], columns[anchors[part]]
+            masked = np.flatnonzero(column >= 0)
+            if masked.size:
+                a[masked, column[masked]] = r[masked, column[masked]] = 0.0
+            try:
+                values[part] = pairwise_to_rows(spec, a, r)
+            except ZeroVector as exc:  # covers ZeroSignVector
+                values[part], undefined[part], error = exc.values, exc.undefined, str(exc)
         return values, undefined, error
 
     def score(anchors) -> list:
-        lo, hi = screen(spec, P[anchors], T, columns[anchors])
+        lo, hi = screen(spec, P[anchors[0] : anchors[-1] + 1], T, columns[anchors])
         own, undefined, error = measure(anchors, anchors)
         closer, block = hi < own[:, None], np.arange(len(anchors))
         undecided = ~(closer | (lo > own[:, None]) | (lo == hi))  # NaN bounds stay undecided
@@ -157,7 +152,7 @@ def compute_pds(
         ]
 
     with ThreadPoolExecutor(workers) as pool:  # starts no thread for one worker
-        anchors = np.array_split(np.arange(n), max(workers, -(-n * n // _CACHED)))
+        anchors = np.array_split(np.arange(n), min(n, max(workers, -(-n * n // _CACHED))))
         blocks = (pool.map if workers > 1 else map)(score, anchors)
         entries = [entry for block in blocks for entry in block]
     return finish_report(pair, spec, entries, apply_target_mask, error_policy)

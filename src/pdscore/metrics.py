@@ -213,8 +213,9 @@ def screen(spec: DistanceSpec, predicted, truth, columns):
     """Bounds on pairwise_to_rows for every prediction row, from one matrix product.
 
     Returns (lo, hi), len(predicted) x len(truth), with lo[i] <= v <= hi[i] for
-    v = pairwise_to_rows(spec, predicted[i], truth), both without column columns[i]
-    unless it is -1 (a masked target gene: one term off each product). An entry
+    v = pairwise_to_rows(spec, predicted[i], truth), both with column columns[i]
+    zeroed unless it is -1 (a masked target gene; each radius takes the unmasked
+    truth norm, |r| >= |r0|). An entry
     is NaN where no bound is certain: a squared norm below 2**-900 or from 2**1000
     up, or an undefined cosine. For sign-cosine lo is hi and is v itself, since
     sign products and counts are integers below 2**53. An inner product of p terms
@@ -233,13 +234,13 @@ def screen(spec: DistanceSpec, predicted, truth, columns):
     underflows only where every sum is, so tiny norms need no guard.
     """
     kind = spec.kind
-    P = np.asarray(predicted, dtype=np.float64)
+    P = np.array(predicted, dtype=np.float64)  # a copy: masked targets are zeroed
     T = np.asarray(truth, dtype=np.float64)
     threshold = 0.0 if kind is DistanceKind.L1 else spec.sign_threshold
     eps = 4.0 * (T.shape[1] + 4) * 2.0**-53  # u = 2**-53, the unit roundoff
     masked = np.flatnonzero(columns >= 0)
-    a_k = P[masked, columns[masked]][:, None]  # each masked row's target, against
-    r_k = T[:, columns[masked]].T  # that column of every truth row
+    P[masked, columns[masked]] = 0.0  # truth-side sums lose the target term by less
+    r_k = T[:, columns[masked]].T  # each masked row's target column of every truth row
 
     def less(values, term):  # values broadcast to a row per prediction, less term on masked rows
         out = np.array(np.broadcast_to(values, (len(P), values.shape[-1])))
@@ -249,12 +250,11 @@ def screen(spec: DistanceSpec, predicted, truth, columns):
     if kind is DistanceKind.SIGN_COSINE_DISSIM:
         signs_p = _signs(P, threshold)
         signs_t = _signs(T, threshold, out=_scratch_like(T))
-        s_a, s_r = _signs(a_k, threshold), signs_t[:, columns[masked]].T
-        dots = less(signs_p @ signs_t.T, s_a * s_r)
+        dots = signs_p @ signs_t.T
         nnz_p, nnz_t = (np.count_nonzero(m, axis=1).astype(np.float64) for m in (signs_p, signs_t))
-        nnz_a, nnz_r = less(nnz_p[:, None], s_a != 0.0), less(nnz_t, s_r != 0.0)
+        nnz_r = less(nnz_t, signs_t[:, columns[masked]].T != 0.0)
         with np.errstate(all="ignore"):  # a zero count leaves NaN
-            exact = 1.0 - dots / np.sqrt(nnz_a * nnz_r)
+            exact = 1.0 - dots / np.sqrt(nnz_p[:, None] * nnz_r)
         return exact, exact
 
     if kind in (DistanceKind.L1, DistanceKind.L1_LIMIT):
@@ -262,17 +262,16 @@ def screen(spec: DistanceSpec, predicted, truth, columns):
         signs = _signs(P, threshold)
         abs_t = np.abs(T, out=_scratch_like(T))
         l1_p = np.abs(P).sum(axis=1) if kind is DistanceKind.L1 else np.zeros(len(P))
-        s_a = _signs(a_k, threshold)
         with np.errstate(all="ignore"):  # sums that overflow meet a NaN radius
             dots = signs @ T.T
             l1_t = abs_t.sum(axis=1)
             scores = np.subtract(1.0, np.square(signs, out=signs), out=signs) @ abs_t.T - dots
             total = l1_p[:, None] + l1_t
             radius = np.where(total < _HUGE, eps * total, np.nan)
-            score = less(scores, np.where(s_a == 0.0, np.abs(r_k), -s_a * r_k))
+            score = less(scores, np.abs(r_k))  # a zeroed target has sign 0
             if kind is DistanceKind.L1_LIMIT:
                 return score - radius, score + radius
-            return less(l1_p[:, None], np.abs(a_k)) + score - radius, np.full(dots.shape, np.inf)
+            return l1_p[:, None] + score - radius, np.full(dots.shape, np.inf)
 
     with np.errstate(over="ignore"):  # overflow leaves a squared norm unsafe
         dots = P @ T.T
@@ -280,20 +279,20 @@ def screen(spec: DistanceSpec, predicted, truth, columns):
     norm_p, norm_t = np.sqrt(sq_p), np.sqrt(sq_t)
     safe = ((_TINY <= sq_p) & (sq_p < _HUGE)) & ((_TINY <= sq_t) & (sq_t < _HUGE))
     with np.errstate(all="ignore"):  # entries that overflow or divide by 0 are unsafe
-        dot, sq_a, sq_r = less(dots, a_k * r_k), less(sq_p, a_k * a_k), less(sq_t, r_k * r_k)
+        sq_r = less(sq_t, r_k * r_k)
         if kind is DistanceKind.L2_LIMIT:
             radius = eps * norm_p * norm_t
-            lo, hi = -dot - radius, radius - dot
+            lo, hi = -dots - radius, radius - dots
         elif kind is DistanceKind.L2:
-            squared = sq_a + sq_r - 2.0 * dot
+            squared = sq_p + sq_r - 2.0 * dots
             radius = eps * np.square(norm_p + norm_t)
             lo, hi = np.sqrt(np.maximum(squared - radius, 0.0)), np.sqrt(squared + radius)
         else:  # cosine: quotient of the dot product's and the two norms' intervals
-            low_a, low_r = sq_a - eps * sq_p, sq_r - eps * sq_t
+            low_a, low_r = sq_p - eps * sq_p, sq_r - eps * sq_t
             safe &= (low_a >= _TINY) & (low_r >= _TINY)
             norms_lo = np.sqrt(low_a) * np.sqrt(low_r)
-            norms_hi = np.sqrt(sq_a + eps * sq_p) * np.sqrt(sq_r + eps * sq_t)
-            dot_lo, dot_hi = dot - eps * norm_p * norm_t, dot + eps * norm_p * norm_t
+            norms_hi = np.sqrt(sq_p + eps * sq_p) * np.sqrt(sq_r + eps * sq_t)
+            dot_lo, dot_hi = dots - eps * norm_p * norm_t, dots + eps * norm_p * norm_t
             cos_lo = np.minimum(dot_lo / norms_lo, dot_lo / norms_hi).clip(-1.0, 1.0)
             cos_hi = np.maximum(dot_hi / norms_lo, dot_hi / norms_hi).clip(-1.0, 1.0)
             lo, hi = 1.0 - cos_hi - eps, 1.0 - cos_lo + eps

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from pdscore import (
     BadIndex,
@@ -10,9 +11,14 @@ from pdscore import (
     ErrorPolicy,
     PdsError,
     ValidationError,
+    ZeroVector,
     compute_pds,
+    cosine,
+    dist_l1,
+    dist_l2,
     oracle_pds,
     pds_row,
+    sign_cosine,
 )
 
 from helpers import pair_from, per_anchor_pds, random_pair
@@ -268,3 +274,80 @@ def test_screened_ranks_equal_measuring_every_candidate(case):
             want = _outcome(lambda: per_anchor_pds(pair, spec, mask, policy))
             assert got == want, (kind.value, mask)
             assert got == _outcome(lambda: oracle_pds(pair, spec, mask, policy)), (kind.value, mask)
+
+
+def _deleted_measure(spec, a, r):
+    """One measure from scalar formulas; the limit kinds written out here."""
+    kind, t = spec.kind, spec.sign_threshold
+    if kind is DistanceKind.L1:
+        return dist_l1(a, r)
+    if kind is DistanceKind.L2:
+        return dist_l2(a, r)
+    if kind is DistanceKind.COSINE_DISSIM:
+        return 1.0 - cosine(a, r)
+    if kind is DistanceKind.SIGN_COSINE_DISSIM:
+        return 1.0 - sign_cosine(a, r, t)
+    if kind is DistanceKind.L2_LIMIT:
+        return -float(sum(x * y for x, y in zip(a, r)))
+    signs = [0.0 if abs(x) <= t else float(np.sign(x)) for x in a]
+    return float(sum(abs(y) if s == 0.0 else -s * y for s, y in zip(signs, r)))
+
+
+def _deletion_reference(pred, truth, columns, spec, policy):
+    """Report fields when each masked anchor's target column is deleted with
+    np.delete: scalar measures, mid-ranks from a full sort, the policy's mean."""
+    n, entries = len(pred), []
+    for i in range(n):
+        a, rows = pred[i], truth
+        if i in columns:
+            a, rows = np.delete(a, columns[i]), np.delete(rows, columns[i], axis=1)
+        try:
+            d = [_deleted_measure(spec, a, r) for r in rows]
+        except ZeroVector as exc:
+            nan, worst = float("nan"), policy is ErrorPolicy.WORST
+            entries.append((nan, float(n) if worst else nan, 0.0 if worst else nan, str(exc)))
+            continue
+        rank = float(rankdata(d, method="average")[i])
+        entries.append((d[i], rank, 1.0 - (rank - 1.0) / (n - 1.0), None))
+    values = [e[2] for e in entries if policy is ErrorPolicy.WORST or e[3] is None]
+    return repr((entries, float(np.mean(values)))) if values else "every anchor failed"
+
+
+@pytest.mark.parametrize("targets", ["absent", "mixed", "shared"])
+@pytest.mark.parametrize("threshold", [0.0, 3.5])
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_zeroing_the_target_equals_deleting_it(kind, threshold, targets):
+    """Small integers make every sum exact, so zeroing a masked target must give
+    the deletion reference's reports bit for bit."""
+    spec = DistanceSpec(kind, threshold)
+    for seed in range(10):
+        rng = np.random.default_rng([seed, len(targets)])
+        n, p = rng.integers(4, 9), rng.integers(2, 7)
+        pred, truth = rng.integers(-6, 7, (2, n, p)).astype(float)
+        pred[rng.random((n, p)) < 0.3] = 0.0
+        truth[1] = truth[0]  # a duplicated truth row
+        if seed % 3 == 1:
+            pred[2] = 0.0
+        elif seed % 3 == 2:
+            truth[3] = 0.0
+        columns = {}
+        if targets == "mixed":
+            columns = {i: int(rng.integers(p)) for i in range(n) if rng.random() < 0.5}
+        elif targets == "shared":
+            columns = dict.fromkeys(range(n - 1), int(rng.integers(p)))
+            truth[n - 1] = 0.0
+            truth[n - 1, columns[0]] = 5.0  # zero once the shared target is masked
+        pair = pair_from(pred, truth, {f"P{i:04d}": f"G{j:04d}" for i, j in columns.items()})
+        for policy in ErrorPolicy:
+            want = _deletion_reference(pred, truth, columns, spec, policy)
+            try:
+                report = compute_pds(pair, spec, True, error_policy=policy, workers=1 + seed % 3)
+            except ValidationError as exc:
+                assert str(exc) == "every anchor failed; nothing to average"
+                got = "every anchor failed"
+            else:
+                entries = [
+                    (e.true_distance, e.rank, e.pds, e.error) for e in report.per_perturbation
+                ]
+                got = repr((entries, report.mean_pds))
+            assert got == want, (seed, policy)

@@ -145,8 +145,10 @@ class TestAnchorSubproblem:
             {"P0000": "G0001"},
         )
         a, rows = anchor_subproblem(pair, 0, apply_target_mask=True)
-        assert a.tolist() == [1.0, 3.0]
-        assert rows.tolist() == [[7.0, 9.0], [10.0, 12.0]]
+        assert a.tolist() == [1.0, 0.0, 3.0]
+        assert rows.tolist() == [[7.0, 0.0, 9.0], [10.0, 0.0, 12.0]]
+        assert pair.predicted.values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert pair.truth.values.tolist() == [[7.0, 8.0, 9.0], [10.0, 11.0, 12.0]]
 
     def test_mask_disabled_returns_full_rows(self):
         pair = pair_from(
@@ -174,8 +176,12 @@ class TestAnchorSubproblem:
         pair = pair_from(values, values * 3.0, {"P0002": "G0004"})
         a, rows = anchor_subproblem(pair, 2, apply_target_mask=True)
         keep = [0, 1, 2, 3, 5, 6]
-        assert np.array_equal(a, values[2, keep])
-        assert np.array_equal(rows, values[:, keep] * 3.0)
+        assert a.shape == (7,) and rows.shape == (5, 7)
+        assert a[4] == 0.0 and not rows[:, 4].any()
+        assert np.array_equal(a[keep], values[2, keep])
+        assert np.array_equal(rows[:, keep], values[:, keep] * 3.0)
+        assert np.array_equal(pair.predicted.values, values)
+        assert np.array_equal(pair.truth.values, values * 3.0)
 
     def test_masking_everything_rejected(self):
         pair = pair_from([[1.0], [2.0]], [[3.0], [4.0]], {"P0000": "G0000"})
