@@ -21,7 +21,7 @@ from .discrimination import PdsEntry, PdsReport
 from .effects import EffectMatrix
 from .errors import DuplicateLabelInFile, ParseError
 from .geometry import CertificateResult
-from .preprocessing import CountMatrix, PipelineComparison
+from .preprocessing import CountMatrix, PipelineComparison, oversized_cells
 from .transforms import chain_tokens
 
 
@@ -145,10 +145,11 @@ def read_count_matrix(path) -> CountMatrix:
         bad = np.argwhere(counts < 0)
     if bad.size:
         raise _bad_cell(rows, 2, bad[0], "count out of range 0 to 2**63 - 1")
-    empty = np.flatnonzero(counts.sum(axis=1) == 0)
-    if empty.size:
-        line, row = rows[empty[0]]
-        raise ParseError(line, 1, f"cell {row[0].strip()!r} has library size 0")
+    empty = np.flatnonzero(counts.sum(axis=1) == 0)  # wrapped sums are caught first
+    for cells, size in ((oversized_cells(counts), "exceeding 2**63 - 1"), (empty, "0")):
+        if len(cells):
+            line, row = rows[cells[0]]
+            raise ParseError(line, 1, f"cell {row[0].strip()!r} has library size {size}")
     cell_ids, conditions = zip(*labels)
     _check_unique(cell_ids, [(line, 1) for line, _ in rows], "cell")
     return CountMatrix(counts, conditions, tuple(gene_ids), cell_ids)

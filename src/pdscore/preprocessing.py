@@ -39,6 +39,13 @@ def pipeline_from_token(token: str) -> PipelineSpec:
         raise BadParameter(f"unknown pipeline {token!r}; choose from: {choices}") from None
 
 
+def oversized_cells(counts: np.ndarray) -> list:
+    """Rows of a nonnegative int64 count matrix whose exact sum exceeds 2**63 - 1."""
+    # a float64 row sum errs by far less than half its value, so smaller rows fit
+    rows = np.flatnonzero(counts.sum(axis=1, dtype=np.float64) >= 2.0**62).tolist()
+    return [r for r in rows if sum(counts[r].tolist()) > 2**63 - 1]
+
+
 @dataclass(frozen=True)
 class CountMatrix:
     """Nonnegative integer cell x gene counts with per-cell condition labels."""
@@ -70,6 +77,9 @@ class CountMatrix:
         if len(genes) != n_genes:
             raise ValidationError(f"{len(genes)} gene ids for {n_genes} columns")
         _check_unique(genes, "gene")
+        oversized = oversized_cells(counts)
+        if oversized:
+            raise ValidationError(f"cell {oversized[0]} has library size exceeding 2**63 - 1")
         libsizes = counts.sum(axis=1)
         zero = np.flatnonzero(libsizes < 1)
         if zero.size:

@@ -107,6 +107,10 @@ class CountSynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        floats = ("mean_counts_per_cell", "libsize_sigma", "effect_fraction", "effect_log_fc_sigma")
+        for name in floats:
+            if not np.isfinite(getattr(self, name)):
+                raise BadSpec(f"{name} must be finite")
         if self.n_perturbations < 1:
             raise BadSpec("need at least one perturbation")
         if self.cells_per_condition < 1:
@@ -119,6 +123,9 @@ class CountSynthSpec:
             raise BadSpec("sigmas must be >= 0")
         if not (0.0 <= self.effect_fraction <= 1.0):
             raise BadSpec("effect_fraction must lie in [0, 1]")
+
+
+_DRAWS_PER_CELL = 1000  # an empty cell is redrawn; rates this small fail instead
 
 
 def generate_counts(spec: CountSynthSpec) -> CountMatrix:
@@ -146,12 +153,17 @@ def generate_counts(spec: CountSynthSpec) -> CountMatrix:
         condition = conditions[c // spec.cells_per_condition]
         labels.append(condition)
         cell_rng = np.random.default_rng(child)
-        while True:
+        for _ in range(_DRAWS_PER_CELL):
             factor = cell_rng.lognormal(0.0, spec.libsize_sigma)
-            row = cell_rng.poisson(factor * rates[condition])
+            try:
+                row = cell_rng.poisson(factor * rates[condition])
+            except ValueError:  # a rate beyond numpy's Poisson limit, or NaN
+                raise BadSpec(f"Poisson rate of a {condition!r} cell out of range") from None
             if row.sum() >= 1:  # library size of at least one count
                 counts[c] = row
                 break
+        else:
+            raise BadSpec(f"a {condition!r} cell was empty in all {_DRAWS_PER_CELL} draws")
     return CountMatrix(counts, tuple(labels), tuple(f"G{j:04d}" for j in range(spec.n_genes)))
 
 

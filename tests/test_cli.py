@@ -397,3 +397,25 @@ class TestSynthCommands:
         )
         assert done.returncode == 0
         assert done.stdout.strip() == f"pdscore {__version__}"
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            # rates so small that every draw of a cell is empty
+            (["--mean-counts", "1e-300"], "a 'control' cell was empty in all 1000 draws"),
+            (["--mean-counts", "nan"], "mean_counts_per_cell must be finite"),
+            (["--mean-counts", "inf"], "mean_counts_per_cell must be finite"),
+            (["--mean-counts", "1e30"], "Poisson rate of a 'control' cell out of range"),
+            (["--libsize-sigma", "nan"], "libsize_sigma must be finite"),
+            (["--effect-sigma", "inf"], "effect_log_fc_sigma must be finite"),
+        ],
+    )
+    def test_counts_out_of_range_is_an_error(self, option, message, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "pdscore", "synth", "counts", "--perturbations", "2",
+             "--cells-per-condition", "3", "--genes", "6", *option, "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (1, f"error: {message}\n")

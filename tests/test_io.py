@@ -127,6 +127,20 @@ class TestCountsRoundTrip:
         path.write_text(f"cell,condition,g1\nc0,control,{2**63 - 1}\nc1,A,1\n")
         assert pio.read_count_matrix(path).counts[0, 0] == 2**63 - 1
 
+    def test_library_size_beyond_int64_has_position(self, tmp_path):
+        path = tmp_path / "c.csv"
+        big = 2**63 - 1
+        path.write_text(f"cell,condition,g1,g2\nc0,control,{big - 1},1\nc1,A,1,0\n")
+        assert pio.read_count_matrix(path).library_sizes().tolist() == [big, 1]
+        # sums 2**63, 2**64 and 2**65 - 5 wrap to -2**63, 0 and -5 in int64
+        for cells in ([big, 1], [big, big, 2], [big, big, big, big - 1]):
+            genes = ",".join(f"g{j}" for j in range(len(cells)))
+            ones, row = ",".join("1" * len(cells)), ",".join(map(str, cells))
+            path.write_text(f"cell,condition,{genes}\nc0,control,{ones}\n\nc1,A,{row}\n")
+            with pytest.raises(ParseError, match="cell 'c1' has library size exceeding 2") as info:
+                pio.read_count_matrix(path)
+            assert (info.value.line, info.value.column) == (4, 1)
+
     def test_negative_count_has_position(self, tmp_path):
         path = tmp_path / "c.csv"
         for text, line, column in (

@@ -46,6 +46,13 @@ class TestCountMatrix:
         with pytest.raises(ZeroLibrarySize):
             counts_of([[0, 0], [1, 2]], ["control", "A"])
 
+    def test_library_size_beyond_int64_is_named(self):
+        big = 2**63 - 1
+        assert counts_of([[big - 1, 1], [1, 2]], ["control", "A"]).library_sizes()[0] == big
+        for row in ([big, 1], [big, big, 2]):  # sums that wrap to -2**63 and to 0 in int64
+            with pytest.raises(ValidationError, match="cell 1 has library size exceeding 2"):
+                counts_of([[1] * len(row), row], ["control", "A"])
+
     def test_requires_control(self):
         with pytest.raises(MissingControl):
             counts_of([[1, 2], [3, 4]], ["A", "B"])
