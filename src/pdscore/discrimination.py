@@ -100,12 +100,11 @@ def compute_pds(
     """Score every anchor perturbation of an aligned pair under one measure.
 
     With apply_target_mask, an anchor's declared target gene is zeroed in its
-    predicted row and in every truth row it is compared against (as if left out,
-    see effects.anchor_subproblem). A candidate whose metrics.screen interval
-    lies wholly below or above the anchor's own measure is settled; the own
-    measure and the rest come from pairwise_to_rows, so reports equal
-    synth.oracle_pds's bit for bit, whatever the number of workers (threads over
-    row-blocks of anchors).
+    predicted row and in every truth row it is compared against, as if left out.
+    A candidate whose metrics.screen interval lies wholly below or above the
+    anchor's own measure is settled; the own measure and the rest come from
+    pairwise_to_rows, so reports equal synth.oracle_pds's bit for bit, whatever
+    the number of workers (threads over row-blocks of anchors).
     """
     n = pair.n_perturbations
     if n < 2:
@@ -131,7 +130,7 @@ def compute_pds(
         return values, undefined, error
 
     def score(anchors) -> list:
-        lo, hi = screen(spec, P[anchors[0] : anchors[-1] + 1], T, columns[anchors])
+        lo, hi = screen(spec, P[anchors[0] : anchors[-1] + 1], T, columns[anchors])  # a view
         own, undefined, error = measure(anchors, anchors)
         closer, block = hi < own[:, None], np.arange(len(anchors))
         undecided = ~(closer | (lo > own[:, None]) | (lo == hi))  # NaN bounds stay undecided

@@ -185,11 +185,10 @@ def anchor_subproblem(pair: EffectPair, i: int, apply_target_mask: bool):
     """Predicted row of anchor i and the truth matrix it is ranked against.
 
     When apply_target_mask is set and the anchor declares a target gene,
-    that gene is 0 in copies of the anchor's predicted row and of every
-    truth row. A coordinate that is 0 on both sides adds nothing to any
-    measure (no difference, product, norm or sign count), so this equals
-    leaving the gene out. Returns (a, rows); without a mask they are a row
-    view of the predictions and the truth values themselves.
+    that gene is zeroed in copies of the predicted row and of every truth row:
+    0 on both sides adds no difference, product, norm or sign count, so every
+    measure equals the one without the gene. Returns (a, rows); without a mask
+    they are a row view of the predictions and the truth values themselves.
     """
     a, rows = pair.predicted.values[i], pair.truth.values
     column = target_columns(pair, apply_target_mask)[i]

@@ -40,8 +40,8 @@ def pipeline_from_token(token: str) -> PipelineSpec:
 
 
 def oversized_cells(counts: np.ndarray) -> list:
-    """Rows of a nonnegative int64 count matrix whose exact sum exceeds 2**63 - 1."""
-    # a float64 row sum errs by far less than half its value, so smaller rows fit
+    """Rows of nonnegative int64 counts whose exact sum exceeds 2**63 - 1. A float64
+    row sum errs by far less than half, so only rows from 2**62 need the exact sum."""
     rows = np.flatnonzero(counts.sum(axis=1, dtype=np.float64) >= 2.0**62).tolist()
     return [r for r in rows if sum(counts[r].tolist()) > 2**63 - 1]
 

@@ -403,11 +403,16 @@ class TestSynthCommands:
         [
             # rates so small that every draw of a cell is empty
             (["--mean-counts", "1e-300"], "a 'control' cell was empty in all 1000 draws"),
-            (["--mean-counts", "nan"], "mean_counts_per_cell must be finite"),
-            (["--mean-counts", "inf"], "mean_counts_per_cell must be finite"),
+            (["--mean-counts", "nan"], "mean_counts_per_cell must be positive and finite"),
+            (["--mean-counts", "inf"], "mean_counts_per_cell must be positive and finite"),
             (["--mean-counts", "1e30"], "Poisson rate of a 'control' cell out of range"),
-            (["--libsize-sigma", "nan"], "libsize_sigma must be finite"),
-            (["--effect-sigma", "inf"], "effect_log_fc_sigma must be finite"),
+            # each rate drawable, but a cell's counts sum past 2**63 - 1
+            (["--genes", "1000", "--mean-counts", "1e20"],
+             "cell 0 has library size exceeding 2**63 - 1"),
+            (["--libsize-sigma", "nan"], "sigmas must be finite and >= 0"),
+            (["--effect-sigma", "inf"], "sigmas must be finite and >= 0"),
+            (["--genes", "100", "--effect-sigma", "1e300"],
+             "Poisson rate of a 'P0000' cell out of range"),
         ],
     )
     def test_counts_out_of_range_is_an_error(self, option, message, tmp_path):
