@@ -5,13 +5,24 @@ row starts with the perturbation id. Counts CSV: header row of gene ids
 after two label cells; each data row starts with the cell id and its
 condition ("control" or a perturbation id). Floats are written with 17
 significant digits so a round trip reproduces every value exactly.
+
+Matrix CSVs are parsed in bulk first: csv reads the header and numpy's C
+reader the rest. Where numpy refuses a cell or a row (a spelling such as
+"1_0", a non-ASCII digit or a blank cell, a short or long row, a row of blank
+cells, no data rows) or the table fails a check (a non-finite value, a count
+out of range, an empty or oversized library, a duplicate id), the file is
+parsed again cell by cell with float() or int(), and that positional reader
+raises the error with its line and column. Matrix writers quote only the
+label cells through csv and write each row's values with one %-format.
 """
 
 import csv
 import hashlib
 import json
+import warnings
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,7 +52,11 @@ def _rows_of(path) -> list:
     """(1-based line number, cells) of every row of a CSV file that is not blank."""
     with open(path, newline="") as fh:
         rows = enumerate(csv.reader(fh), start=1)
-        return [(line, row) for line, row in rows if any(cell.strip() for cell in row)]
+        return [(line, row) for line, row in rows if not _blank(row)]
+
+
+def _blank(row) -> bool:
+    return not any(cell.strip() for cell in row)
 
 
 def _write_csv(path, header, rows) -> Path:
@@ -53,10 +68,10 @@ def _write_csv(path, header, rows) -> Path:
     return path
 
 
-def _bad_cell(rows, n_label_columns: int, at, reason: str) -> ParseError:
+def _bad_cell(where, n_label_columns: int, at, reason: str) -> ParseError:
     """ParseError for value c of data row r, where (r, c) = at, quoting the cell."""
     r, c = map(int, at)
-    line, row = rows[r]
+    line, row = where(r)
     column = n_label_columns + c
     return ParseError(line, column + 1, f"{reason}: {row[column].strip()!r}")
 
@@ -64,8 +79,8 @@ def _bad_cell(rows, n_label_columns: int, at, reason: str) -> ParseError:
 def _read_table(path, n_label_columns: int, parse, what: str, label_text: str):
     """Parse a header of gene ids after the label columns, then rows of labels and values.
 
-    Returns (gene_ids, labels, data, rows): each data row's stripped label
-    cells, its parsed values, and its (line, cells) for error positions.
+    Returns (gene_ids, labels, data, where): each data row's stripped label
+    cells, its parsed values, and where(r), the (line, cells) of data row r.
     """
     rows = _rows_of(path)
     if not rows:
@@ -74,8 +89,7 @@ def _read_table(path, n_label_columns: int, parse, what: str, label_text: str):
     if len(header) <= n_label_columns:
         raise ParseError(header_line, 1, f"expected gene columns after {label_text}")
     gene_ids = [cell.strip() for cell in header[n_label_columns:]]
-    columns = range(n_label_columns + 1, len(header) + 1)
-    _check_unique(gene_ids, [(header_line, column) for column in columns], "gene")
+    _check_unique(gene_ids, lambda j: (header_line, n_label_columns + j + 1), "gene")
     if not rows:
         raise ParseError(header_line, 1, "no data rows")
     labels = []
@@ -91,40 +105,90 @@ def _read_table(path, n_label_columns: int, parse, what: str, label_text: str):
             except ValueError:
                 raise ParseError(line, column, f"not {what}: {cell.strip()!r}") from None
         data.append(values)
-    return gene_ids, labels, data, rows
+    return gene_ids, labels, data, rows.__getitem__
 
 
-def _check_unique(labels, cells, what: str) -> None:
-    """Raise at the (line, column) cell of the first label seen before, naming where."""
+def _check_unique(labels, cell_of, what: str) -> None:
+    """Raise at cell_of(i), the (line, column) of the first label i seen before, naming where."""
     first = {}
-    for cell, label in zip(cells, labels):
-        line, column = first.setdefault(label, cell)
-        if (line, column) != cell:
+    for i, label in enumerate(labels):
+        j = first.setdefault(label, i)
+        if j != i:
+            (line, column), cell = cell_of(j), cell_of(i)
             where = f"on line {line}" if column == cell[1] else f"in column {column}"
             raise DuplicateLabelInFile(*cell, f"duplicate {what} id {label!r}, first {where}")
 
 
+class _Refused(Exception):
+    """A bulk-parsed table may differ from the positional reader's, or fails a check
+    that only the positional reader can place at a line and column."""
+
+
+def _refuse(_):
+    raise _Refused
+
+
+def _bulk_table(path, n_label_columns: int, dtype):
+    """Parse a matrix CSV as _read_table does, but with numpy's C reader after the
+    header: (gene_ids, labels, values, _refuse).
+
+    numpy unquotes cells as csv does and parses a subset of the spellings that
+    float() and int() accept, to the same values. Raises _Refused where the
+    parse raises or warns, or where the first row is one _rows_of would skip.
+    """
+    labels = [[] for _ in range(n_label_columns)]
+    # a label column's converter keeps the stripped cell and gives numpy a 0 in its place
+    keep = {c: (lambda s, out=out: out.append(s.strip()) or 0) for c, out in enumerate(labels)}
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header = next(csv.reader(fh), [])
+            values = np.loadtxt(
+                fh, dtype, comments=None, delimiter=",", converters=keep,
+                ndmin=2, encoding=None, quotechar='"',  # encoding=None: str cells on numpy 1.x too
+            )
+    except (ValueError, Warning, csv.Error):
+        raise _Refused from None
+    if _blank(header) or len(header) <= n_label_columns or values.shape[1] != len(header):
+        raise _Refused
+    gene_ids = [cell.strip() for cell in header[n_label_columns:]]
+    _check_unique(gene_ids, _refuse, "gene")
+    return gene_ids, list(zip(*labels)), values[:, n_label_columns:], _refuse
+
+
 def _write_matrix(path, label_columns, labels, gene_ids, values) -> Path:
-    """Write a labelled table: each row's label cells, then its values as integers
-    (%d) for an integer array and with 17 significant digits (%.17g) otherwise."""
+    """Write a labelled table: each row's label cells as csv.writer quotes them, then
+    its values as integers (%d) for an integer array and with 17 significant digits
+    (%.17g) otherwise."""
     values = np.asarray(values)
     cell = "%d" if np.issubdtype(values.dtype, np.integer) else "%.17g"
-    row_format = ",".join([cell] * values.shape[1])
-    cells = ((row_format % tuple(row.tolist())).split(",") for row in values)
-    rows = ([*label, *row] for label, row in zip(labels, cells))
-    return _write_csv(path, [*label_columns, *gene_ids], rows)
+    row_format = ",".join([cell] * values.shape[1]) + "\r\n"
+    line = csv.writer(SimpleNamespace(write=str)).writerow  # returns the line it writes
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        fh.write(line([*label_columns, *gene_ids]))
+        for label, row in zip(labels, values):
+            # the label cells and the comma after them, without the line end
+            fh.write(line([*label, ""])[:-2] + row_format % tuple(row.tolist()))
+    return path
+
+
+def _effect_matrix(gene_ids, labels, data, where) -> EffectMatrix:
+    values = np.asarray(data, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        raise _bad_cell(where, 1, bad[0], "not a finite number")
+    (ids,) = zip(*labels)
+    _check_unique(ids, lambda i: (where(i)[0], 1), "perturbation")
+    return EffectMatrix(values, ids, tuple(gene_ids))
 
 
 def read_effect_matrix(path) -> EffectMatrix:
     """Parse an effect matrix CSV; errors carry 1-based line and column."""
-    gene_ids, labels, data, rows = _read_table(path, 1, float, "a number", "the label column")
-    values = np.array(data, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        raise _bad_cell(rows, 1, bad[0], "not a finite number")
-    (ids,) = zip(*labels)
-    _check_unique(ids, [(line, 1) for line, _ in rows], "perturbation")
-    return EffectMatrix(values, ids, tuple(gene_ids))
+    try:
+        return _effect_matrix(*_bulk_table(path, 1, np.float64))
+    except _Refused:
+        return _effect_matrix(*_read_table(path, 1, float, "a number", "the label column"))
 
 
 def write_effect_matrix(matrix: EffectMatrix, path) -> Path:
@@ -132,27 +196,33 @@ def write_effect_matrix(matrix: EffectMatrix, path) -> Path:
     return _write_matrix(path, ["perturbation"], labels, matrix.gene_ids, matrix.values)
 
 
-def read_count_matrix(path) -> CountMatrix:
-    """Parse a counts CSV (cell id, condition, then nonnegative integer counts)."""
-    labels_text = "cell and condition columns"
-    gene_ids, labels, data, rows = _read_table(path, 2, int, "an integer count", labels_text)
+def _count_matrix(gene_ids, labels, data, where) -> CountMatrix:
     try:
-        counts = np.array(data, dtype=np.int64)
+        counts = np.asarray(data, dtype=np.int64)
     except OverflowError:  # a cell beyond 64 bits: compare the exact integers instead
         exact = np.array(data, dtype=object)
         bad = np.argwhere((exact < 0) | (exact >= 2**63))
     else:
         bad = np.argwhere(counts < 0)
     if bad.size:
-        raise _bad_cell(rows, 2, bad[0], "count out of range 0 to 2**63 - 1")
+        raise _bad_cell(where, 2, bad[0], "count out of range 0 to 2**63 - 1")
     empty = np.flatnonzero(counts.sum(axis=1) == 0)  # wrapped sums are caught first
     for cells, size in ((oversized_cells(counts), "exceeding 2**63 - 1"), (empty, "0")):
         if len(cells):
-            line, row = rows[cells[0]]
+            line, row = where(cells[0])
             raise ParseError(line, 1, f"cell {row[0].strip()!r} has library size {size}")
     cell_ids, conditions = zip(*labels)
-    _check_unique(cell_ids, [(line, 1) for line, _ in rows], "cell")
+    _check_unique(cell_ids, lambda i: (where(i)[0], 1), "cell")
     return CountMatrix(counts, conditions, tuple(gene_ids), cell_ids)
+
+
+def read_count_matrix(path) -> CountMatrix:
+    """Parse a counts CSV (cell id, condition, then nonnegative integer counts)."""
+    try:
+        return _count_matrix(*_bulk_table(path, 2, np.int64))
+    except _Refused:
+        labels = "cell and condition columns"
+        return _count_matrix(*_read_table(path, 2, int, "an integer count", labels))
 
 
 _COUNT_LABELS = ["cell", "condition"]

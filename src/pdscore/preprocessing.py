@@ -59,15 +59,14 @@ class CountMatrix:
         counts = np.asarray(self.counts)
         if counts.ndim != 2:
             raise ValidationError("counts must be a 2-d matrix")
+        # checked before any cast, which would wrap or overflow a count from 2**63 up
+        if np.any(counts < 0) or np.any(counts >= 2**63):
+            raise ValidationError("counts must be from 0 to 2**63 - 1")
         if not np.issubdtype(counts.dtype, np.integer):
-            as_float = np.asarray(counts, dtype=np.float64)
-            if not np.isfinite(as_float).all() or np.any(as_float != np.floor(as_float)):
+            counts = np.asarray(counts, dtype=np.float64)
+            if not np.isfinite(counts).all() or np.any(counts != np.floor(counts)):
                 raise ValidationError("counts must be integers")
-            counts = as_float.astype(np.int64)
-        else:
-            counts = counts.astype(np.int64)
-        if np.any(counts < 0):
-            raise ValidationError("counts must be nonnegative")
+        counts = counts.astype(np.int64)
         counts.setflags(write=False)
         n_cells, n_genes = counts.shape
         condition = tuple(str(x) for x in self.cell_condition)

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import warnings
 from dataclasses import fields
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from pdscore import (
     CountMatrix,
@@ -13,7 +18,10 @@ from pdscore import (
     DuplicateLabel,
     EffectMatrix,
     ParseError,
+    PdsError,
+    SynthSpec,
     compute_pds,
+    generate,
     generate_counts,
     CountSynthSpec,
     PipelineComparison,
@@ -108,11 +116,14 @@ class TestCountsRoundTrip:
 
     def test_fractional_count_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
-        path.write_text("cell,condition,g1\nc0,control,1.5\n")
-        with pytest.raises(ParseError) as info:
-            pio.read_count_matrix(path)
-        assert info.value.line == 2
-        assert info.value.column == 3
+        for cell in ("1.5", "1.0", "1e5"):
+            # int() rejects each, and so does numpy's int64 parse in the bulk reader
+            with pytest.raises(ValueError):
+                np.loadtxt([cell], dtype=np.int64)
+            path.write_text(f"cell,condition,g1\nc0,control,{cell}\n")
+            with pytest.raises(ParseError, match=f"not an integer count: '{cell}'") as info:
+                pio.read_count_matrix(path)
+            assert (info.value.line, info.value.column) == (2, 3)
 
     def test_count_beyond_int64_has_position(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -175,6 +186,146 @@ class TestCountsRoundTrip:
         assert (info.value.line, info.value.column) == (3, 1)
 
 
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def outcome(read, path):
+    """What a reader makes of a file: the matrix's bytes, dtype and labels, or its error."""
+    try:
+        m = read(path)
+    except PdsError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+    if isinstance(m, EffectMatrix):
+        return m.values.dtype, m.values.shape, m.values.tobytes(), m.perturbation_ids, m.gene_ids
+    arrays = m.counts.dtype, m.counts.shape, m.counts.tobytes()
+    return *arrays, m.cell_ids, m.cell_condition, m.gene_ids
+
+
+def positional_outcome(read, path):
+    """outcome() with the bulk parse refusing every file, so only _read_table parses."""
+    with mock.patch.object(pio, "_bulk_table", side_effect=pio._Refused):
+        return outcome(read, path)
+
+
+def padded(cells):
+    pads = st.sampled_from(["", " ", "\t"])
+    return st.tuples(pads, cells, pads).map("".join)
+
+
+# Spellings where float() or int() and numpy's parse may part ways.
+TRICKY_CELLS = st.one_of(
+    st.sampled_from([
+        "1_0", "１", "٣", "\xa01", "1\xa0", " 2", "0x10", "1d5", "1 2", "", " ", "-",
+        "nan", "NaN", "-nan", "inf", "-Infinity", "+INF", "infinity", "1e5", "1E-5", ".5",
+        "5.", "+.5e+3", "1.0", "-0", "007", "+3", str(2**63 - 1), str(2**63),
+        str(-(2**63) - 1), "99999999999999999999999", "1e400", '"7"', '"1"5', 'x"',
+    ]),
+    st.integers(-(2**66), 2**66).map(str),
+)
+FLOAT_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g"))
+COUNT_CELLS = st.integers(0, 10**6).map(str)
+LABEL_TEXT = st.text(st.sampled_from(list('Ab é#,"\r\n')), max_size=4)
+QUOTED_LABELS = LABEL_TEXT.map(lambda s: '"' + s.replace('"', '""') + '"')
+LABELS = st.one_of(st.sampled_from(["A", "B", "#A", "7", "control"]), LABEL_TEXT, QUOTED_LABELS)
+
+
+def exactly(k, elements, **kwargs):
+    return st.lists(elements, min_size=k, max_size=k, **kwargs)
+
+
+@st.composite
+def matrix_csvs(draw, label_columns, clean_cells):
+    """CSV text of a labelled matrix: on half the draws a clean file, on the others
+    one with tricky cells and labels, blank, short and long rows, and CRLF mixed in."""
+    tricky = draw(st.booleans())
+    cells = st.one_of(clean_cells, TRICKY_CELLS) if tricky else clean_cells
+    n, p = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    if tricky:
+        ids, genes = draw(exactly(n, LABELS)), draw(exactly(p, LABELS))
+        conditions = st.sampled_from(["control", "A", " A ", '"control"'])
+    else:
+        ids, genes = draw(exactly(n, st.sampled_from("ABCDE"), unique=True)), ["g1", "g2", "g3"][:p]
+        conditions = st.sampled_from(["control", "A"])
+    lines = [",".join([*label_columns, *genes])]
+    for label in ids:
+        if tricky and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", ",,,", " , ", '""'])))
+        width = p + (draw(st.integers(-1, 1)) if tricky and draw(st.booleans()) else 0)
+        row = [label, *draw(exactly(len(label_columns) - 1, conditions))]
+        lines.append(",".join(row + draw(exactly(width, padded(cells)))))
+    if tricky and draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["", ",", " , "])))
+    end = draw(st.sampled_from(["\n", "\r\n"])) if tricky else "\n"
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+class TestBulkReader:
+    """The bulk parse gives exactly what the positional reader gives, errors included."""
+
+    SETTINGS = settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+
+    @SETTINGS
+    @given(matrix_csvs(["perturbation"], FLOAT_CELLS))
+    @example("perturbation,gé\nÄ,1\n")
+    @example("\ufeffperturbation,g1\nA,1\n")
+    @example('perturbation,g1\n"a,b",1\n"say ""hi""",3\n"two\r\nlines",4\n')
+    @example("perturbation,g1\nA,1\n\nB,2\n,\n")
+    @example("perturbation,g1\n#A,1\n")
+    @example("perturbation,g1\nA,1,2\n")
+    @example("perturbation,g1\nA,1\nA,2\n")
+    @example("perturbation,g1\nA,1_0\n")
+    @example("perturbation,g1\nA,１\n")
+    @example("perturbation,g1\nA,nan\n")
+    @example("perturbation,g1\r\nA,1\r\n")
+    @example(",\nperturbation,7\nA,1\n")  # a blank row before a header numpy could parse
+    def test_effect_matrix_equals_positional(self, tmp_path, text):
+        path = tmp_path / "e.csv"
+        path.write_bytes(text.encode())
+        read = pio.read_effect_matrix
+        assert outcome(read, path) == positional_outcome(read, path)
+
+    @SETTINGS
+    @given(matrix_csvs(["cell", "condition"], COUNT_CELLS))
+    @example("cell,condition,g1\nc0,control,1.0\n")
+    @example(",,\ncell,condition,7\nc0,control,1\n")
+    def test_count_matrix_equals_positional(self, tmp_path, text):
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode())
+        read = pio.read_count_matrix
+        assert outcome(read, path) == positional_outcome(read, path)
+
+    def test_no_data_rows_warns_nothing(self, tmp_path):
+        # numpy warns that the input "contained no data"; the bulk parse refuses
+        # instead, and the positional reader names the error.
+        path = tmp_path / "e.csv"
+        path.write_text("perturbation,g1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError, match="no data rows"):
+                pio.read_effect_matrix(path)
+        assert caught == []
+
+    def test_clean_files_take_the_bulk_path(self, tmp_path):
+        pair = generate(SynthSpec(n_perturbations=6, n_genes=9, target_cosine=0.6, seed=4))
+        effects = pio.write_effect_matrix(pair.truth, tmp_path / "truth.csv")
+        counts = generate_counts(CountSynthSpec(2, 3, 8, mean_counts_per_cell=50.0, seed=2))
+        counts_file = pio.write_count_matrix(counts, tmp_path / "counts.csv")
+        files = [
+            (pio.read_effect_matrix, GOLDEN_INPUTS / "truth.csv"),
+            (pio.read_effect_matrix, GOLDEN_INPUTS / "ties_predicted.csv"),
+            (pio.read_effect_matrix, effects),
+            (pio.read_count_matrix, GOLDEN_INPUTS / "counts.csv"),
+            (pio.read_count_matrix, counts_file),
+        ]
+        expected = [positional_outcome(read, path) for read, path in files]
+        # A silent fall back to the positional reader would fail here, not just run slower.
+        refuse = AssertionError("the positional reader was called")
+        with mock.patch.object(pio, "_read_table", side_effect=refuse):
+            assert [outcome(read, path) for read, path in files] == expected
+
+
 def seventeen_digits(value: float) -> str:
     return format(value, ".17g")
 
@@ -220,6 +371,25 @@ class TestMatrixBytes:
         path = pio.write_count_matrix(self.COUNTS, tmp_path / "c.csv")
         assert path.read_bytes() == csv_bytes(header, labels, self.COUNTS.counts, str)
 
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.data())
+    def test_matches_csv_writer_per_cell(self, tmp_path, data):
+        text = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "中"]), max_size=4)
+        n_labels, n, p = (data.draw(st.integers(1, k)) for k in (2, 3, 3))
+        label_columns = data.draw(exactly(n_labels, text))
+        labels = data.draw(exactly(n, st.tuples(*[text] * n_labels)))
+        genes = data.draw(exactly(p, text))
+        if data.draw(st.booleans()):
+            values, cell = st.integers(-(2**63), 2**63 - 1), str
+        else:
+            values, cell = st.floats(allow_nan=False, allow_infinity=False), seventeen_digits
+        rows = data.draw(exactly(n, exactly(p, values)))
+        values = np.array(rows, dtype=np.int64 if cell is str else np.float64)
+        path = pio._write_matrix(tmp_path / "m.csv", label_columns, labels, genes, values)
+        assert path.read_bytes() == csv_bytes([*label_columns, *genes], labels, values, cell)
 
 class TestTargetMap:
     def test_with_and_without_header(self, tmp_path):

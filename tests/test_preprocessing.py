@@ -42,6 +42,21 @@ class TestCountMatrix:
         with pytest.raises(ValidationError):
             CountMatrix(np.array([[0.5, 2.0]]), ("control",), ("G0", "G1"))
 
+    def test_count_beyond_int64_is_named(self):
+        # A float or uint64 count from 2**63 up must not wrap in the cast to int64.
+        for rows in (
+            np.array([[1e30, 1.0], [1.0, 1.0]]),
+            np.array([[2.0**63, 1.0], [1.0, 1.0]]),
+            np.array([[2**63, 1], [1, 1]], dtype=np.uint64),
+            [[2**64, 1], [1, 1]],
+            [[10**400, 1], [1, 1]],  # beyond the float range too
+        ):
+            with pytest.raises(ValidationError, match=r"from 0 to 2\*\*63 - 1"):
+                CountMatrix(rows, ("control", "A"), ("G0", "G1"))
+        for rows in (np.array([[2**63 - 1, 0], [1, 1]], dtype=np.uint64), [[2.0**62, 0], [1, 1]]):
+            counts = CountMatrix(rows, ("control", "A"), ("G0", "G1")).counts
+            assert counts[0, 0] == int(rows[0][0])
+
     def test_rejects_zero_library_size(self):
         with pytest.raises(ZeroLibrarySize):
             counts_of([[0, 0], [1, 2]], ["control", "A"])
