@@ -58,14 +58,17 @@ def _grid(text: str):
     return tuple(float(x) for x in np.geomspace(lo, hi, n))
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lowest: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    return parse
 
 
 def _int_list(text: str):
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="undefined-anchor handling: worst rank, or skip from the mean",
     )
     p.add_argument(
-        "--workers", type=_positive_int, default=1, help="threads over anchor row-blocks (>= 1)"
+        "--workers", type=_int_at_least(1), default=1, help="threads over anchor row-blocks (>= 1)"
     )
     _add_common_io(p)
     p.set_defaults(func=_cmd_pds)
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--rho", type=float, required=True, help="distractor to prediction norm ratio")
     r.add_argument("--kappa", type=float, required=True, help="cosine between prediction and truth")
     r.add_argument("--samples", type=int, default=100000)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_int_at_least(0), default=0)
     r.add_argument("--metric", choices=["l1", "l2"], default="l2")
     _add_common_io(r)
     r.set_defaults(func=_cmd_geometry_region)
@@ -376,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--norm-mu", type=float, default=0.0)
     sp.add_argument("--norm-sigma", type=float, default=1.0)
     sp.add_argument("--scale", type=float, default=1.0, help="global prediction scale")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_common_io(sp, with_formats=False)
     sp.set_defaults(func=_cmd_synth_pair)
     sc = syn.add_parser("counts", help="Poisson counts with heterogeneous library sizes")
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--libsize-sigma", type=float, default=0.6)
     sc.add_argument("--effect-fraction", type=float, default=0.1)
     sc.add_argument("--effect-sigma", type=float, default=1.0)
-    sc.add_argument("--seed", type=int, default=0)
+    sc.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_common_io(sc, with_formats=False)
     sc.set_defaults(func=_cmd_synth_counts)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .effects import EffectPair, target_columns
 from .errors import BadIndex, ValidationError, ZeroVector
-from .metrics import DistanceSpec, pairwise_to_rows, screen
+from .metrics import _CACHED, DistanceSpec, pairwise_to_rows, screen
 
 
 class ErrorPolicy(Enum):
@@ -56,11 +56,6 @@ class PdsReport:
 
     def pds_values(self) -> np.ndarray:
         return np.array([e.pds for e in self.per_perturbation], dtype=np.float64)
-
-
-# Anchor blocks of about this many candidate pairs, and gathered chunks of about this
-# many values, stay in cache and bound the memory compute_pds adds at any size.
-_CACHED = 2**16
 
 
 def _mid_ranks(distances: np.ndarray, own: np.ndarray):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, NonpositiveNorm
-from .metrics import DistanceKind, DistanceSpec, distance, pairwise_to_rows
+from .metrics import _CACHED, DistanceKind, DistanceSpec, distance, pairwise_to_rows
 
 _BATCH = 1 << 14
 _L2 = DistanceSpec(DistanceKind.L2)  # a draw's l2 distance from the origin is its norm
@@ -78,11 +78,12 @@ def region_fraction(
     one orthogonal completion axis. Directions u are sampled uniformly on
     the unit sphere and the fraction with |pred - norm_ratio u| strictly
     below the truth's distance is returned with its binomial standard
-    error. Draws come in fixed-size batches, which bound memory; each batch
-    has its own child seed, which fixes the random stream. Every norm and
-    distance comes from pairwise_to_rows, whose per-thread scratch keeps one
-    batch of min(samples, 2**14) x dimension floats after the call, for
-    reuse by later calls.
+    error. Draws come in batches of 2**14, each from its own child seed,
+    which fixes the random stream. A batch is drawn, normed, rescaled and
+    measured in row chunks of about 2**16 values (one row once dimension
+    exceeds that), so memory does not grow with samples or dimension; a
+    draw of zero norm is redrawn after the batch's other draws. Every norm
+    and distance comes from pairwise_to_rows.
 
     Under l2 the distractor wins iff u_1 > s = (norm_ratio^2 + 2 true_cosine
     - 1) / (2 norm_ratio). As dimension grows u_1 concentrates at 0, so the
@@ -99,6 +100,8 @@ def region_fraction(
         raise BadParameter(f"true_cosine must lie in [-1, 1], got {true_cosine!r}")
     if metric not in ("l1", "l2"):
         raise BadParameter(f"metric must be 'l1' or 'l2', got {metric!r}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise BadParameter(f"seed must be a nonnegative integer, got {seed!r}")
 
     spec = DistanceSpec(DistanceKind(metric))
     origin = np.zeros(dimension)
@@ -109,22 +112,23 @@ def region_fraction(
     truth[1] = math.sqrt(max(0.0, 1.0 - true_cosine * true_cosine))
     true_distance = distance(spec, pred, truth)
 
-    n_batches = (samples + _BATCH - 1) // _BATCH
-    children = np.random.SeedSequence(seed).spawn(n_batches)
+    step = max(1, _CACHED // dimension)  # draws per chunk
+    buf = np.empty((min(step, samples), dimension))
+    children = np.random.SeedSequence(seed).spawn((samples + _BATCH - 1) // _BATCH)
     wins = 0
-    remaining = samples
-    for child in children:
+    for i, child in enumerate(children):
         rng = np.random.default_rng(child)
-        m = min(_BATCH, remaining)
-        remaining -= m
-        draws = rng.standard_normal((m, dimension))
-        norms = pairwise_to_rows(_L2, origin, draws)
-        while np.any(norms == 0.0):  # essentially unreachable; keeps the math valid
-            bad = norms == 0.0
-            draws[bad] = rng.standard_normal((int(bad.sum()), dimension))
-            norms = pairwise_to_rows(_L2, origin, draws)
-        draws *= (norm_ratio / norms)[:, None]  # draws now hold norm_ratio * u
-        wins += int((pairwise_to_rows(spec, pred, draws) < true_distance).sum())
+        pending = min(_BATCH, samples - i * _BATCH)
+        while pending:  # zero draws (essentially unreachable) are redrawn after the rest
+            redraw = 0
+            for start in range(0, pending, step):
+                draws = rng.standard_normal(out=buf[: min(step, pending - start)])
+                norms = pairwise_to_rows(_L2, origin, draws)
+                zero = norms == 0.0
+                redraw += int(zero.sum())
+                draws *= (norm_ratio / np.where(zero, 1.0, norms))[:, None]  # norm_ratio * u
+                wins += int((pairwise_to_rows(spec, pred, draws)[~zero] < true_distance).sum())
+            pending = redraw
 
     fraction = wins / samples
     stderr = math.sqrt(fraction * (1.0 - fraction) / samples)

@@ -50,9 +50,15 @@ def sha256_file(path) -> str:
 
 def _rows_of(path) -> list:
     """(1-based line number, cells) of every row of a CSV file that is not blank."""
+    rows, line = [], 0
     with open(path, newline="") as fh:
-        rows = enumerate(csv.reader(fh), start=1)
-        return [(line, row) for line, row in rows if not _blank(row)]
+        try:
+            for line, row in enumerate(csv.reader(fh), start=1):
+                if not _blank(row):
+                    rows.append((line, row))
+        except csv.Error as exc:  # such as a cell past csv's field size limit
+            raise ParseError(line + 1, 1, str(exc)) from None
+    return rows
 
 
 def _blank(row) -> bool:

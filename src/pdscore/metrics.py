@@ -131,6 +131,9 @@ def sign_cosine(a, b, threshold: float = 0.0) -> float:
     return float((sa * sb).sum()) / float(np.sqrt(nnz_a * nnz_b))
 
 
+# Row chunks of about this many values, and compute_pds's anchor blocks of about this
+# many candidate pairs, stay in cache and bound the memory a call adds at any size.
+_CACHED = 2**16
 _scratch = threading.local()
 
 

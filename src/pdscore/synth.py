@@ -43,6 +43,8 @@ class SynthSpec:
             raise BadSpec("norm_sigma must be >= 0")
         if not (np.isfinite(self.prediction_scale) and self.prediction_scale > 0.0):
             raise BadSpec("prediction_scale must be positive")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise BadParameter(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 def _unit(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -119,6 +121,8 @@ class CountSynthSpec:
             raise BadSpec("sigmas must be finite and >= 0")
         if not (0.0 <= self.effect_fraction <= 1.0):
             raise BadSpec("effect_fraction must lie in [0, 1]")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise BadParameter(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 _DRAWS_PER_CELL = 1000  # an empty cell is redrawn; rates this small fail instead

@@ -132,6 +132,8 @@ def region_wins_reference(dimension, norm_ratio, true_cosine, samples, seed, met
     Same batches (2**14 draws, one child seed each) and the same draws; each
     batch's norms come from np.linalg.norm, the distractors from a rescaled
     copy shifted by the prediction, and the distances from written-out sums.
+    A draw of zero norm is replaced, in row order, by draws taken after the
+    whole batch, until no norm is zero.
     """
     pred = np.zeros(dimension)
     pred[0] = 1.0
@@ -150,7 +152,12 @@ def region_wins_reference(dimension, norm_ratio, true_cosine, samples, seed, met
         m = min(batch, remaining)
         remaining -= m
         draws = rng.standard_normal((m, dimension))
-        points = draws * (norm_ratio / np.linalg.norm(draws, axis=1))[:, None]
+        norms = np.linalg.norm(draws, axis=1)
+        while (norms == 0.0).any():
+            zero = norms == 0.0
+            draws[zero] = rng.standard_normal((int(zero.sum()), dimension))
+            norms = np.linalg.norm(draws, axis=1)
+        points = draws * (norm_ratio / norms)[:, None]
         points[:, 0] -= 1.0  # points now hold (norm_ratio * u) - pred
         if metric == "l2":
             dists = np.sqrt((points**2).sum(axis=1))

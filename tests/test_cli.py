@@ -384,6 +384,20 @@ class TestSynthCommands:
     def test_usage_error_without_subcommand(self):
         assert main(["synth"]) == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["geometry", "region", "--dims", "2", "--rho", "0.5", "--kappa", "0.4"],
+            ["synth", "pair"],
+            ["synth", "counts"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*command, "--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "pdscore" in capsys.readouterr().out

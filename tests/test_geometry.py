@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from pdscore import (
     oracle_ray_certificate,
     region_fraction,
 )
+from pdscore import metrics
 
 from helpers import region_fraction_exact, region_wins_reference
 
@@ -125,7 +128,74 @@ class TestRegionFraction:
             wins = region_wins_reference(d, rho, kappa, 20_000, seed, metric)
             assert result.fraction_closer == wins / 20_000
 
+    @pytest.mark.parametrize("metric", ["l1", "l2"])
+    @pytest.mark.parametrize(
+        "d, samples",
+        [
+            (700, 2**14 + 7),  # chunks of 93 draws leave a partial chunk in both batches
+            (33, 2**15 + 5),  # chunks of 1985 draws, three batches
+            (2**16 + 3, 20),  # one draw per chunk
+        ],
+    )
+    def test_chunk_boundaries_match_the_reference_arithmetic(self, metric, d, samples):
+        for seed, (rho, kappa) in enumerate(((0.5, 0.375), (0.175, -0.6))):
+            result = region_fraction(d, rho, kappa, samples, seed, metric)
+            wins = region_wins_reference(d, rho, kappa, samples, seed, metric)
+            assert result.fraction_closer == wins / samples
+
+    @pytest.mark.parametrize("metric", ["l1", "l2"])
+    def test_zero_draws_are_redrawn_as_the_reference_redraws_them(self, metric, monkeypatch):
+        # at d = 1000 a chunk holds 65 draws, so draw 100 sits inside the second chunk;
+        # draw 2**14, the first batch's first redraw, is zero as well, and so is draw 30
+        # of each batch
+        d, samples, zeros = 1000, 2**14 + 50, {30, 100, 2**14}
+        real, made = np.random.default_rng, []
+
+        class Zeroing:
+            """A generator whose draws of the rows in zeros, counted from its first, are zero."""
+
+            def __init__(self, seed):
+                self.rng, self.rows = real(seed), 0
+                made.append(self)
+
+            def standard_normal(self, size=None, out=None):
+                values = self.rng.standard_normal(size, out=out)
+                for row in zeros & set(range(self.rows, self.rows + len(values))):
+                    values[row - self.rows] = 0.0
+                self.rows += len(values)
+                return values
+
+        monkeypatch.setattr(np.random, "default_rng", Zeroing)
+        result = region_fraction(d, 0.5, 0.375, samples, 3, metric)
+        drawn = [g.rows for g in made]
+        made.clear()
+        wins = region_wins_reference(d, 0.5, 0.375, samples, 3, metric)
+        assert drawn == [g.rows for g in made] == [2**14 + 3, 50 + 1]
+        assert result.fraction_closer == wins / samples
+
+    def test_memory_stays_within_one_chunk(self):
+        # in a new thread, so the kernel's per-thread scratch starts empty
+        def run():
+            tracemalloc.start()
+            try:
+                region_fraction(1000, 0.3, 0.3, 10_000, 1)
+                measured.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            measured.append(metrics._scratch.buf.size)
+
+        measured = []
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        peak, scratch = measured
+        assert peak < 4e6  # the 10,000 x 1000 draws at once, with a scratch copy, take 160 MB
+        assert scratch <= metrics._CACHED
+
     def test_validation(self):
+        with pytest.raises(BadParameter, match="seed"):
+            region_fraction(3, 0.3, 0.5, 100, seed=-1)
         with pytest.raises(BadParameter):
             region_fraction(1, 0.3, 0.5, 100, seed=0)
         with pytest.raises(BadParameter):

@@ -91,6 +91,16 @@ class TestEffectMatrixRoundTrip:
             pio.read_effect_matrix(path)
         assert (info.value.line, info.value.column) == (1, 4)
 
+    def test_cell_past_csv_field_limit_has_line(self, tmp_path):
+        # numpy refuses the "oops" cell; the positional reader then meets the long label
+        path = tmp_path / "long.csv"
+        path.write_text(f"perturbation,g1\nA,1\nB,oops\n{'C' * 200_000},3\n")
+        limit = csv.field_size_limit()
+        with pytest.raises(ParseError, match="field larger than field limit") as info:
+            pio.read_effect_matrix(path)
+        assert (info.value.line, info.value.column) == (4, 1)
+        assert csv.field_size_limit() == limit
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("perturbation,g1,g2\nA,1\n")
@@ -412,6 +422,13 @@ class TestTargetMap:
         with pytest.raises(ParseError, match="'A' already has target 'G1'") as info:
             pio.read_target_map(path)
         assert (info.value.line, info.value.column) == (5, 2)
+
+    def test_cell_past_csv_field_limit_has_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"A,G1\n\nB,{'G' * 200_000}\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as info:
+            pio.read_target_map(path)
+        assert (info.value.line, info.value.column) == (3, 1)
 
     def test_repeated_identical_row_accepted(self, tmp_path):
         path = tmp_path / "t.csv"

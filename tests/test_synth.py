@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from pdscore import (
+    BadParameter,
     BadSpec,
     CountSynthSpec,
     DistanceKind,
@@ -87,6 +88,8 @@ class TestGenerate:
             SynthSpec(5, 10, target_cosine=0.5, prediction_scale=0.0)
         with pytest.raises(BadSpec):
             SynthSpec(5, 10, target_cosine=0.5, norm_sigma=-1.0)
+        with pytest.raises(BadParameter, match="seed"):
+            SynthSpec(5, 10, target_cosine=0.5, seed=-1)
 
 
 class TestGenerateCounts:
@@ -109,6 +112,8 @@ class TestGenerateCounts:
             CountSynthSpec(0, 5, 10)
         with pytest.raises(BadSpec):
             CountSynthSpec(2, 5, 10, effect_fraction=1.5)
+        with pytest.raises(BadParameter, match="seed"):
+            CountSynthSpec(2, 5, 10, seed=-1)
         for field in ("mean_counts_per_cell", "libsize_sigma", "effect_log_fc_sigma"):
             for value in (float("nan"), float("inf")):
                 with pytest.raises(BadSpec, match="finite"):
