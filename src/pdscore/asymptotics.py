@@ -17,7 +17,7 @@ import numpy as np
 from .discrimination import compute_pds
 from .effects import EffectMatrix, EffectPair, anchor_subproblem, target_columns
 from .errors import BadParameter, DegeneratePair
-from .metrics import DistanceKind, DistanceSpec, pairwise_to_rows, sign_vector
+from .metrics import DistanceKind, DistanceSpec, pairwise_to_rows
 from .transforms import global_scale
 
 DEFAULT_SWEEP_SCALES = tuple(float(x) for x in np.geomspace(1e-2, 1e4, 25))
@@ -49,21 +49,18 @@ def l2_limit_scores(predicted_row, truth) -> np.ndarray:
     return pairwise_to_rows(DistanceSpec(DistanceKind.L2_LIMIT), predicted_row, _truth_rows(truth))
 
 
-def l1_limit_scores(predicted_row, truth, *, corrected: bool = True) -> np.ndarray:
+def l1_limit_scores(predicted_row, truth) -> np.ndarray:
     """Scores whose ascending order is the large-scale limit of the l1 ranking.
 
     Corrected form: -(sum over sign(a_j) != 0 of sign(a_j) r_j)
     + (sum over sign(a_j) == 0 of |r_j|). Coordinates where the prediction
     is exactly zero contribute |r_j| at every scale, so the second term is
-    required for the scores to match brute-force rankings; corrected=False
-    drops it (the plain weighted sign similarity) for comparison. A
-    thresholded-sign variant is DistanceSpec(DistanceKind.L1_LIMIT, t).
+    required for the scores to match brute-force rankings; without it (the
+    plain weighted sign similarity) the score is
+    l2_limit_scores(sign_vector(a), truth). A thresholded-sign variant is
+    DistanceSpec(DistanceKind.L1_LIMIT, t).
     """
-    if corrected:
-        spec, a = DistanceSpec(DistanceKind.L1_LIMIT), predicted_row
-    else:  # the plain form is the l2-limit score of the sign vector
-        spec, a = DistanceSpec(DistanceKind.L2_LIMIT), sign_vector(predicted_row)
-    return pairwise_to_rows(spec, a, _truth_rows(truth))
+    return pairwise_to_rows(DistanceSpec(DistanceKind.L1_LIMIT), predicted_row, _truth_rows(truth))
 
 
 def convergence_threshold_l2(pair: EffectPair, apply_target_mask: bool = False) -> float:

@@ -6,6 +6,7 @@ linearly rescaled, is the per-perturbation score: 1 for a unique closest
 match, 0 for strictly farthest, about 0.5 for uninformative predictions.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -99,7 +100,7 @@ def compute_pds(
     A candidate whose metrics.screen interval lies wholly below or above the
     anchor's own measure is settled; the own measure and the rest come from
     pairwise_to_rows, so reports equal synth.oracle_pds's bit for bit, whatever
-    the number of workers (threads over row-blocks of anchors).
+    the number of workers (threads over row-blocks of anchors, at most one per CPU).
     """
     n = pair.n_perturbations
     if n < 2:
@@ -145,9 +146,10 @@ def compute_pds(
             for e, bad in zip(entries, undefined.tolist())
         ]
 
-    with ThreadPoolExecutor(workers) as pool:  # starts no thread for one worker
+    threads = min(workers, os.cpu_count() or 1)
+    with ThreadPoolExecutor(threads) as pool:  # starts no thread for one worker
         anchors = np.array_split(np.arange(n), min(n, max(workers, -(-n * n // _CACHED))))
-        blocks = (pool.map if workers > 1 else map)(score, anchors)
+        blocks = (pool.map if threads > 1 else map)(score, anchors)
         entries = [entry for block in blocks for entry in block]
     return finish_report(pair, spec, entries, apply_target_mask, error_policy)
 

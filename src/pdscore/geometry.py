@@ -113,7 +113,6 @@ def region_fraction(
     true_distance = distance(spec, pred, truth)
 
     step = max(1, _CACHED // dimension)  # draws per chunk
-    buf = np.empty((min(step, samples), dimension))
     children = np.random.SeedSequence(seed).spawn((samples + _BATCH - 1) // _BATCH)
     wins = 0
     for i, child in enumerate(children):
@@ -122,7 +121,7 @@ def region_fraction(
         while pending:  # zero draws (essentially unreachable) are redrawn after the rest
             redraw = 0
             for start in range(0, pending, step):
-                draws = rng.standard_normal(out=buf[: min(step, pending - start)])
+                draws = rng.standard_normal((min(step, pending - start), dimension))
                 norms = pairwise_to_rows(_L2, origin, draws)
                 zero = norms == 0.0
                 redraw += int(zero.sum())

@@ -3,12 +3,13 @@
 Every reduction in pairwise_to_rows sums each row pairwise, whatever the
 layout of its input, so a row measures the same alone, in any gather and in
 any run, and parallel row-blocks of anchors reproduce results to the last bit.
+The module keeps no state between calls: callers bound a call's memory by
+passing chunks of about _CACHED values.
 
 screen bounds the same values (l1 from below) from one matrix product per
 call, so a caller can settle most comparisons without the elementwise kernel.
 """
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -134,19 +135,6 @@ def sign_cosine(a, b, threshold: float = 0.0) -> float:
 # Row chunks of about this many values, and compute_pds's anchor blocks of about this
 # many candidate pairs, stay in cache and bound the memory a call adds at any size.
 _CACHED = 2**16
-_scratch = threading.local()
-
-
-def _scratch_like(rows: np.ndarray) -> np.ndarray:
-    """C-ordered scratch shaped like rows, reused by this thread's later calls.
-
-    Fresh matrix-sized temporaries per call cost page faults whenever the allocator
-    has returned freed ones to the system, which depends on earlier allocations.
-    """
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.size < rows.size:
-        buf = _scratch.buf = np.empty(rows.size)
-    return buf[: rows.size].reshape(rows.shape)
 
 
 def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
@@ -166,9 +154,10 @@ def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
         raise DimensionMismatch(f"cannot measure {a.shape} against rows of shape {rows.shape}")
     a = a.reshape(-1, rows.shape[1])  # one row broadcasts over every row
     # Reductions below use elementwise products (never BLAS matrix products)
-    # written into C-ordered scratch, so each row sums pairwise along the last axis.
+    # written into one fresh C-ordered array, so each row sums pairwise along the
+    # last axis whatever the layout of a and rows.
     kind = spec.kind
-    w = _scratch_like(rows)
+    w = np.empty(rows.shape)
     if kind is DistanceKind.L1:
         return np.abs(np.subtract(rows, a, out=w), out=w).sum(axis=1)
     if kind is DistanceKind.L2:
@@ -252,7 +241,7 @@ def screen(spec: DistanceSpec, predicted, truth, columns):
 
     if kind is DistanceKind.SIGN_COSINE_DISSIM:
         signs_p = _signs(P, threshold)
-        signs_t = _signs(T, threshold, out=_scratch_like(T))
+        signs_t = _signs(T, threshold)
         dots = signs_p @ signs_t.T
         nnz_p, nnz_t = (np.count_nonzero(m, axis=1).astype(np.float64) for m in (signs_p, signs_t))
         nnz_r = less(nnz_t, signs_t[:, columns[masked]].T != 0.0)
@@ -263,7 +252,7 @@ def screen(spec: DistanceSpec, predicted, truth, columns):
     if kind in (DistanceKind.L1, DistanceKind.L1_LIMIT):
         # score = sum of |r_k| where sign(a_k) = 0, minus sign(a) . r; l1 >= |a|_1 + score
         signs = _signs(P, threshold)
-        abs_t = np.abs(T, out=_scratch_like(T))
+        abs_t = np.abs(T)
         l1_p = np.abs(P).sum(axis=1) if kind is DistanceKind.L1 else np.zeros(len(P))
         with np.errstate(all="ignore"):  # sums that overflow meet a NaN radius
             dots = signs @ T.T

@@ -39,8 +39,10 @@ class SynthSpec:
             raise BadSpec("need at least two genes for an orthogonal completion")
         if not (0.0 <= self.target_cosine <= 1.0):
             raise BadSpec("target_cosine must lie in [0, 1]")
-        if self.norm_sigma < 0.0:
-            raise BadSpec("norm_sigma must be >= 0")
+        if not np.isfinite(self.norm_mu):
+            raise BadSpec("norm_mu must be finite")
+        if not 0.0 <= self.norm_sigma < np.inf:  # NaN fails every comparison
+            raise BadSpec("norm_sigma must be finite and >= 0")
         if not (np.isfinite(self.prediction_scale) and self.prediction_scale > 0.0):
             raise BadSpec("prediction_scale must be positive")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):

@@ -18,6 +18,7 @@ from pdscore import (
     l1_limit_scores,
     l2_limit_scores,
     scale_sweep,
+    sign_vector,
 )
 
 from helpers import pair_from, random_pair, threshold_l1_per_anchor, threshold_l2_all_pairs
@@ -56,7 +57,7 @@ class TestL1LimitScores:
         t = truths([[1.0, 5.0], [-1.0, 0.0]])
         corrected = l1_limit_scores([1.0, 0.0], t)
         assert corrected.tolist() == [4.0, 1.0]
-        uncorrected = l1_limit_scores([1.0, 0.0], t, corrected=False)
+        uncorrected = l2_limit_scores(sign_vector([1.0, 0.0]), t)
         assert uncorrected.tolist() == [-1.0, 1.0]
         # corrected ranks the distractor first, matching brute force at
         # large scales; the plain weighted sign form ranks the truth first
@@ -67,7 +68,7 @@ class TestL1LimitScores:
         rng = np.random.default_rng(21)
         a = rng.standard_normal(9)
         t = truths(rng.standard_normal((5, 9)))
-        assert np.array_equal(l1_limit_scores(a, t), l1_limit_scores(a, t, corrected=False))
+        assert np.array_equal(l1_limit_scores(a, t), l2_limit_scores(sign_vector(a), t))
 
     def test_full_agreement_vs_full_disagreement(self):
         a = [1.0, -1.0, 1.0]

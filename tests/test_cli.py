@@ -157,7 +157,8 @@ class TestSweepCommand:
             ]
         )
         assert code == 0
-        rows = list(csv.reader((out / "sweep.csv").open()))
+        with (out / "sweep.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["c", "metric", "mean_pds"]
         assert len(rows) == 1 + 2 * 5
         payload = json.loads((out / "sweep.json").read_text())
@@ -256,7 +257,8 @@ class TestGeometryCommands:
             ]
         )
         assert code == 0
-        rows = list(csv.reader((out / "region.csv").open()))
+        with (out / "region.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["d", "rho", "kappa", "fraction", "stderr"]
         assert len(rows) == 3
 
@@ -299,7 +301,8 @@ class TestPreprocessCommands:
                 "--out", str(out_c),
             ]
         ) == 0
-        rows = list(csv.reader((out_c / "comparison.csv").open()))
+        with (out_c / "comparison.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 1 + 4
         payload = json.loads((out_c / "comparison.json").read_text())
         assert payload["pipeline_a"] == "per10k"
@@ -337,7 +340,8 @@ class TestPreprocessCommands:
         )
         out = tmp_path / "cmp"
         assert main(["preprocess", "compare", "--counts", str(counts), "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "comparison.csv").open()))
+        with (out / "comparison.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
         assert [row["perturbation"] for row in rows] == ["A", "B"]
         assert rows[0]["cosine_between"] == rows[0]["sign_cosine_between"] == "nan"
         cosine_b = float(rows[1]["cosine_between"])

@@ -217,6 +217,34 @@ class TestComputePds:
             parallel = compute_pds(pair, spec, workers=4)
             assert serial == parallel
 
+    def test_thread_pool_has_at_most_one_thread_per_cpu(self, monkeypatch):
+        """A recording pool whose map is the builtin map, so no thread starts."""
+        import os
+        import threading
+
+        from pdscore import discrimination
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                self.map = map
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        pair = random_pair(np.random.default_rng(34), n=12, p=20)
+        serial = [compute_pds(pair, DistanceSpec(kind), workers=1) for kind in DistanceKind]
+        sizes, threads = [], threading.active_count()
+        monkeypatch.setattr(discrimination, "ThreadPoolExecutor", RecordingPool)
+        wide = [compute_pds(pair, DistanceSpec(kind), workers=10**6) for kind in DistanceKind]
+        assert threading.active_count() == threads
+        assert len(sizes) == len(DistanceKind)
+        assert all(1 <= size <= (os.cpu_count() or 1) for size in sizes), sizes
+        assert wide == serial
+
 
 @st.composite
 def screened_cases(draw):

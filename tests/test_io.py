@@ -452,7 +452,8 @@ class TestReports:
         pair = random_pair(np.random.default_rng(3), n=11, p=4)
         report = compute_pds(pair, DistanceSpec(DistanceKind.L1))
         path = pio.write_pds_report_csv(report, tmp_path / "r.csv")
-        rows = list(csv.reader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 12
         assert rows[0] == ["perturbation", "true_distance", "rank", "pds", "error"]
         parsed = [float(r[3]) for r in rows[1:]]
@@ -462,7 +463,8 @@ class TestReports:
         pair = random_pair(np.random.default_rng(4), n=5, p=6)
         result = scale_sweep(pair, [DistanceSpec(DistanceKind.L2)], (0.5, 1.0, 2.0))
         path = pio.write_sweep_csv(result, tmp_path / "s.csv")
-        rows = list(csv.reader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["c", "metric", "mean_pds"]
         assert len(rows) == 1 + 3
         assert all(r[1] == "l2" for r in rows[1:])
@@ -478,7 +480,8 @@ class TestReports:
         counts = generate_counts(CountSynthSpec(n_perturbations=3, cells_per_condition=5, n_genes=30))
         result = compare_pipelines(counts, pipeline_from_token("per10k"), pipeline_from_token("median"))
         path = pio.write_comparison_csv(result, tmp_path / "c.csv")
-        header = next(csv.reader(path.open()))
+        with path.open() as fh:
+            header = next(csv.reader(fh))
         assert header == ["perturbation", *(f.name for f in fields(PipelineComparison)[3:])]
         assert header[1:] == [
             "l1_norm_a", "l1_norm_b", "l2_norm_a", "l2_norm_b", "cosine_between", "sign_cosine_between"

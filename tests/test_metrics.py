@@ -270,7 +270,7 @@ def _fresh_temporaries(spec, a, rows):
 
 
 class TestScratch:
-    """pairwise_to_rows writes its elementwise terms into one reused array per thread."""
+    """pairwise_to_rows writes its elementwise terms into one fresh array per call."""
 
     SPECS = [DistanceSpec(kind) for kind in DistanceKind]
 
@@ -284,21 +284,31 @@ class TestScratch:
                 want = _fresh_temporaries(spec, a, np.ascontiguousarray(rows))
                 assert got.tobytes() == want.tobytes(), (name, spec.token)
 
-    def test_repeated_call_allocates_no_matrix_sized_array(self):
+    @pytest.mark.parametrize(
+        "kind", [DistanceKind.L1, DistanceKind.SIGN_COSINE_DISSIM, DistanceKind.L1_LIMIT]
+    )
+    def test_compute_pds_holds_no_memory_after_the_call(self, kind):
+        """In a new thread, so memory a thread keeps between calls would show."""
+        import threading
         import tracemalloc
 
         rng = np.random.default_rng(12)
-        rows = rng.standard_normal((40, 5000))
-        a = rng.standard_normal(5000)
-        for spec in self.SPECS:
-            pairwise_to_rows(spec, a, rows)
+        pair = pair_from(rng.standard_normal((400, 2000)), rng.standard_normal((400, 2000)))
+
+        def run():
             tracemalloc.start()
             try:
-                pairwise_to_rows(spec, a, rows)
-                peak = tracemalloc.get_traced_memory()[1]
+                compute_pds(pair, DistanceSpec(kind))
+                held.append(tracemalloc.get_traced_memory()[0])
             finally:
                 tracemalloc.stop()
-            assert peak < rows.nbytes / 4, spec.token
+
+        held = []
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert held[0] < 1e6  # 400 x 2000 values take 6.4 MB
 
     def test_undecided_pairs_are_measured_in_bounded_chunks(self):
         """An l1 input where no candidate is settled by the screen, masked or not.

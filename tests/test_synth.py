@@ -91,6 +91,12 @@ class TestGenerate:
         with pytest.raises(BadParameter, match="seed"):
             SynthSpec(5, 10, target_cosine=0.5, seed=-1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["norm_mu", "norm_sigma"])
+    def test_non_finite_norm_parameter_is_named(self, field, value):
+        with pytest.raises(BadSpec, match=field):
+            SynthSpec(5, 10, target_cosine=0.5, **{field: value})
+
 
 class TestGenerateCounts:
     def test_reproducible_and_valid(self):
@@ -199,7 +205,7 @@ class TestOracleL1Limit:
         assert above[0].tolist() == [2.0, 1.0]
 
     def test_no_zero_coordinates_matches_plain_sign_form(self):
-        from pdscore import l1_limit_scores
+        from pdscore import l2_limit_scores, sign_vector
 
         rng = np.random.default_rng(43)
         pred = rng.standard_normal((4, 6))
@@ -207,7 +213,7 @@ class TestOracleL1Limit:
         pair = pair_from(pred, truth)
         brute = oracle_l1_limit(pair, 1e8)
         for i in range(4):
-            scores = l1_limit_scores(pred[i], pair.truth, corrected=False)
+            scores = l2_limit_scores(sign_vector(pred[i]), pair.truth)
             order_expected = np.argsort(scores)
             order_brute = np.argsort([brute[i, j] for j in range(4)])
             assert np.array_equal(order_expected, order_brute)
