@@ -2,9 +2,8 @@
 
 Public surface: the effect containers, the distance measures, the rank
 scorer, prediction transforms, large-scale limit analysis, distractor
-geometry, count preprocessing, and synthetic generators with brute-force
-oracles. File formats and the command line live in pdscore.io and
-pdscore.cli.
+geometry, count preprocessing, and synthetic generators. File formats and
+the command line live in pdscore.io and pdscore.cli.
 """
 
 __version__ = "0.1.0"
@@ -51,8 +50,6 @@ from .metrics import (
     DistanceKind,
     DistanceSpec,
     cosine,
-    dist_l1,
-    dist_l2,
     distance,
     pairwise_to_rows,
     sign_cosine,
@@ -74,9 +71,6 @@ from .synth import (
     SynthSpec,
     generate,
     generate_counts,
-    oracle_l1_limit,
-    oracle_pds,
-    oracle_ray_certificate,
 )
 from .transforms import (
     CHAIN_GRAMMAR,

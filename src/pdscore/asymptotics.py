@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import compute_pds
+from .discrimination import compute_pds, rank_at_scales
 from .effects import EffectMatrix, EffectPair, anchor_subproblem, target_columns
 from .errors import BadParameter, DegeneratePair
 from .metrics import DistanceKind, DistanceSpec, pairwise_to_rows
-from .transforms import global_scale
+from .transforms import check_scale
 
 DEFAULT_SWEEP_SCALES = tuple(float(x) for x in np.geomspace(1e-2, 1e4, 25))
 
@@ -119,14 +119,22 @@ def convergence_threshold_l1(pair: EffectPair, apply_target_mask: bool = False) 
     return float(ratios.max(initial=0.0))
 
 
-def _limit_spec(spec: DistanceSpec) -> DistanceSpec:
-    # l1 measures every coordinate whatever the sign threshold, and so does its
-    # limit: a coordinate counts as zero only where the prediction is exactly zero
-    if spec.kind is DistanceKind.L1:
-        return DistanceSpec(DistanceKind.L1_LIMIT)
-    if spec.kind is DistanceKind.L2:
-        return DistanceSpec(DistanceKind.L2_LIMIT)
-    return spec
+def _limit_mean_pds(pair: EffectPair, spec: DistanceSpec, apply_target_mask: bool) -> float:
+    """Mean PDS of the predictions scaled without bound. l1 and l2 rank there by their
+    limit kinds. Once every nonzero predicted coordinate exceeds the sign threshold t,
+    the prediction's signs stop moving: l1-limit is then l1-limit at threshold 0, and
+    sign-cosine is its score with every coordinate sign(a_k) times the next float above
+    t, the prediction's signs against the truth's at t. The other kinds are scale
+    invariant."""
+    kind = spec.kind
+    if kind in (DistanceKind.L1, DistanceKind.L1_LIMIT):
+        spec = DistanceSpec(DistanceKind.L1_LIMIT)
+    elif kind is DistanceKind.L2:
+        spec = DistanceSpec(DistanceKind.L2_LIMIT)
+    elif kind is DistanceKind.SIGN_COSINE_DISSIM:
+        signs = np.sign(pair.predicted.values) * np.nextafter(spec.sign_threshold, np.inf)
+        pair = pair.with_predicted(pair.predicted.with_values(signs))
+    return compute_pds(pair, spec, apply_target_mask).mean_pds
 
 
 def scale_sweep(
@@ -137,10 +145,11 @@ def scale_sweep(
 ) -> ScaleSweepResult:
     """Mean discrimination score per metric across globally rescaled predictions.
 
-    Each metric also gets one limit value: the norm kinds are scored under
-    their limit surrogate, the scale-invariant kinds reuse their constant
-    score. Undefined anchors score as worst. Scales must be positive and
-    ascending.
+    Each curve point equals compute_pds's mean on the predictions fl(c P) bit for bit,
+    from one rank_at_scales pass per metric: no scaled pair is built. Each metric also
+    gets its large-scale limit (see _limit_mean_pds). Undefined anchors score as worst.
+    Scales must be positive and ascending, and a scale that overflows a prediction
+    raises ValidationError.
     """
     specs = tuple(specs)
     scales = tuple(float(c) for c in scales)
@@ -151,17 +160,17 @@ def scale_sweep(
     tokens = [spec.token for spec in specs]
     if len(set(tokens)) != len(tokens):
         raise BadParameter("duplicate metrics in sweep")
-
-    curves: dict = {token: [] for token in tokens}
+    peaks = np.abs(pair.predicted.values).max(axis=1)
     for c in scales:
-        scaled = pair.with_predicted(global_scale(pair.predicted, c))
-        for spec, token in zip(specs, tokens):
-            report = compute_pds(scaled, spec, apply_target_mask)
-            curves[token].append(report.mean_pds)
+        check_scale(peaks, c, pair.perturbation_ids)
 
-    limits: dict = {}
+    columns = target_columns(pair, apply_target_mask)
+    curves: dict = {}
     for spec, token in zip(specs, tokens):
-        limit_report = compute_pds(pair, _limit_spec(spec), apply_target_mask)
-        limits[token] = limit_report.mean_pds
-
-    return ScaleSweepResult(scales, {k: tuple(v) for k, v in curves.items()}, limits)
+        scores = np.empty((len(scales), pair.n_perturbations))
+        for anchors, ranked in rank_at_scales(pair, spec, columns, scales):
+            for row, (_, _, pds, undefined, _) in zip(scores, ranked):
+                row[anchors] = np.where(undefined, 0.0, pds)
+        curves[token] = tuple(float(np.mean(row)) for row in scores)
+    limits = [_limit_mean_pds(pair, spec, apply_target_mask) for spec in specs]
+    return ScaleSweepResult(scales, curves, dict(zip(tokens, limits)))

@@ -1,9 +1,9 @@
 """Command line: compute scores, sweeps, transforms, geometry runs, preprocessing, synthesis.
 
 Exit codes: 0 success, 1 validation or I/O failure, 2 usage error. Every
-run writes run_config.json into the output directory before the command
-runs, so results can be reproduced from the emitted options, seed, and
-input digests alone.
+successful run writes run_config.json into the output directory, so results
+can be reproduced from the emitted options, seed, and input digests alone; a
+run that fails leaves none.
 """
 
 import argparse
@@ -85,8 +85,8 @@ def _int_list(text: str):
 _INPUTS = ("pred", "truth", "targets", "counts")
 
 
-def _echo_config(args, out: Path, inputs: dict) -> dict:
-    """Write run_config.json; returns the sha256 of each input, keyed like inputs."""
+def _echo_config(args, out: Path, inputs: dict, digests: dict) -> None:
+    """Write run_config.json, with digests holding the sha256 of each input, keyed like inputs."""
     options = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(args).items()
@@ -94,7 +94,6 @@ def _echo_config(args, out: Path, inputs: dict) -> dict:
     }
     if "transform" in options:
         options["transform"] = chain_tokens(args.transform)
-    digests = {name: io.sha256_file(path) for name, path in inputs.items()}
     payload = {
         "record": "run-config",
         "tool": "pdscore",
@@ -104,7 +103,6 @@ def _echo_config(args, out: Path, inputs: dict) -> dict:
         "input_digests": {str(inputs[name]): d for name, d in digests.items()},
     }
     io.write_json(payload, out / "run_config.json")
-    return digests
 
 
 def _emit(args, out: Path, stem: str, result, meta, payload, write_csv) -> None:
@@ -407,8 +405,9 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         inputs = {name: getattr(args, name) for name in _INPUTS if getattr(args, name, None)}
-        digests = _echo_config(args, out, inputs)
+        digests = {name: io.sha256_file(path) for name, path in inputs.items()}
         args.func(args, out, {"inputs": digests} if inputs else None)
+        _echo_config(args, out, inputs, digests)
     except PdsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

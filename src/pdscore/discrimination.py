@@ -15,7 +15,7 @@ import numpy as np
 
 from .effects import EffectPair, target_columns
 from .errors import BadIndex, ValidationError, ZeroVector
-from .metrics import _CACHED, DistanceSpec, pairwise_to_rows, screen
+from .metrics import _CACHED, DistanceSpec, Screen, pairwise_to_rows
 
 
 class ErrorPolicy(Enum):
@@ -97,61 +97,101 @@ def compute_pds(
 
     With apply_target_mask, an anchor's declared target gene is zeroed in its
     predicted row and in every truth row it is compared against, as if left out.
-    A candidate whose metrics.screen interval lies wholly below or above the
-    anchor's own measure is settled; the own measure and the rest come from
-    pairwise_to_rows, so reports equal synth.oracle_pds's bit for bit, whatever
+    Ranks come from rank_at_scales at scale 1, so reports equal those of the
+    brute-force reference scorer (scalar measures, full sort) bit for bit, whatever
     the number of workers (threads over row-blocks of anchors, at most one per CPU).
+    """
+    n, ids, entries = pair.n_perturbations, pair.perturbation_ids, []
+    columns = target_columns(pair, apply_target_mask)
+    for anchors, ((own, ranks, scores, undefined, error),) in rank_at_scales(
+        pair, spec, columns, (1.0,), workers
+    ):
+        for i, value, rank, score, bad in zip(anchors, own.tolist(), ranks, scores, undefined):
+            entry = PdsEntry(ids[i], value, rank, score)
+            entries.append(undefined_entry(ids[i], n, error_policy, error) if bad else entry)
+    return finish_report(pair, spec, entries, apply_target_mask, error_policy)
+
+
+def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, workers: int = 1):
+    """Rank every anchor of an aligned pair among all N truths at each scale c of its
+    predictions, fl(c P), with column columns[i] zeroed on both sides unless it is -1.
+
+    Returns a list of (anchors, ranked) over row-blocks of anchors, where ranked holds,
+    per scale, each anchor's own measure, mid-rank and score, which anchors are
+    undefined, and the message one of them raised. One metrics.Screen forms the truth
+    side and each block its cross products with the truth, once; at every scale a
+    candidate whose interval lies wholly below or above the anchor's own measure is
+    settled, and the own measure and the rest come from pairwise_to_rows on the scaled
+    rows. Blocks run on threads, at most one per CPU.
     """
     n = pair.n_perturbations
     if n < 2:
         raise ValidationError("need at least two perturbations to rank")
-    P, T, ids = pair.predicted.values, pair.truth.values, pair.perturbation_ids
-    columns, p = target_columns(pair, apply_target_mask), pair.n_genes
-    step = max(1, min(n, _CACHED // p))  # pairs per gathered chunk
+    P, T, screen = pair.predicted.values, pair.truth.values, Screen(spec, pair.truth.values)
+    step = max(1, min(n, _CACHED // pair.n_genes))  # pairs per gathered chunk
 
-    def measure(anchors, candidates):
-        """pairwise_to_rows from each anchor's prediction to the truth row paired with
-        it, both with the anchor's target column zeroed, chunk by chunk. Returns
-        the measures, which are undefined and the message they raised."""
-        values, undefined, error = np.empty(len(anchors)), np.zeros(len(anchors), bool), None
-        for part in (slice(k, k + step) for k in range(0, len(anchors), step)):
-            a, r, column = P[anchors[part]], T[candidates[part]], columns[anchors[part]]
-            masked = np.flatnonzero(column >= 0)
-            if masked.size:
-                a[masked, column[masked]] = r[masked, column[masked]] = 0.0
+    def parts(count):
+        return (slice(k, min(k + step, count)) for k in range(0, count, step))
+
+    def measure(chunks, count):
+        """pairwise_to_rows over chunks (part, a, r) of count paired rows. Returns the
+        measures, which are undefined and the message they raised."""
+        values, undefined, error = np.empty(count), np.zeros(count, bool), None
+        for part, a, r in chunks:
             try:
                 values[part] = pairwise_to_rows(spec, a, r)
             except ZeroVector as exc:  # covers ZeroSignVector
                 values[part], undefined[part], error = exc.values, exc.undefined, str(exc)
         return values, undefined, error
 
-    def score(anchors) -> list:
-        lo, hi = screen(spec, P[anchors[0] : anchors[-1] + 1], T, columns[anchors])  # a view
-        own, undefined, error = measure(anchors, anchors)
-        closer, block = hi < own[:, None], np.arange(len(anchors))
-        undecided = ~(closer | (lo > own[:, None]) | (lo == hi))  # NaN bounds stay undecided
-        undecided[block, anchors] = False
-        undecided[undefined] = False  # one undefined measure settles the anchor
-        d = np.where(closer, hi, lo)  # on the same side of own as the measure
-        rows, cols = np.nonzero(undecided)
-        d[rows, cols], failed, raised = measure(anchors[rows], cols)
-        undefined[rows[failed]] = True
-        d[block, anchors] = own
-        if not np.isfinite(d[~undefined]).all():
-            raise ValidationError("distances must be finite")
-        entries = map(PdsEntry, [ids[i] for i in anchors], own.tolist(), *_mid_ranks(d, own))
-        error = error or raised
-        return [
-            undefined_entry(e.perturbation_id, n, error_policy, error) if bad else e
-            for e, bad in zip(entries, undefined.tolist())
-        ]
+    def gathered(rows, column, i, j):
+        """Chunks of the rows i with the truth rows j, the anchor's target column zeroed."""
+        for part in parts(len(i)):
+            r, target = T[j[part]], column[i[part]]
+            masked = np.flatnonzero(target >= 0)
+            r[masked, target[masked]] = 0.0
+            yield part, rows[i[part]], r
+
+    def paired(rows, column, start):
+        """Chunks of each row with its own truth row, start + its index: views, copied where
+        a target column is zeroed."""
+        for part in parts(len(rows)):
+            r, target = T[start + part.start : start + part.stop], column[part]
+            masked = np.flatnonzero(target >= 0)
+            if masked.size:
+                r = r.copy()
+                r[masked, target[masked]] = 0.0
+            yield part, rows[part], r
+
+    def rank(anchors) -> list:
+        block, column = P[anchors[0] : anchors[-1] + 1], columns[anchors]  # a view
+        masked, local = np.flatnonzero(column >= 0), np.arange(len(anchors))
+        if masked.size:  # a copy, with masked targets zeroed
+            block = block.copy()
+            block[masked, column[masked]] = 0.0
+        cross, ranked = screen.cross(block), []
+        for c in scales:
+            rows = block if c == 1.0 else block * c
+            lo, hi = screen.bounds(cross, rows, column, c)
+            own, undefined, error = measure(paired(rows, column, anchors[0]), len(rows))
+            closer = hi < own[:, None]
+            undecided = ~(closer | (lo > own[:, None]) | (lo == hi))  # NaN bounds stay undecided
+            undecided[local, anchors] = False
+            undecided[undefined] = False  # one undefined measure settles the anchor
+            d = np.where(closer, hi, lo)  # on the same side of own as the measure
+            i, j = np.nonzero(undecided)
+            d[i, j], failed, raised = measure(gathered(rows, column, i, j), len(i))
+            undefined[i[failed]] = True
+            d[local, anchors] = own
+            if not np.isfinite(d[~undefined]).all():
+                raise ValidationError("distances must be finite")
+            ranked.append((own, *_mid_ranks(d, own), undefined.tolist(), error or raised))
+        return ranked
 
     threads = min(workers, os.cpu_count() or 1)
     with ThreadPoolExecutor(threads) as pool:  # starts no thread for one worker
-        anchors = np.array_split(np.arange(n), min(n, max(workers, -(-n * n // _CACHED))))
-        blocks = (pool.map if threads > 1 else map)(score, anchors)
-        entries = [entry for block in blocks for entry in block]
-    return finish_report(pair, spec, entries, apply_target_mask, error_policy)
+        blocks = np.array_split(np.arange(n), min(n, max(workers, -(-n * n // _CACHED))))
+        return list(zip(blocks, (pool.map if threads > 1 else map)(rank, blocks)))
 
 
 def undefined_entry(perturbation_id: str, n: int, error_policy: ErrorPolicy, exc) -> PdsEntry:

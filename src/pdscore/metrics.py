@@ -6,8 +6,9 @@ any run, and parallel row-blocks of anchors reproduce results to the last bit.
 The module keeps no state between calls: callers bound a call's memory by
 passing chunks of about _CACHED values.
 
-screen bounds the same values (l1 from below) from one matrix product per
-call, so a caller can settle most comparisons without the elementwise kernel.
+Screen bounds the same values (l1 from below) at any scale of the predictions from
+matrix products formed once, so a caller can settle most comparisons without the
+elementwise kernel.
 """
 
 from dataclasses import dataclass
@@ -77,18 +78,6 @@ def _pair(a, b):
     if a.shape[0] < 1:
         raise DimensionMismatch("vectors must have at least one coordinate")
     return a, b
-
-
-def dist_l1(a, b) -> float:
-    """Sum of absolute coordinate differences."""
-    a, b = _pair(a, b)
-    return float(np.abs(a - b).sum())
-
-
-def dist_l2(a, b) -> float:
-    """Euclidean distance."""
-    a, b = _pair(a, b)
-    return float(np.sqrt(((a - b) ** 2).sum()))
 
 
 def cosine(a, b) -> float:
@@ -199,21 +188,42 @@ def distance(spec: DistanceSpec, a, b) -> float:
 
 _TINY = 2.0**-900  # a smaller squared norm may have lost bits to underflow
 _HUGE = 2.0**1000  # from a squared norm this large up, kernel terms may overflow
+_L1_KINDS = (DistanceKind.L1, DistanceKind.L1_LIMIT)
 
 
-def screen(spec: DistanceSpec, predicted, truth, columns):
-    """Bounds on pairwise_to_rows for every prediction row, from one matrix product.
+def _in_range(squared):
+    return (_TINY <= squared) & (squared < _HUGE)
 
-    Returns (lo, hi), len(predicted) x len(truth), with lo[i] <= v <= hi[i] for
-    v = pairwise_to_rows(spec, predicted[i], truth), both with column columns[i]
-    zeroed unless it is -1 (a masked target gene; each radius takes the unmasked
-    truth norm, |r| >= |r0|). An entry
-    is NaN where no bound is certain: a squared norm below 2**-900 or from 2**1000
-    up, or an undefined cosine. For sign-cosine lo is hi and is v itself, since
-    sign products and counts are integers below 2**53. An inner product of p terms
-    errs by at most gamma_p |a| |r|, gamma_p = p u / (1 - p u), in any summation
-    order (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1);
-    the radius 4 (p + 4) u covers the product, the kernel and the bounds' rounding.
+
+class Screen:
+    """Bounds on pairwise_to_rows from prediction rows to every truth row, from products
+    formed once: the truth side when the Screen is made (once per compute_pds call or
+    sweep) and a block of rows' cross products with the truth, cross(rows). bounds then
+    derives one scale's block x N bounds elementwise.
+
+    bounds(cross(rows), scaled, columns, c) returns (lo, hi) with lo[i] <= v <= hi[i] for
+    v = pairwise_to_rows(spec, scaled[i], truth), scaled = fl(c rows), both with column
+    columns[i] zeroed unless it is -1 (a masked target gene, already zeroed in rows; each
+    radius takes the unmasked truth norm, |r| >= |r0|). An entry is NaN where no bound is
+    certain: a squared norm below 2**-900 or from 2**1000 up, or an undefined cosine. For
+    sign-cosine lo is hi and is v itself, since sign products and counts are integers
+    below 2**53. An inner product of p terms errs by at most gamma_p sum|a_k r_k|,
+    gamma_p = p u / (1 - p u), in any summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1), plus p 2**-1075 for products that underflow, below
+    u |a| |r| when both squared norms are safe; 4 (p + 4) u covers the product, the kernel
+    and the bounds' rounding at c = 1.
+
+    The sign kinds take the products of the scaled rows' own signs: a row keeps its products
+    where _signs(fl(c a), t) is the pattern they were formed from (it moves when t > 0 or a
+    coordinate underflows) and forms them again from its scaled row otherwise, so their
+    bounds are the c = 1 bounds of the scaled rows. The others take fl(c fl(a.r)) for
+    a'.r, a' = fl(c a), where a's squared norm is safe (other rows form theirs again from
+    a'). Rounding to nearest gives |a'_k - c a_k| <= u c |a_k| + 2**-1075 and
+    |fl(c x) - c x| <= u c |x| + 2**-1075, so |fl(c fl(a.r)) - a'.r| is at most
+    c (gamma_p + 2 u + u gamma_p) sum|a_k r_k| + 2**-1075 (c p + |r|_1 + 1), with
+    c |a| <= (|a'| + sqrt(p) 2**-1075) / (1 - u). When a, a' and r are safe the 2**-1075
+    terms are below 3 u |a'| |r|, so the product errs by at most 5 u |a'| |r| more than at
+    c = 1, to first order, which the radius 4 (p + 6) u covers.
 
     l1 has hi = +inf and lo from the l1-limit score s at sign threshold 0: as
     |a_k - r_k| >= |a_k| - sign(a_k) r_k, equal where a_k = 0 (s has |r_k|) or
@@ -221,71 +231,101 @@ def screen(spec: DistanceSpec, predicted, truth, columns):
     adds or subtracts (sign products are exact), erring by u times at most
     A + R = |a|_1 + |r|_1 to first order: p steps in the kernel, p in |a|_1, p in
     the two products (their terms split the k) and 5 more, (3 p + 5) u (A + R) in
-    all, inside the radius 4 (p + 4) u (A + R), which is NaN from A + R = 2**1000
+    all, inside the radius 4 (p + 6) u (A + R), which is NaN from A + R = 2**1000
     up (|r|_1 alone for l1-limit). Sums below 2**-1022 are exact, and the radius
     underflows only where every sum is, so tiny norms need no guard.
     """
-    kind = spec.kind
-    P = np.array(predicted, dtype=np.float64)  # a copy: masked targets are zeroed
-    T = np.asarray(truth, dtype=np.float64)
-    threshold = 0.0 if kind is DistanceKind.L1 else spec.sign_threshold
-    eps = 4.0 * (T.shape[1] + 4) * 2.0**-53  # u = 2**-53, the unit roundoff
-    masked = np.flatnonzero(columns >= 0)
-    P[masked, columns[masked]] = 0.0  # truth-side sums lose the target term by less
-    r_k = T[:, columns[masked]].T  # each masked row's target column of every truth row
 
-    def less(values, term):  # values broadcast to a row per prediction, less term on masked rows
-        out = np.array(np.broadcast_to(values, (len(P), values.shape[-1])))
-        out[masked] -= term
-        return out
+    def __init__(self, spec: DistanceSpec, truth):
+        self.kind, self.truth = spec.kind, np.asarray(truth, dtype=np.float64)
+        self.threshold = 0.0 if self.kind is DistanceKind.L1 else spec.sign_threshold
+        T = self.truth
+        self.eps = 4.0 * (T.shape[1] + 6) * 2.0**-53  # u = 2**-53, the unit roundoff
+        with np.errstate(over="ignore"):  # sums that overflow meet a NaN radius
+            if self.kind is DistanceKind.SIGN_COSINE_DISSIM:
+                self.signs_t = _signs(T, self.threshold)
+                self.nnz_t = np.count_nonzero(self.signs_t, axis=1).astype(np.float64)
+            elif self.kind in _L1_KINDS:
+                self.abs_t = np.abs(T)
+                self.l1_t = self.abs_t.sum(axis=1)
+            else:
+                self.sq_t = np.einsum("ij,ij->i", T, T)
+                self.norm_t = np.sqrt(self.sq_t)
 
-    if kind is DistanceKind.SIGN_COSINE_DISSIM:
-        signs_p = _signs(P, threshold)
-        signs_t = _signs(T, threshold)
-        dots = signs_p @ signs_t.T
-        nnz_p, nnz_t = (np.count_nonzero(m, axis=1).astype(np.float64) for m in (signs_p, signs_t))
-        nnz_r = less(nnz_t, signs_t[:, columns[masked]].T != 0.0)
-        with np.errstate(all="ignore"):  # a zero count leaves NaN
-            exact = 1.0 - dots / np.sqrt(nnz_p[:, None] * nnz_r)
-        return exact, exact
+    def cross(self, rows):
+        """(key, products) of prediction rows with the truth: the sign products (sign-cosine),
+        the l1-limit scores (l1, l1-limit) or rows @ truth.T, keyed by the coordinates whose
+        sign is 0 (which fix the sign pattern of any positive scale of the rows) for the
+        sign kinds and by the rows' squared norms for the others."""
+        with np.errstate(all="ignore"):  # entries that overflow meet a NaN radius
+            if self.kind is DistanceKind.SIGN_COSINE_DISSIM or self.kind in _L1_KINDS:
+                signs = _signs(rows, self.threshold)
+                zero = signs == 0.0
+                if self.kind is DistanceKind.SIGN_COSINE_DISSIM:
+                    return zero, signs @ self.signs_t.T
+                # score = sum of |r_k| where sign(a_k) = 0, minus sign(a) . r
+                dots = signs @ self.truth.T
+                np.subtract(1.0, np.abs(signs, out=signs), out=signs)  # 1 where sign(a_k) = 0
+                return zero, signs @ self.abs_t.T - dots
+            return np.einsum("ij,ij->i", rows, rows), rows @ self.truth.T
 
-    if kind in (DistanceKind.L1, DistanceKind.L1_LIMIT):
-        # score = sum of |r_k| where sign(a_k) = 0, minus sign(a) . r; l1 >= |a|_1 + score
-        signs = _signs(P, threshold)
-        abs_t = np.abs(T)
-        l1_p = np.abs(P).sum(axis=1) if kind is DistanceKind.L1 else np.zeros(len(P))
-        with np.errstate(all="ignore"):  # sums that overflow meet a NaN radius
-            dots = signs @ T.T
-            l1_t = abs_t.sum(axis=1)
-            scores = np.subtract(1.0, np.square(signs, out=signs), out=signs) @ abs_t.T - dots
-            total = l1_p[:, None] + l1_t
-            radius = np.where(total < _HUGE, eps * total, np.nan)
-            score = less(scores, np.abs(r_k))  # a zeroed target has sign 0
-            if kind is DistanceKind.L1_LIMIT:
-                return score - radius, score + radius
-            return l1_p[:, None] + score - radius, np.full(dots.shape, np.inf)
+    def bounds(self, cross, scaled, columns, c: float):
+        """(lo, hi) for the rows scaled = fl(c rows) from cross = self.cross(rows). A sign
+        kind's row formed again replaces its key and products in cross, so later scales
+        compare with it."""
+        kind, T, eps = self.kind, self.truth, self.eps
+        key, products = cross
+        masked = np.flatnonzero(columns >= 0)
+        r_k = T[:, columns[masked]].T  # each masked row's target column of every truth row
 
-    with np.errstate(over="ignore"):  # overflow leaves a squared norm unsafe
-        dots = P @ T.T
-        sq_p, sq_t = np.einsum("ij,ij->i", P, P)[:, None], np.einsum("ij,ij->i", T, T)
-    norm_p, norm_t = np.sqrt(sq_p), np.sqrt(sq_t)
-    safe = ((_TINY <= sq_p) & (sq_p < _HUGE)) & ((_TINY <= sq_t) & (sq_t < _HUGE))
-    with np.errstate(all="ignore"):  # entries that overflow or divide by 0 are unsafe
-        sq_r = less(sq_t, r_k * r_k)
-        if kind is DistanceKind.L2_LIMIT:
-            radius = eps * norm_p * norm_t
-            lo, hi = -dots - radius, radius - dots
-        elif kind is DistanceKind.L2:
-            squared = sq_p + sq_r - 2.0 * dots
-            radius = eps * np.square(norm_p + norm_t)
-            lo, hi = np.sqrt(np.maximum(squared - radius, 0.0)), np.sqrt(squared + radius)
-        else:  # cosine: quotient of the dot product's and the two norms' intervals
-            low_a, low_r = sq_p - eps * sq_p, sq_r - eps * sq_t
-            safe &= (low_a >= _TINY) & (low_r >= _TINY)
-            norms_lo = np.sqrt(low_a) * np.sqrt(low_r)
-            norms_hi = np.sqrt(sq_p + eps * sq_p) * np.sqrt(sq_r + eps * sq_t)
-            dot_lo, dot_hi = dots - eps * norm_p * norm_t, dots + eps * norm_p * norm_t
-            cos_lo = np.minimum(dot_lo / norms_lo, dot_lo / norms_hi).clip(-1.0, 1.0)
-            cos_hi = np.maximum(dot_hi / norms_lo, dot_hi / norms_hi).clip(-1.0, 1.0)
-            lo, hi = 1.0 - cos_hi - eps, 1.0 - cos_lo + eps
-    return np.where(safe, lo, np.nan), np.where(safe, hi, np.nan)
+        def less(values, term):  # values broadcast to a row per prediction, less term if masked
+            out = np.array(np.broadcast_to(values, products.shape))
+            out[masked] -= term
+            return out
+
+        if kind is DistanceKind.SIGN_COSINE_DISSIM or kind in _L1_KINDS:
+            moved = ((np.abs(scaled) <= self.threshold) != key).any(axis=1)
+            if moved.any():
+                key[moved], products[moved] = self.cross(scaled[moved])
+        if kind is DistanceKind.SIGN_COSINE_DISSIM:
+            nnz_p = (key.shape[1] - np.count_nonzero(key, axis=1)).astype(np.float64)
+            nnz_r = less(self.nnz_t, self.signs_t[:, columns[masked]].T != 0.0)
+            with np.errstate(all="ignore"):  # a zero count leaves NaN
+                exact = 1.0 - products / np.sqrt(nnz_p[:, None] * nnz_r)
+            return exact, exact
+
+        with np.errstate(all="ignore"):  # entries that overflow or divide by 0 are unsafe
+            if kind in _L1_KINDS:
+                l1_p = np.abs(scaled).sum(axis=1) if kind is DistanceKind.L1 else np.zeros(len(key))
+                total = l1_p[:, None] + self.l1_t
+                radius = np.where(total < _HUGE, eps * total, np.nan)
+                score = less(products, np.abs(r_k))  # a zeroed target has sign 0
+                if kind is DistanceKind.L1_LIMIT:
+                    return score - radius, score + radius
+                return l1_p[:, None] + score - radius, np.full(products.shape, np.inf)
+
+            sq_p = np.einsum("ij,ij->i", scaled, scaled)
+            dots = products * c
+            formed = _in_range(sq_p) & ~_in_range(key)
+            if formed.any():
+                dots[formed] = self.cross(scaled[formed])[1]
+            sq_p, sq_t, norm_t = sq_p[:, None], self.sq_t, self.norm_t
+            norm_p, safe = np.sqrt(sq_p), _in_range(sq_p) & _in_range(sq_t)
+            sq_r = less(sq_t, r_k * r_k)
+            if kind is DistanceKind.L2_LIMIT:
+                radius = eps * norm_p * norm_t
+                lo, hi = -dots - radius, radius - dots
+            elif kind is DistanceKind.L2:
+                squared = sq_p + sq_r - 2.0 * dots
+                radius = eps * np.square(norm_p + norm_t)
+                lo, hi = np.sqrt(np.maximum(squared - radius, 0.0)), np.sqrt(squared + radius)
+            else:  # cosine: quotient of the dot product's and the two norms' intervals
+                low_a, low_r = sq_p - eps * sq_p, sq_r - eps * sq_t
+                safe &= (low_a >= _TINY) & (low_r >= _TINY)
+                norms_lo = np.sqrt(low_a) * np.sqrt(low_r)
+                norms_hi = np.sqrt(sq_p + eps * sq_p) * np.sqrt(sq_r + eps * sq_t)
+                dot_lo, dot_hi = dots - eps * norm_p * norm_t, dots + eps * norm_p * norm_t
+                cos_lo = np.minimum(dot_lo / norms_lo, dot_lo / norms_hi).clip(-1.0, 1.0)
+                cos_hi = np.maximum(dot_hi / norms_lo, dot_hi / norms_hi).clip(-1.0, 1.0)
+                lo, hi = 1.0 - cos_hi - eps, 1.0 - cos_lo + eps
+        return np.where(safe, lo, np.nan), np.where(safe, hi, np.nan)

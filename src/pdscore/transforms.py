@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .effects import EffectMatrix, EffectPair
-from .errors import BadParameter, NonpositiveScale, ZeroPredictionNorm
+from .errors import BadParameter, NonpositiveScale, ValidationError, ZeroPredictionNorm
 from .metrics import sign_vector
 
 
@@ -68,7 +68,19 @@ def global_scale(predicted: EffectMatrix, c: float) -> EffectMatrix:
     """Multiply every entry by a positive constant; labels unchanged."""
     if not np.isfinite(c) or c <= 0.0:
         raise NonpositiveScale(f"scale factor must be positive and finite, got {c!r}")
+    check_scale(np.abs(predicted.values).max(axis=1), float(c), predicted.perturbation_ids)
     return predicted.with_values(predicted.values * float(c))
+
+
+def check_scale(peaks, c: float, perturbation_ids) -> None:
+    """Raise ValidationError naming c and the first perturbation whose values overflow
+    when multiplied by c. peaks holds each row's largest |value|: rounding is monotone,
+    so a row overflows exactly where its peak does."""
+    with np.errstate(over="ignore"):
+        over = np.flatnonzero(np.isinf(peaks * c))
+    if over.size:
+        first = f"the predicted effects of {perturbation_ids[over[0]]!r}"
+        raise ValidationError(f"scale factor {_exact(c)} overflows {first}")
 
 
 def norm_match(pair: EffectPair, p_norm: int) -> EffectPair:

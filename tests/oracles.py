@@ -1,0 +1,140 @@
+"""Brute-force references the tests check pdscore against.
+
+They share no ranking code with pdscore.discrimination: ranks come from full
+sorting (not comparison counting), l1, l2, cosine and sign-cosine from scalar
+formulas (not the batched kernel), limit rankings from literal distance
+evaluations at a large scale, and the ray certificate from a grid search.
+"""
+
+import math
+
+import numpy as np
+
+from pdscore import (
+    BadParameter,
+    DistanceKind,
+    DistanceSpec,
+    EffectPair,
+    ErrorPolicy,
+    PdsEntry,
+    PdsReport,
+    ZeroVector,
+    anchor_subproblem,
+    cosine,
+    distance,
+    sign_cosine,
+)
+from pdscore.discrimination import finish_report, undefined_entry
+from pdscore.metrics import _pair
+
+
+def dist_l1(a, b) -> float:
+    """Sum of absolute coordinate differences."""
+    a, b = _pair(a, b)
+    return float(np.abs(a - b).sum())
+
+
+def dist_l2(a, b) -> float:
+    """Euclidean distance."""
+    a, b = _pair(a, b)
+    return float(np.sqrt(((a - b) ** 2).sum()))
+
+
+def _sorted_average_ranks(values: np.ndarray) -> np.ndarray:
+    """Mid-ranks for every element, from explicit sorted tie runs."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.shape[0], dtype=np.float64)
+    start = 0
+    while start < order.size:
+        stop = start
+        while stop + 1 < order.size and values[order[stop + 1]] == values[order[start]]:
+            stop += 1
+        average = (start + stop) / 2.0 + 1.0
+        ranks[order[start : stop + 1]] = average
+        start = stop + 1
+    return ranks
+
+
+def _scalar_measure(spec: DistanceSpec, a: np.ndarray, r: np.ndarray) -> float:
+    """One measure from the scalar functions; only the limit kinds, which have
+    no scalar form, go through the batched kernel."""
+    kind = spec.kind
+    if kind is DistanceKind.L1:
+        return dist_l1(a, r)
+    if kind is DistanceKind.L2:
+        return dist_l2(a, r)
+    if kind is DistanceKind.COSINE_DISSIM:
+        return 1.0 - cosine(a, r)
+    if kind is DistanceKind.SIGN_COSINE_DISSIM:
+        return 1.0 - sign_cosine(a, r, spec.sign_threshold)
+    return distance(spec, a, r)
+
+
+def oracle_pds(
+    pair: EffectPair,
+    spec: DistanceSpec,
+    apply_target_mask: bool = False,
+    error_policy: ErrorPolicy = ErrorPolicy.WORST,
+) -> PdsReport:
+    """Reference scorer: scalar distances plus full-sort average-of-tie ranks.
+
+    Shares the masking rule and the error policy with compute_pds but none
+    of the ranking code, and evaluates l1, l2, cosine and sign-cosine with
+    the scalar measure functions rather than the batched kernel, so rank
+    agreement is a meaningful cross-check.
+    """
+    n = pair.n_perturbations
+    entries = []
+    for i, pid in enumerate(pair.perturbation_ids):
+        a, rows = anchor_subproblem(pair, i, apply_target_mask)
+        try:
+            dists = np.array([_scalar_measure(spec, a, r) for r in rows])
+            rank = float(_sorted_average_ranks(dists)[i])
+            value = 1.0 - (rank - 1.0) / (n - 1.0)
+            entries.append(PdsEntry(pid, float(dists[i]), rank, value))
+        except ZeroVector as exc:
+            entries.append(undefined_entry(pid, n, error_policy, exc))
+    return finish_report(pair, spec, entries, apply_target_mask, error_policy)
+
+
+def oracle_l1_limit(pair: EffectPair, c: float) -> np.ndarray:
+    """Brute-force l1 ranking of candidates for predictions scaled by c.
+
+    Returns an (N, N) matrix of mid-ranks, one row per anchor, computed
+    from literal |c a - r| distance evaluations; validates the corrected
+    limit scores at large c.
+    """
+    if not (np.isfinite(c) and c > 0.0):
+        raise BadParameter(f"c must be positive, got {c!r}")
+    n = pair.n_perturbations
+    out = np.empty((n, n), dtype=np.float64)
+    for i, a in enumerate(pair.predicted.values):
+        scaled = c * a
+        dists = np.array([np.abs(scaled - r).sum() for r in pair.truth.values])
+        out[i] = _sorted_average_ranks(dists)
+    return out
+
+
+def oracle_ray_certificate(pred_norm: float, true_norm: float, cosine_to_true: float) -> bool:
+    """Brute-force check of the orthogonal-ray certificate.
+
+    Minimizes |pred - t u| over a 4001-point t grid, refined three times
+    around its minimum, for a unit u orthogonal to the prediction (the value
+    depends only on t), then asks whether the truth's distance is at most
+    that minimum.
+    """
+    grid = 4001
+    true_distance = math.sqrt(
+        pred_norm**2 + true_norm**2 - 2.0 * pred_norm * true_norm * cosine_to_true
+    )
+    lo, hi = 1e-9, 4.0 * max(pred_norm, true_norm)
+    best = math.inf
+    for _ in range(3):
+        ts = np.linspace(lo, hi, grid)
+        values = np.sqrt(pred_norm**2 + ts**2)
+        k = int(np.argmin(values))
+        best = min(best, float(values[k]))
+        lo = max(1e-12, float(ts[max(0, k - 1)]) * 0.5)
+        hi = float(ts[min(grid - 1, k + 1)])
+    return true_distance <= best

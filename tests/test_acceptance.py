@@ -29,9 +29,6 @@ from pdscore import (
     global_scale,
     compare_pipelines,
     norm_match,
-    oracle_l1_limit,
-    oracle_pds,
-    oracle_ray_certificate,
     orthogonal_ray_certificate,
     pipeline_from_token,
     region_fraction,
@@ -41,6 +38,7 @@ from pdscore import io as pio
 from pdscore.transforms import apply_chain, parse_chain
 
 from helpers import pair_from, random_pair, region_fraction_exact, region_win_threshold
+from oracles import oracle_l1_limit, oracle_pds, oracle_ray_certificate
 
 L1 = DistanceSpec(DistanceKind.L1)
 L2 = DistanceSpec(DistanceKind.L2)

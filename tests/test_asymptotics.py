@@ -243,6 +243,27 @@ class TestScaleSweep:
         result = scale_sweep(pair, [DistanceSpec(DistanceKind.L1, 0.5)], (2.0 * c1, 10.0 * c1))
         assert all(v == result.limit_mean_pds["l1"] for v in result.mean_pds_per_scale["l1"])
 
+    @pytest.mark.parametrize(
+        "kind, limit",
+        [(DistanceKind.SIGN_COSINE_DISSIM, 57 / 58), (DistanceKind.L1_LIMIT, 144 / 145)],
+    )
+    def test_thresholded_sign_kinds_meet_their_limit(self, kind, limit):
+        """With t > 0 the prediction's signs move with the scale until every nonzero
+        coordinate exceeds t; from that power-of-two scale on, the curve is the limit."""
+        rng = np.random.default_rng(3)
+        truth = rng.standard_normal((30, 50))
+        pair = pair_from(0.6 * truth + 0.8 * rng.standard_normal((30, 50)), truth)
+        t, predicted = 0.5, np.abs(pair.predicted.values)
+        fixed = 2.0 ** np.ceil(np.log2(t / predicted[predicted > 0.0].min()) + 1.0)
+        assert (fixed * predicted[predicted > 0.0]).min() > t
+        scales = tuple(np.geomspace(1.0, 1e6, 13))
+        result = scale_sweep(pair, [DistanceSpec(kind, t)], scales)
+        curve, token = result.mean_pds_per_scale[kind.value], kind.value
+        assert result.limit_mean_pds[token] == pytest.approx(limit, abs=1e-12)
+        assert curve[0] != result.limit_mean_pds[token]
+        beyond = [v for c, v in zip(scales, curve) if c >= fixed]
+        assert beyond and all(v == result.limit_mean_pds[token] for v in beyond)
+
     def test_rejects_bad_grids(self):
         pair = random_pair(np.random.default_rng(52), n=3, p=4)
         specs = [DistanceSpec(DistanceKind.L2)]
@@ -259,6 +280,38 @@ class TestScaleSweep:
             scale_sweep(
                 pair, [DistanceSpec(DistanceKind.L2), DistanceSpec(DistanceKind.L2)], (1.0, 2.0)
             )
+
+
+@st.composite
+def swept_pairs(draw):
+    """A small pair at magnitudes 1e-60 to 1e60 with an all-zero predicted row, zero
+    coordinates and a repeated truth row, and an ascending grid from 1e-80 to 1e80."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = draw(st.integers(3, 9)), draw(st.integers(2, 8))
+    pred = rng.standard_normal((n, p)) * 10.0 ** draw(st.integers(-60, 60))
+    truth = rng.standard_normal((n, p)) * 10.0 ** draw(st.integers(-60, 60))
+    pred[rng.random((n, p)) < 0.3] = 0.0
+    pred[rng.integers(n)] = 0.0
+    truth[0] = truth[-1]
+    targets = {f"P{i:04d}": f"G{int(rng.integers(p)):04d}" for i in range(n) if rng.random() < 0.7}
+    exponents = draw(st.lists(st.integers(-80, 80), min_size=1, max_size=5, unique=True))
+    threshold = draw(st.sampled_from([0.0, 0.5])) * float(np.abs(pred).max())
+    return pair_from(pred, truth, targets), tuple(10.0**k for k in sorted(exponents)), threshold
+
+
+@settings(max_examples=60, deadline=None)
+@given(swept_pairs())
+def test_sweep_points_equal_compute_pds_on_scaled_predictions(case):
+    """Each curve point is compute_pds's mean on the predictions fl(c P), bit for bit."""
+    pair, scales, threshold = case
+    for kind in DistanceKind:
+        spec = DistanceSpec(kind, threshold)
+        for mask in (False, True):
+            curve = scale_sweep(pair, [spec], scales, mask).mean_pds_per_scale[kind.value]
+            for c, point in zip(scales, curve):
+                scaled = pair.with_predicted(global_scale(pair.predicted, c))
+                want = compute_pds(scaled, spec, mask).mean_pds
+                assert point.hex() == want.hex(), (kind.value, mask, c)
 
 
 class TestEqualNormReduction:

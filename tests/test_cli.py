@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdscore import __version__
+from pdscore import EffectMatrix, __version__
 from pdscore import io as pio
 from pdscore.cli import main
 
@@ -187,6 +187,28 @@ class TestSweepCommand:
             assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "command", [["sweep", "--grid", "1:1e10:2"], ["pds", "--transform", "scale:1e10"]]
+    )
+    def test_scale_overflow_is_one_error_line(self, command, tmp_path):
+        """No numpy warning reaches stderr, and the error names the scale and the row."""
+        ids, genes = ("P0000", "P0001", "P0002"), ("G0000", "G0001")
+        values = [[1.0, 2.0], [1e300, -3e299], [0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        for name, rows in zip(("pred", "truth"), values):
+            matrix = EffectMatrix(np.array(rows), ids, genes)
+            pio.write_effect_matrix(matrix, tmp_path / f"{name}.csv")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "pdscore", *command, "--pred", str(tmp_path / "pred.csv"),
+             "--truth", str(tmp_path / "truth.csv"), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        message = "scale factor 1e+10 overflows the predicted effects of 'P0001'"
+        assert done.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out" / "run_config.json").exists()
+
+
 class TestNormMatchCommand:
     def test_emits_matched_predictions(self, pair_files, tmp_path):
         pred, truth = pair_files
@@ -314,9 +336,17 @@ class TestPreprocessCommands:
         code = main(["preprocess", "normalize", "--counts", str(counts), "--out", str(out)])
         assert code == 1
         assert "line 3, column 4" in capsys.readouterr().err
-        # run_config.json is written before the input is parsed.
-        config = json.loads((out / "run_config.json").read_text())
-        assert list(config["input_digests"]) == [str(counts)]
+        # run_config.json is written only once the command has succeeded.
+        assert not (out / "run_config.json").exists()
+
+    def test_failed_synthesis_leaves_no_run_config(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = main(
+            ["synth", "pair", "--n", "5", "--genes", "10", "--norm-sigma", "nan", "--out", str(out)]
+        )
+        assert code == 1
+        assert "norm_sigma must be finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_sign_threshold_exits_1(self, counts_file, tmp_path, threshold, capsys):

@@ -14,14 +14,12 @@ from pdscore import (
     ZeroVector,
     compute_pds,
     cosine,
-    dist_l1,
-    dist_l2,
-    oracle_pds,
     pds_row,
     sign_cosine,
 )
 
 from helpers import pair_from, per_anchor_pds, random_pair
+from oracles import dist_l1, dist_l2, oracle_pds
 
 ALL_FOUR = [
     DistanceSpec(DistanceKind.L1),

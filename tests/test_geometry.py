@@ -8,11 +8,11 @@ from pdscore import (
     BadParameter,
     NonpositiveNorm,
     orthogonal_ray_certificate,
-    oracle_ray_certificate,
     region_fraction,
 )
 
 from helpers import region_fraction_exact, region_wins_reference
+from oracles import oracle_ray_certificate
 
 
 def closed_form_2d_fraction(rho, kappa):

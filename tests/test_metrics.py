@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pdscore import (
@@ -14,8 +14,6 @@ from pdscore import (
     compute_pds,
     convergence_threshold_l1,
     cosine,
-    dist_l1,
-    dist_l2,
     distance,
     pairwise_to_rows,
     sign_cosine,
@@ -23,9 +21,10 @@ from pdscore import (
     spec_from_token,
 )
 from pdscore.errors import BadParameter
-from pdscore.metrics import screen
+from pdscore.metrics import Screen
 
 from helpers import pair_from
+from oracles import dist_l1, dist_l2
 
 METRIC_SPECS = [
     DistanceSpec(DistanceKind.L1),
@@ -33,6 +32,14 @@ METRIC_SPECS = [
     DistanceSpec(DistanceKind.COSINE_DISSIM),
     DistanceSpec(DistanceKind.SIGN_COSINE_DISSIM),
 ]
+
+
+def screen(spec, pred, truth, columns, c=1.0):
+    """Screen's bounds for the rows fl(c pred), with products formed from pred."""
+    rows, masked = np.array(pred, dtype=float), np.flatnonzero(columns >= 0)
+    rows[masked, columns[masked]] = 0.0
+    bounds = Screen(spec, truth)
+    return bounds.bounds(bounds.cross(rows), rows * c, columns, c)
 
 
 def _layouts(rng, n, p):
@@ -339,7 +346,7 @@ class TestScratch:
 
 
 class TestScreen:
-    """metrics.screen bounds what pairwise_to_rows returns, masked or not."""
+    """metrics.Screen bounds what pairwise_to_rows returns, masked or not, at any scale."""
 
     SCREENED = list(DistanceKind)
     TWO_SIDED = [kind for kind in DistanceKind if kind is not DistanceKind.L1]
@@ -375,6 +382,47 @@ class TestScreen:
             for i in range(6):
                 keep = np.arange(9) != columns[i]
                 values = self._kernel(spec, pred[i][keep], truth[:, keep])
+                if values is None:
+                    continue
+                known = ~np.isnan(lo[i])
+                if kind is DistanceKind.SIGN_COSINE_DISSIM:
+                    assert lo[i][known].tobytes() == values[known].tobytes()
+                else:
+                    assert np.all(lo[i][known] <= values[known]), kind.value
+                    assert np.all(values[known] <= hi[i][known]), kind.value
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(-170, 160),
+        st.integers(-170, 160),
+        st.integers(-170, 160),
+        st.booleans(),
+        st.sampled_from([0.0, 0.5]),
+    )
+    @example(1, -160, 0, -170, False, 0.0)  # scaled coordinates underflow: signs formed again
+    @example(2, 0, 0, 3, True, 0.5)  # t = 0.5 c: signs formed again from the scaled rows
+    @example(3, -170, 0, 160, True, 0.0)  # rows safe only once scaled: products formed again
+    @example(4, 160, 150, -160, False, 0.0)  # products that overflow at c = 1
+    def test_bounds_contain_the_kernel_values_at_swept_scales(
+        self, seed, pred_exp, truth_exp, scale_exp, masked, threshold
+    ):
+        """Bounds for fl(c a) from the products of a; t = 0 or 0.5 c."""
+        rng = np.random.default_rng(seed)
+        pred = rng.standard_normal((6, 9)) * 10.0**pred_exp
+        pred[rng.random(pred.shape) < 0.3] = 0.0
+        truth = rng.standard_normal((6, 9)) * 10.0**truth_exp
+        truth[4] = truth[2]
+        c = 10.0**scale_exp
+        with np.errstate(over="ignore"):
+            assume(np.isfinite(pred * c).all())
+        for kind in self.SCREENED:
+            spec = DistanceSpec(kind, threshold * c)
+            columns = rng.integers(-1, 9, size=6) if masked else np.full(6, -1)
+            lo, hi = screen(spec, pred, truth, columns, c)
+            for i in range(6):
+                keep = np.arange(9) != columns[i]
+                values = self._kernel(spec, c * pred[i][keep], truth[:, keep])
                 if values is None:
                     continue
                 known = ~np.isnan(lo[i])

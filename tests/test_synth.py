@@ -15,13 +15,11 @@ from pdscore import (
     generate,
     generate_counts,
     global_scale,
-    oracle_l1_limit,
-    oracle_pds,
-    oracle_ray_certificate,
     orthogonal_ray_certificate,
 )
 
 from helpers import pair_from, random_pair
+from oracles import oracle_l1_limit, oracle_pds, oracle_ray_certificate
 
 ALL_FOUR = [
     DistanceSpec(DistanceKind.L1),

@@ -12,6 +12,7 @@ from pdscore import (
     NonpositiveScale,
     TransformDescriptor,
     TransformKind,
+    ValidationError,
     ZeroPredictionNorm,
     apply_chain,
     chain_tokens,
@@ -50,6 +51,15 @@ class TestGlobalScale:
         for c in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(NonpositiveScale):
                 global_scale(pair.predicted, c)
+
+
+    def test_overflow_names_the_scale_and_the_first_row(self):
+        pair = pair_from([[1.0, 2.0], [1e300, 1.0], [-1e308, 0.0]], np.ones((3, 2)))
+        for c, row in ((10.0, "10 overflows the predicted effects of 'P0002'"),
+                       (1e10, "1e+10 overflows the predicted effects of 'P0001'")):
+            with pytest.raises(ValidationError) as caught:
+                global_scale(pair.predicted, c)
+            assert str(caught.value) == f"scale factor {row}"
 
 
 class TestNormMatch:
