@@ -152,28 +152,19 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
             r[masked, target[masked]] = 0.0
             yield part, rows[i[part]], r
 
-    def paired(rows, column, start):
-        """Chunks of each row with its own truth row, start + its index: views, copied where
-        a target column is zeroed."""
-        for part in parts(len(rows)):
-            r, target = T[start + part.start : start + part.stop], column[part]
-            masked = np.flatnonzero(target >= 0)
-            if masked.size:
-                r = r.copy()
-                r[masked, target[masked]] = 0.0
-            yield part, rows[part], r
-
     def rank(anchors) -> list:
         block, column = P[anchors[0] : anchors[-1] + 1], columns[anchors]  # a view
         masked, local = np.flatnonzero(column >= 0), np.arange(len(anchors))
         if masked.size:  # a copy, with masked targets zeroed
             block = block.copy()
             block[masked, column[masked]] = 0.0
-        cross, ranked = screen.cross(block), []
+        formed, ranked = screen.cross(block), []
+        cross = formed
         for c in scales:
             rows = block if c == 1.0 else block * c
+            cross = formed if c == 1.0 else screen.rescaled(cross, rows)
             lo, hi = screen.bounds(cross, rows, column, c)
-            own, undefined, error = measure(paired(rows, column, anchors[0]), len(rows))
+            own, undefined, error = measure(gathered(rows, column, local, anchors), len(rows))
             closer = hi < own[:, None]
             undecided = ~(closer | (lo > own[:, None]) | (lo == hi))  # NaN bounds stay undecided
             undecided[local, anchors] = False

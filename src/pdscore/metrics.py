@@ -198,25 +198,26 @@ def _in_range(squared):
 class Screen:
     """Bounds on pairwise_to_rows from prediction rows to every truth row, from products
     formed once: the truth side when the Screen is made (once per compute_pds call or
-    sweep) and a block of rows' cross products with the truth, cross(rows). bounds then
-    derives one scale's block x N bounds elementwise.
+    sweep) and a block of rows' cross products with the truth, cross(rows). rescaled
+    brings them to a scale's rows and bounds derives that scale's block x N bounds
+    elementwise; neither changes its arguments.
 
-    bounds(cross(rows), scaled, columns, c) returns (lo, hi) with lo[i] <= v <= hi[i] for
-    v = pairwise_to_rows(spec, scaled[i], truth), scaled = fl(c rows), both with column
-    columns[i] zeroed unless it is -1 (a masked target gene, already zeroed in rows; each
-    radius takes the unmasked truth norm, |r| >= |r0|). An entry is NaN where no bound is
-    certain: a squared norm below 2**-900 or from 2**1000 up, or an undefined cosine. For
-    sign-cosine lo is hi and is v itself, since sign products and counts are integers
-    below 2**53. An inner product of p terms errs by at most gamma_p sum|a_k r_k|,
+    bounds(rescaled(cross(rows), scaled), scaled, columns, c) returns (lo, hi) with
+    lo[i] <= v <= hi[i] for v = pairwise_to_rows(spec, scaled[i], truth), scaled =
+    fl(c rows), both with column columns[i] zeroed unless it is -1 (a masked target gene,
+    already zeroed in rows; each radius takes the unmasked truth norm, |r| >= |r0|). An
+    entry is NaN where no bound is certain: a squared norm below 2**-900 or from 2**1000
+    up, or an undefined cosine. For sign-cosine lo is hi and is v itself, since sign
+    products and counts are integers below 2**53. An inner product of p terms errs by at most gamma_p sum|a_k r_k|,
     gamma_p = p u / (1 - p u), in any summation order (Higham, Accuracy and Stability of
     Numerical Algorithms, section 3.1), plus p 2**-1075 for products that underflow, below
     u |a| |r| when both squared norms are safe; 4 (p + 4) u covers the product, the kernel
     and the bounds' rounding at c = 1.
 
-    The sign kinds take the products of the scaled rows' own signs: a row keeps its products
-    where _signs(fl(c a), t) is the pattern they were formed from (it moves when t > 0 or a
-    coordinate underflows) and forms them again from its scaled row otherwise, so their
-    bounds are the c = 1 bounds of the scaled rows. The others take fl(c fl(a.r)) for
+    The sign kinds take the products of the scaled rows' own signs: rescaled keeps a row's
+    products where _signs(fl(c a), t) is the pattern they were formed from (it moves when
+    t > 0 or a coordinate underflows) and forms them again from its scaled row otherwise,
+    so their bounds are the c = 1 bounds of the scaled rows. The others take fl(c fl(a.r)) for
     a'.r, a' = fl(c a), where a's squared norm is safe (other rows form theirs again from
     a'). Rounding to nearest gives |a'_k - c a_k| <= u c |a_k| + 2**-1075 and
     |fl(c x) - c x| <= u c |x| + 2**-1075, so |fl(c fl(a.r)) - a'.r| is at most
@@ -269,10 +270,23 @@ class Screen:
                 return zero, signs @ self.abs_t.T - dots
             return np.einsum("ij,ij->i", rows, rows), rows @ self.truth.T
 
+    def rescaled(self, cross, scaled):
+        """cross for the rows scaled = fl(c rows) from cross, the products of rows: under a
+        sign kind, a new (key, products) with every row whose sign pattern moved formed
+        again from scaled; under the others, cross itself."""
+        if self.kind is not DistanceKind.SIGN_COSINE_DISSIM and self.kind not in _L1_KINDS:
+            return cross
+        key, products = cross
+        moved = ((np.abs(scaled) <= self.threshold) != key).any(axis=1)
+        if not moved.any():
+            return cross
+        key, products = key.copy(), products.copy()
+        key[moved], products[moved] = self.cross(scaled[moved])
+        return key, products
+
     def bounds(self, cross, scaled, columns, c: float):
-        """(lo, hi) for the rows scaled = fl(c rows) from cross = self.cross(rows). A sign
-        kind's row formed again replaces its key and products in cross, so later scales
-        compare with it."""
+        """(lo, hi) for the rows scaled = fl(c rows) from cross = self.rescaled(self.cross(rows),
+        scaled), or self.cross(rows) itself at c = 1."""
         kind, T, eps = self.kind, self.truth, self.eps
         key, products = cross
         masked = np.flatnonzero(columns >= 0)
@@ -283,10 +297,6 @@ class Screen:
             out[masked] -= term
             return out
 
-        if kind is DistanceKind.SIGN_COSINE_DISSIM or kind in _L1_KINDS:
-            moved = ((np.abs(scaled) <= self.threshold) != key).any(axis=1)
-            if moved.any():
-                key[moved], products[moved] = self.cross(scaled[moved])
         if kind is DistanceKind.SIGN_COSINE_DISSIM:
             nnz_p = (key.shape[1] - np.count_nonzero(key, axis=1)).astype(np.float64)
             nnz_r = less(self.nnz_t, self.signs_t[:, columns[masked]].T != 0.0)

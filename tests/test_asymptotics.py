@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdscore import (
@@ -299,8 +299,16 @@ def swept_pairs(draw):
     return pair_from(pred, truth, targets), tuple(10.0**k for k in sorted(exponents)), threshold
 
 
+def _moved_then_unit_scale():
+    """t > 0 moves sign patterns at c = 1/4, and the grid returns to c = 1 after it."""
+    rng = np.random.default_rng(7)
+    pred, truth = rng.standard_normal((6, 5)), rng.standard_normal((6, 5))
+    return pair_from(pred, truth, {"P0001": "G0002"}), (0.25, 1.0, 4.0), 0.5
+
+
 @settings(max_examples=60, deadline=None)
 @given(swept_pairs())
+@example(_moved_then_unit_scale())
 def test_sweep_points_equal_compute_pds_on_scaled_predictions(case):
     """Each curve point is compute_pds's mean on the predictions fl(c P), bit for bit."""
     pair, scales, threshold = case

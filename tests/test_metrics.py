@@ -38,8 +38,8 @@ def screen(spec, pred, truth, columns, c=1.0):
     """Screen's bounds for the rows fl(c pred), with products formed from pred."""
     rows, masked = np.array(pred, dtype=float), np.flatnonzero(columns >= 0)
     rows[masked, columns[masked]] = 0.0
-    bounds = Screen(spec, truth)
-    return bounds.bounds(bounds.cross(rows), rows * c, columns, c)
+    bounds, scaled = Screen(spec, truth), rows * c
+    return bounds.bounds(bounds.rescaled(bounds.cross(rows), scaled), scaled, columns, c)
 
 
 def _layouts(rng, n, p):
@@ -431,6 +431,22 @@ class TestScreen:
                 else:
                     assert np.all(lo[i][known] <= values[known]), kind.value
                     assert np.all(values[known] <= hi[i][known]), kind.value
+
+    def test_rescaled_and_bounds_leave_their_arguments_unchanged(self):
+        rng = np.random.default_rng(17)
+        pred, truth = rng.standard_normal((6, 9)), rng.standard_normal((6, 9))
+        columns = np.array([-1, 2, -1, 0, 8, -1])
+        for kind in self.SCREENED:
+            bounds = Screen(DistanceSpec(kind, 0.5), truth)
+            key, products = bounds.cross(pred)
+            kept, scaled = (key.copy(), products.copy()), pred * 0.25  # t = 0.5 moves patterns
+            cross = bounds.rescaled((key, products), scaled)
+            bounds.bounds(cross, scaled, columns, 0.25)
+            assert np.array_equal(key, kept[0]) and np.array_equal(products, kept[1]), kind
+            if kind in (DistanceKind.SIGN_COSINE_DISSIM, DistanceKind.L1_LIMIT):
+                assert not np.array_equal(cross[0], key), kind
+            else:  # the dot kinds scale their products; l1 keeps its signs at t = 0
+                assert cross[1] is products, kind
 
     def test_bounds_are_known_and_narrow_at_unit_scale(self):
         rng = np.random.default_rng(15)
