@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import compute_pds, rank_at_scales
-from .effects import EffectMatrix, EffectPair, anchor_subproblem, target_columns
+from .effects import EffectMatrix, EffectPair, _Made, target_columns
 from .errors import BadParameter, DegeneratePair
 from .metrics import DistanceKind, DistanceSpec, pairwise_to_rows
 from .transforms import check_scale
@@ -78,13 +78,25 @@ def convergence_threshold_l2(pair: EffectPair, apply_target_mask: bool = False) 
     threshold exists and DegeneratePair is raised. A tied group with mixed
     norms always has two neighbours of different norms, whatever order the
     sort leaves it in.
+
+    A masked anchor's target is zeroed in a, so the truth's coordinate adds only +-0
+    to a.r, and in the truth's squares, summed once per distinct target column.
     """
-    truth_sqnorm = (pair.truth.values**2).sum(axis=1)  # for every anchor without a mask
+    truth = pair.truth.values
+    squares = truth**2
+    sqnorms = {-1: squares.sum(axis=1)}  # by masked column, -1 for none
     best = 0.0
-    for i in range(pair.n_perturbations):
-        a, rows = anchor_subproblem(pair, i, apply_target_mask)
-        inner = rows @ a
-        sqnorm = truth_sqnorm if rows is pair.truth.values else (rows**2).sum(axis=1)
+    for i, column in enumerate(target_columns(pair, apply_target_mask).tolist()):
+        a = pair.predicted.values[i]
+        if column >= 0:
+            a = a.copy()
+            a[column] = 0.0
+        if column not in sqnorms:
+            kept = squares[:, column].copy()
+            squares[:, column] = 0.0
+            sqnorms[column] = squares.sum(axis=1)
+            squares[:, column] = kept
+        inner, sqnorm = truth @ a, sqnorms[column]
         order = np.argsort(inner)
         gaps = np.diff(inner[order])
         consts = np.diff(sqnorm[order])
@@ -133,7 +145,7 @@ def _limit_mean_pds(pair: EffectPair, spec: DistanceSpec, apply_target_mask: boo
         spec = DistanceSpec(DistanceKind.L2_LIMIT)
     elif kind is DistanceKind.SIGN_COSINE_DISSIM:
         signs = np.sign(pair.predicted.values) * np.nextafter(spec.sign_threshold, np.inf)
-        pair = pair.with_predicted(pair.predicted.with_values(signs))
+        pair = pair.with_predicted(pair.predicted.with_values(_Made(signs)))
     return compute_pds(pair, spec, apply_target_mask).mean_pds
 
 

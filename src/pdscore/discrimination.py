@@ -7,14 +7,13 @@ match, 0 for strictly farthest, about 0.5 for uninformative predictions.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .effects import EffectPair, target_columns
-from .errors import BadIndex, ValidationError, ZeroVector
+from .errors import BadIndex, BadParameter, ValidationError, ZeroVector
 from .metrics import _CACHED, DistanceSpec, Screen, pairwise_to_rows
 
 
@@ -127,6 +126,8 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
     n = pair.n_perturbations
     if n < 2:
         raise ValidationError("need at least two perturbations to rank")
+    if workers < 1:
+        raise BadParameter(f"workers must be at least 1, got {workers!r}")
     P, T, screen = pair.predicted.values, pair.truth.values, Screen(spec, pair.truth.values)
     step = max(1, min(n, _CACHED // pair.n_genes))  # pairs per gathered chunk
 
@@ -180,9 +181,13 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
         return ranked
 
     threads = min(workers, os.cpu_count() or 1)
-    with ThreadPoolExecutor(threads) as pool:  # starts no thread for one worker
-        blocks = np.array_split(np.arange(n), min(n, max(workers, -(-n * n // _CACHED))))
-        return list(zip(blocks, (pool.map if threads > 1 else map)(rank, blocks)))
+    blocks = np.array_split(np.arange(n), min(n, max(workers, -(-n * n // _CACHED))))
+    if threads < 2:  # no pool, so a one-worker run never imports concurrent.futures
+        return list(zip(blocks, map(rank, blocks)))
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        return list(zip(blocks, pool.map(rank, blocks)))
 
 
 def undefined_entry(perturbation_id: str, n: int, error_policy: ErrorPolicy, exc) -> PdsEntry:

@@ -3,6 +3,11 @@
 Effect vectors are dense rows over a shared gene axis, one row per
 perturbation. All containers are immutable after construction and safe to
 share read-only across threads.
+
+A container copies any array a caller hands it, so writing through a kept
+reference cannot change it, and takes without a copy one pdscore has just made
+(a parse buffer, a gather, a transform product, mean effects, synthetic data),
+handed over as _Made(array). Every array along its base chain is read-only.
 """
 
 from dataclasses import dataclass, field
@@ -17,10 +22,23 @@ from .errors import (
 )
 
 
-def _readonly_matrix(values) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+@dataclass(frozen=True)
+class _Made:
+    """An array pdscore has just made and holds no other reference to."""
+
+    array: np.ndarray
+
+
+def _frozen(values, dtype, check=lambda array: array) -> np.ndarray:
+    """values as a read-only dtype array no caller can write through: a _Made array of
+    that dtype as it is (its maker freezes any array it views), anything else copied.
+    check(array) sees the array before any cast, and returns it or raises."""
+    made = isinstance(values, _Made)
+    array = check(values.array if made else values)
+    if not (made and array.dtype == dtype):
+        array = np.array(array, dtype=dtype)
+    array.setflags(write=False)
+    return array
 
 
 def _check_unique(labels: tuple[str, ...], axis_name: str) -> None:
@@ -40,7 +58,7 @@ class EffectMatrix:
     gene_ids: tuple[str, ...]
 
     def __post_init__(self):
-        values = _readonly_matrix(self.values)
+        values = _frozen(self.values, np.float64)
         perturbation_ids = tuple(str(x) for x in self.perturbation_ids)
         gene_ids = tuple(str(x) for x in self.gene_ids)
         if values.ndim != 2:
@@ -142,12 +160,13 @@ def align_pair(predicted: EffectMatrix, truth: EffectMatrix, target_gene_of=None
     """Restrict two effect matrices to their shared labels, in lexicographic order.
 
     Rows and columns are reordered identically on both sides, so the result
-    does not depend on the input file order. Target-gene entries whose
+    does not depend on the input file order. A matrix that already lists the
+    shared labels in that order is returned as it is. Target-gene entries whose
     perturbation or gene falls outside the intersection are dropped (a
     missing entry simply means no mask for that perturbation).
     """
-    shared_perts = sorted(set(predicted.perturbation_ids) & set(truth.perturbation_ids))
-    shared_genes = sorted(set(predicted.gene_ids) & set(truth.gene_ids))
+    shared_perts = tuple(sorted(set(predicted.perturbation_ids) & set(truth.perturbation_ids)))
+    shared_genes = tuple(sorted(set(predicted.gene_ids) & set(truth.gene_ids)))
     if len(shared_perts) < 2:
         raise EmptyIntersection(
             f"only {len(shared_perts)} shared perturbation(s); need at least 2"
@@ -156,11 +175,13 @@ def align_pair(predicted: EffectMatrix, truth: EffectMatrix, target_gene_of=None
         raise EmptyIntersection("no shared genes")
 
     def reindex(m: EffectMatrix) -> EffectMatrix:
+        if m.perturbation_ids == shared_perts and m.gene_ids == shared_genes:
+            return m
         row_of = {label: i for i, label in enumerate(m.perturbation_ids)}
         col_of = {label: j for j, label in enumerate(m.gene_ids)}
         rows = [row_of[x] for x in shared_perts]
         cols = [col_of[g] for g in shared_genes]
-        return EffectMatrix(m.values[np.ix_(rows, cols)], tuple(shared_perts), tuple(shared_genes))
+        return EffectMatrix(_Made(m.values[np.ix_(rows, cols)]), shared_perts, shared_genes)
 
     pert_set = set(shared_perts)
     gene_set = set(shared_genes)

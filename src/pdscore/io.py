@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import ScaleSweepResult
 from .discrimination import PdsEntry, PdsReport
-from .effects import EffectMatrix
+from .effects import EffectMatrix, _Made
 from .errors import DuplicateLabelInFile, ParseError
 from .geometry import CertificateResult
 from .preprocessing import CountMatrix, PipelineComparison, oversized_cells
@@ -136,7 +136,8 @@ def _refuse(_):
 
 def _bulk_table(path, n_label_columns: int, dtype):
     """Parse a matrix CSV as _read_table does, but with numpy's C reader after the
-    header: (gene_ids, labels, values, _refuse).
+    header: (gene_ids, labels, values, _refuse), values a read-only view of the parse
+    buffer's value columns (with no usecols, so numpy still refuses a long row).
 
     numpy unquotes cells as csv does and parses a subset of the spellings that
     float() and int() accept, to the same values. Raises _Refused where the
@@ -159,6 +160,7 @@ def _bulk_table(path, n_label_columns: int, dtype):
         raise _Refused
     gene_ids = [cell.strip() for cell in header[n_label_columns:]]
     _check_unique(gene_ids, _refuse, "gene")
+    values.setflags(write=False)
     return gene_ids, list(zip(*labels)), values[:, n_label_columns:], _refuse
 
 
@@ -186,7 +188,7 @@ def _effect_matrix(gene_ids, labels, data, where) -> EffectMatrix:
         raise _bad_cell(where, 1, bad[0], "not a finite number")
     (ids,) = zip(*labels)
     _check_unique(ids, lambda i: (where(i)[0], 1), "perturbation")
-    return EffectMatrix(values, ids, tuple(gene_ids))
+    return EffectMatrix(_Made(values), ids, tuple(gene_ids))
 
 
 def read_effect_matrix(path) -> EffectMatrix:
@@ -219,7 +221,7 @@ def _count_matrix(gene_ids, labels, data, where) -> CountMatrix:
             raise ParseError(line, 1, f"cell {row[0].strip()!r} has library size {size}")
     cell_ids, conditions = zip(*labels)
     _check_unique(cell_ids, lambda i: (where(i)[0], 1), "cell")
-    return CountMatrix(counts, conditions, tuple(gene_ids), cell_ids)
+    return CountMatrix(_Made(counts), conditions, tuple(gene_ids), cell_ids)
 
 
 def read_count_matrix(path) -> CountMatrix:

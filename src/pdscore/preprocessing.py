@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .effects import EffectMatrix, _check_unique
+from .effects import EffectMatrix, _check_unique, _frozen, _Made
 from .errors import BadParameter, MissingControl, ValidationError, ZeroLibrarySize, ZeroVector
 from .metrics import cosine, sign_cosine
 
@@ -46,6 +46,21 @@ def oversized_cells(counts: np.ndarray) -> list:
     return [r for r in rows if sum(counts[r].tolist()) > 2**63 - 1]
 
 
+def _integer_counts(counts) -> np.ndarray:
+    """counts as a 2-d array of integer values from 0 to 2**63 - 1, or ValidationError."""
+    counts = np.asarray(counts)
+    if counts.ndim != 2:
+        raise ValidationError("counts must be a 2-d matrix")
+    # checked before any cast, which would wrap or overflow a count from 2**63 up
+    if np.any(counts < 0) or np.any(counts >= 2**63):
+        raise ValidationError("counts must be from 0 to 2**63 - 1")
+    if not np.issubdtype(counts.dtype, np.integer):
+        counts = np.asarray(counts, dtype=np.float64)
+        if not np.isfinite(counts).all() or np.any(counts != np.floor(counts)):
+            raise ValidationError("counts must be integers")
+    return counts
+
+
 @dataclass(frozen=True)
 class CountMatrix:
     """Nonnegative integer cell x gene counts with per-cell condition labels."""
@@ -56,18 +71,7 @@ class CountMatrix:
     cell_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.ndim != 2:
-            raise ValidationError("counts must be a 2-d matrix")
-        # checked before any cast, which would wrap or overflow a count from 2**63 up
-        if np.any(counts < 0) or np.any(counts >= 2**63):
-            raise ValidationError("counts must be from 0 to 2**63 - 1")
-        if not np.issubdtype(counts.dtype, np.integer):
-            counts = np.asarray(counts, dtype=np.float64)
-            if not np.isfinite(counts).all() or np.any(counts != np.floor(counts)):
-                raise ValidationError("counts must be integers")
-        counts = counts.astype(np.int64)
-        counts.setflags(write=False)
+        counts = _frozen(self.counts, np.int64, _integer_counts)
         n_cells, n_genes = counts.shape
         condition = tuple(str(x) for x in self.cell_condition)
         genes = tuple(str(g) for g in self.gene_ids)
@@ -142,16 +146,15 @@ def normalize(counts: CountMatrix, spec: PipelineSpec) -> np.ndarray:
         median divides each cell by its size factor, library size over the
         median library size, then applies log1p; median-nolog skips the log1p.
     """
-    raw = counts.counts.astype(np.float64)
+    raw = counts.counts.astype(np.float64)  # the one float copy, scaled and logged in place
     libsizes = raw.sum(axis=1)
     if spec is PipelineSpec.PER10K:
-        scaled = raw * (10000.0 / libsizes)[:, None]
-        return np.log1p(scaled)
-    factors = libsizes / np.median(libsizes)
-    scaled = raw / factors[:, None]
+        raw *= (10000.0 / libsizes)[:, None]
+        return np.log1p(raw, out=raw)
+    raw /= (libsizes / np.median(libsizes))[:, None]  # each cell's size factor
     if spec is PipelineSpec.MEDIAN_NOLOG:
-        return scaled
-    return np.log1p(scaled)
+        return raw
+    return np.log1p(raw, out=raw)
 
 
 def mean_effects(normalized: np.ndarray, cell_condition, gene_ids) -> EffectMatrix:
@@ -172,8 +175,10 @@ def mean_effects(normalized: np.ndarray, cell_condition, gene_ids) -> EffectMatr
     if not perts:
         raise ValidationError(f"no perturbation cells found: all cells are {CONTROL_LABEL!r}")
     control_mean = normalized[control].mean(axis=0)
-    rows = [normalized[condition == pert].mean(axis=0) - control_mean for pert in perts]
-    return EffectMatrix(np.vstack(rows), tuple(perts), tuple(gene_ids))
+    effects = np.empty((len(perts), normalized.shape[1]))
+    for row, pert in zip(effects, perts):
+        row[:] = normalized[condition == pert].mean(axis=0) - control_mean
+    return EffectMatrix(_Made(effects), tuple(perts), tuple(gene_ids))
 
 
 def _where_defined(measure, a, b, *args) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import EffectMatrix, EffectPair
+from .effects import EffectMatrix, EffectPair, _Made
 from .errors import BadParameter, BadSpec
 from .preprocessing import CONTROL_LABEL, CountMatrix
 
@@ -81,8 +81,8 @@ def generate(spec: SynthSpec) -> EffectPair:
     pert_ids = tuple(f"P{i:0{width}d}" for i in range(n))
     gene_ids = tuple(f"G{j:0{max(4, len(str(p - 1)))}d}" for j in range(p))
     return EffectPair(
-        EffectMatrix(predicted, pert_ids, gene_ids),
-        EffectMatrix(truth, pert_ids, gene_ids),
+        EffectMatrix(_Made(predicted), pert_ids, gene_ids),
+        EffectMatrix(_Made(truth), pert_ids, gene_ids),
     )
 
 
@@ -162,4 +162,4 @@ def generate_counts(spec: CountSynthSpec) -> CountMatrix:
                 break
         else:
             raise BadSpec(f"a {condition!r} cell was empty in all {_DRAWS_PER_CELL} draws")
-    return CountMatrix(counts, tuple(labels), tuple(f"G{j:04d}" for j in range(spec.n_genes)))
+    return CountMatrix(_Made(counts), tuple(labels), tuple(f"G{j:04d}" for j in range(spec.n_genes)))

@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .effects import EffectMatrix, EffectPair
+from .effects import EffectMatrix, EffectPair, _Made
 from .errors import BadParameter, NonpositiveScale, ValidationError, ZeroPredictionNorm
 from .metrics import sign_vector
 
@@ -69,7 +69,7 @@ def global_scale(predicted: EffectMatrix, c: float) -> EffectMatrix:
     if not np.isfinite(c) or c <= 0.0:
         raise NonpositiveScale(f"scale factor must be positive and finite, got {c!r}")
     check_scale(np.abs(predicted.values).max(axis=1), float(c), predicted.perturbation_ids)
-    return predicted.with_values(predicted.values * float(c))
+    return predicted.with_values(_Made(predicted.values * float(c)))
 
 
 def check_scale(peaks, c: float, perturbation_ids) -> None:
@@ -101,13 +101,13 @@ def _norm_matched(predicted: EffectMatrix, truth: EffectMatrix, p_norm: int) -> 
     if zero.size:
         pid = predicted.perturbation_ids[int(zero[0])]
         raise ZeroPredictionNorm(f"predicted row {pid!r} has zero l{p_norm} norm")
-    return predicted.with_values(predicted.values * (true_norms / pred_norms)[:, None])
+    return predicted.with_values(_Made(predicted.values * (true_norms / pred_norms)[:, None]))
 
 
 def sign_project(predicted: EffectMatrix, threshold: float = 0.0) -> EffectMatrix:
     """Replace each row by its sign vector (values in {-1, 0, 1})."""
     out = np.vstack([sign_vector(row, threshold) for row in predicted.values])
-    return predicted.with_values(out)
+    return predicted.with_values(_Made(out))
 
 
 def apply_chain(pair: EffectPair, chain) -> EffectPair:

@@ -72,6 +72,30 @@ def threshold_l1_per_anchor(pair, apply_target_mask=False):
     return best
 
 
+def threshold_l2_per_anchor(pair, apply_target_mask=False):
+    """convergence_threshold_l2's neighbour scan on each anchor's own subproblem: the
+    masked truth copied and squared again per anchor, inner products a . r with both
+    target coordinates zeroed."""
+    best = 0.0
+    for i in range(pair.n_perturbations):
+        a, rows = anchor_subproblem(pair, i, apply_target_mask)
+        inner, sqnorm = rows @ a, (rows**2).sum(axis=1)
+        order = np.argsort(inner)
+        gaps, consts = np.diff(inner[order]), np.diff(sqnorm[order])
+        degenerate = np.flatnonzero((gaps == 0.0) & (consts != 0.0))
+        if degenerate.size:
+            r, s = order[degenerate[0]], order[degenerate[0] + 1]
+            raise DegeneratePair(
+                f"anchor {pair.perturbation_ids[i]!r}: candidates "
+                f"{pair.perturbation_ids[r]!r} and {pair.perturbation_ids[s]!r} tie in the "
+                "limit but differ in norm; no finite threshold"
+            )
+        nz = gaps != 0.0
+        if nz.any():
+            best = max(best, float((np.abs(consts[nz]) / (2.0 * gaps[nz])).max()))
+    return best
+
+
 def threshold_l2_all_pairs(pair, apply_target_mask=False):
     """convergence_threshold_l2 over every candidate pair: the max over anchors and
     pairs (r, s) with a.r != a.s of |(|r|^2 - |s|^2)| / (2 |a.r - a.s|), from N x N

@@ -21,7 +21,13 @@ from pdscore import (
     sign_vector,
 )
 
-from helpers import pair_from, random_pair, threshold_l1_per_anchor, threshold_l2_all_pairs
+from helpers import (
+    pair_from,
+    random_pair,
+    threshold_l1_per_anchor,
+    threshold_l2_all_pairs,
+    threshold_l2_per_anchor,
+)
 
 
 def truths(rows, genes=None):
@@ -143,6 +149,45 @@ class TestConvergenceThresholdL2:
                 continue
             got = convergence_threshold_l2(pair, masked)
             assert got <= want <= got * (1.0 + 8.0 * 2.0**-53), masked
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 30),
+        st.integers(2, 12),
+        st.integers(-100, 100),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example(0, 4, 3, 0, True, True)
+    def test_masked_threshold_equals_per_anchor_subproblems(
+        self, seed, n, p, exponent, integer_rows, duplicate_rows
+    ):
+        # Integer rows and repeated truths give tied inner products, with equal norms
+        # (a consistent tie) or different ones (DegeneratePair); few genes make
+        # anchors share a target column.
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            if integer_rows:
+                x = rng.integers(-2, 3, (n, p)).astype(np.float64)
+            else:
+                x = rng.standard_normal((n, p))
+            x[rng.random((n, p)) < 0.3] = 0.0
+            return x * 10.0**exponent
+
+        pred, truth = draw(), draw()
+        if duplicate_rows:
+            truth[rng.integers(n, size=n // 2 + 1)] = truth[rng.integers(n, size=n // 2 + 1)]
+        targets = {f"P{i:04d}": f"G{int(rng.integers(p)):04d}" for i in range(n) if i % 4}
+        pair = pair_from(pred, truth, targets)
+        try:
+            want = threshold_l2_per_anchor(pair, True)
+        except DegeneratePair as exc:
+            with pytest.raises(DegeneratePair, match=f"^{re.escape(str(exc))}$"):
+                convergence_threshold_l2(pair, True)
+            return
+        assert convergence_threshold_l2(pair, True) == want
 
     def test_ranking_exact_beyond_threshold(self):
         rng = np.random.default_rng(31)

@@ -472,3 +472,18 @@ class TestSynthCommands:
             timeout=60,
         )
         assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
+
+
+def test_import_loads_no_thread_pool_or_logging():
+    """One-worker runs need neither, so importing pdscore loads neither."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; import pdscore, pdscore.cli, pdscore.io; "
+        "print(*sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

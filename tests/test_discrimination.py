@@ -6,6 +6,7 @@ from scipy.stats import rankdata
 
 from pdscore import (
     BadIndex,
+    BadParameter,
     DistanceKind,
     DistanceSpec,
     ErrorPolicy,
@@ -215,12 +216,18 @@ class TestComputePds:
             parallel = compute_pds(pair, spec, workers=4)
             assert serial == parallel
 
+    def test_workers_below_one_rejected(self):
+        pair = random_pair(np.random.default_rng(35), n=4, p=3)
+        for workers in (0, -2):
+            with pytest.raises(BadParameter, match="workers must be at least 1"):
+                compute_pds(pair, DistanceSpec(DistanceKind.L2), workers=workers)
+
     def test_thread_pool_has_at_most_one_thread_per_cpu(self, monkeypatch):
-        """A recording pool whose map is the builtin map, so no thread starts."""
+        """A recording pool whose map is the builtin map, so no thread starts. On one CPU
+        no pool is made at all."""
+        import concurrent.futures
         import os
         import threading
-
-        from pdscore import discrimination
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -236,10 +243,10 @@ class TestComputePds:
         pair = random_pair(np.random.default_rng(34), n=12, p=20)
         serial = [compute_pds(pair, DistanceSpec(kind), workers=1) for kind in DistanceKind]
         sizes, threads = [], threading.active_count()
-        monkeypatch.setattr(discrimination, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         wide = [compute_pds(pair, DistanceSpec(kind), workers=10**6) for kind in DistanceKind]
         assert threading.active_count() == threads
-        assert len(sizes) == len(DistanceKind)
+        assert len(sizes) == (len(DistanceKind) if (os.cpu_count() or 1) > 1 else 0)
         assert all(1 <= size <= (os.cpu_count() or 1) for size in sizes), sizes
         assert wide == serial
 

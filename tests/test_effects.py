@@ -1,18 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdscore import (
+    CountMatrix,
+    CountSynthSpec,
     DuplicateLabel,
     EffectMatrix,
     EffectPair,
     EmptyIntersection,
     UnknownPerturbation,
     ValidationError,
+    SynthSpec,
     align_pair,
     anchor_subproblem,
+    apply_chain,
+    generate,
+    generate_counts,
+    mean_effects,
+    normalize,
+    parse_chain,
+    pipeline_from_token,
 )
+from pdscore import io as pio
 
-from helpers import pair_from
+from helpers import labels, pair_from
 
 
 def matrix(values, perts, genes):
@@ -51,6 +64,87 @@ class TestEffectMatrix:
         m = matrix([[1.0]], ("A",), ("g1",))
         with pytest.raises(UnknownPerturbation):
             m.perturbation_index("Z")
+
+
+def handed_over(values, how):
+    """(the array a caller hands a container, the writes the caller can still make).
+
+    write(delta) adds delta to the caller's values through a reference it holds:
+    the array itself, the writable base under a read-only view, or its own array
+    that it froze before handing it over and thaws afterwards."""
+    base = np.array(values)
+
+    def through(array):
+        def write(delta):
+            array.setflags(write=True)
+            array[...] += delta
+
+        return write
+
+    if how == "own":
+        return base, through(base)
+    if how == "frozen":
+        base.setflags(write=False)
+        return base, through(base)
+    view = base[:, ::2] if how == "strided view" else base.view()
+    view.setflags(write=False)
+    return view, through(base)
+
+
+def frozen_chain(array) -> bool:
+    """Whether array and every array along its base chain is read-only."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return True
+
+
+class TestOwnership:
+    HOW = st.sampled_from(["own", "frozen", "read-only view", "strided view"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), HOW, st.integers(0, 2**32 - 1))
+    def test_caller_writes_never_reach_a_container(self, n, p, how, seed):
+        rng = np.random.default_rng(seed)
+        values, write = handed_over(rng.standard_normal((n, p)), how)
+        perts, genes = labels("P", n), labels("G", values.shape[1])
+        built = EffectMatrix(values, perts, genes)
+        rebuilt = built.with_values(values)
+        expected = np.array(values)
+        write(1.0)
+        assert np.array_equal(built.values, expected) and np.array_equal(rebuilt.values, expected)
+
+        counts, write = handed_over(rng.integers(1, 6, (n + 1, p)), how)
+        conditions = ("control", *perts)
+        built = CountMatrix(counts, conditions, labels("G", counts.shape[1]))
+        expected = np.array(counts)
+        write(1)
+        assert np.array_equal(built.counts, expected)
+
+    def test_outputs_are_read_only_along_their_base_chain(self, tmp_path):
+        pair = generate(SynthSpec(6, 5, 0.5, seed=1))
+        counts = generate_counts(CountSynthSpec(2, 3, 4, seed=1))
+        arrays = [pair.predicted.values, pair.truth.values, counts.counts]
+        pio.write_effect_matrix(pair.predicted, tmp_path / "pred.csv")
+        pio.write_count_matrix(counts, tmp_path / "counts.csv")
+        # a 1_0 cell, which numpy refuses, sends each reader down its positional path
+        (tmp_path / "slow.csv").write_text("perturbation,g1,g2\nB,1_0,2\nA,3,4\n")
+        (tmp_path / "slow_counts.csv").write_text("cell,condition,g1\nc1,control,1_0\nc2,B,3\n")
+        read = pio.read_effect_matrix(tmp_path / "pred.csv")
+        slow = pio.read_effect_matrix(tmp_path / "slow.csv")
+        read_counts = pio.read_count_matrix(tmp_path / "counts.csv")
+        slow_counts = pio.read_count_matrix(tmp_path / "slow_counts.csv")
+        arrays += [read.values, slow.values, read_counts.counts, slow_counts.counts]
+        for truth in (read, pair.truth):  # the same labels, then a reordering gather
+            aligned = align_pair(read, truth)
+            arrays += [aligned.predicted.values, aligned.truth.values]
+        arrays += [align_pair(slow, slow).predicted.values]
+        for chain in ("scale:2", "norm-match:l1", "norm-match:l2", "sign:0.1"):
+            arrays.append(apply_chain(pair, parse_chain(chain)).predicted.values)
+        per10k = normalize(read_counts, pipeline_from_token("per10k"))
+        arrays.append(mean_effects(per10k, read_counts.cell_condition, read_counts.gene_ids).values)
+        assert all(frozen_chain(array) for array in arrays)
 
 
 class TestAlignPair:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -25,7 +26,10 @@ from pdscore import (
     generate_counts,
     CountSynthSpec,
     PipelineComparison,
+    align_pair,
     compare_pipelines,
+    mean_effects,
+    normalize,
     orthogonal_ray_certificate,
     pipeline_from_token,
     scale_sweep,
@@ -498,3 +502,46 @@ class TestReports:
         with pytest.raises(TypeError):
             pio.write_json({"x": object()}, path)
         assert not path.exists()
+
+
+class TestReadMemory:
+    """Peak traced memory of read paths, as a multiple of the matrix they read: the
+    parse buffer is handed on, not copied at each step."""
+
+    @staticmethod
+    def peak_of(run):
+        tracemalloc.start()
+        try:
+            kept = run()
+            return tracemalloc.get_traced_memory()[1], kept
+        finally:
+            tracemalloc.stop()
+
+    def test_counts_to_mean_effects_under_2_6_counts(self, tmp_path):
+        counts = generate_counts(CountSynthSpec(24, 20, 1000, seed=3))
+        pio.write_count_matrix(counts, tmp_path / "counts.csv")
+        size = counts.counts.nbytes
+        del counts
+
+        def run():
+            read = pio.read_count_matrix(tmp_path / "counts.csv")
+            per10k = normalize(read, pipeline_from_token("per10k"))
+            return mean_effects(per10k, read.cell_condition, read.gene_ids)
+
+        peak, _ = self.peak_of(run)
+        assert peak < 2.6 * size
+
+    def test_two_reads_and_alignment_under_2_8_matrices(self, tmp_path):
+        pair = generate(SynthSpec(120, 2000, 0.5, seed=2))
+        pio.write_effect_matrix(pair.predicted, tmp_path / "pred.csv")
+        pio.write_effect_matrix(pair.truth, tmp_path / "truth.csv")
+        size = pair.truth.values.nbytes
+        del pair
+
+        def run():
+            read = pio.read_effect_matrix
+            return align_pair(read(tmp_path / "pred.csv"), read(tmp_path / "truth.csv"))
+
+        peak, aligned = self.peak_of(run)
+        assert aligned.n_perturbations == 120
+        assert peak < 2.8 * size
