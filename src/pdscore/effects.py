@@ -41,12 +41,11 @@ def _frozen(values, dtype, check=lambda array: array) -> np.ndarray:
     return array
 
 
-def _check_unique(labels: tuple[str, ...], axis_name: str) -> None:
-    seen = set()
-    for label in labels:
-        if label in seen:
-            raise DuplicateLabel(f"duplicate {axis_name} label {label!r}")
-        seen.add(label)
+def _check_unique(labels, axis_name: str, axis: int) -> None:
+    first = {}
+    for i, label in enumerate(labels):
+        if first.setdefault(label, i) != i:
+            raise DuplicateLabel(f"duplicate {axis_name} label {label!r}", at=(axis, first[label], i))
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,11 @@ class EffectMatrix:
             raise ValidationError(f"{len(perturbation_ids)} perturbation ids for {n} rows")
         if len(gene_ids) != p:
             raise ValidationError(f"{len(gene_ids)} gene ids for {p} columns")
-        _check_unique(perturbation_ids, "perturbation")
-        _check_unique(gene_ids, "gene")
-        if not np.isfinite(values).all():
-            raise ValidationError("effect values must all be finite")
+        _check_unique(gene_ids, "gene", 1)
+        first = int(np.isfinite(values).argmin())  # the first value that is not finite, if any
+        if not np.isfinite(values.flat[first]):
+            raise ValidationError("effect values must all be finite", at=divmod(first, p))
+        _check_unique(perturbation_ids, "perturbation", 0)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "perturbation_ids", perturbation_ids)
         object.__setattr__(self, "gene_ids", gene_ids)

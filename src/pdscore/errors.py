@@ -6,7 +6,13 @@ class PdsError(Exception):
 
 
 class ValidationError(PdsError, ValueError):
-    """Input violates a documented precondition or invariant."""
+    """Input violates a documented precondition or invariant. `at` is where a container found
+    a matrix's first fault, for io: (row, column) of a value, (row,) of a library, or (axis,
+    first, repeat) of a label repeated along axis 0 (row ids) or 1 (gene ids); else None."""
+
+    def __init__(self, *args, at=None):
+        super().__init__(*args)
+        self.at = at
 
 
 class DimensionMismatch(ValidationError):

@@ -9,17 +9,21 @@ significant digits so a round trip reproduces every value exactly.
 Matrix CSVs are parsed in bulk first: csv reads the header and numpy's C
 reader the rest. Where numpy refuses a cell or a row (a spelling such as
 "1_0", a non-ASCII digit or a blank cell, a short or long row, a row of blank
-cells, no data rows) or the table fails a check (a non-finite value, a count
-out of range, an empty or oversized library, a duplicate id), the file is
+cells, no data rows) or the container refuses the table (a non-finite value, a
+count out of range, an empty or oversized library, a duplicate id), the file is
 parsed again cell by cell with float() or int(), and that positional reader
-raises the error with its line and column. Matrix writers quote only the
-label cells through csv and write each row's values with one %-format.
+raises the error with its line and column. The rules of a valid matrix live in
+EffectMatrix and CountMatrix alone: the reader builds the container and places
+the first fault it finds (ValidationError.at) at the line where its row starts
+and its column. Matrix writers quote only the label cells through csv and
+write each row's values with one %-format.
 """
 
 import csv
 import hashlib
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,10 +33,10 @@ import numpy as np
 from . import __version__
 from .asymptotics import ScaleSweepResult
 from .discrimination import PdsEntry, PdsReport
-from .effects import EffectMatrix, _Made
-from .errors import DuplicateLabelInFile, ParseError
+from .effects import EffectMatrix, _check_unique, _Made
+from .errors import DuplicateLabelInFile, ParseError, ValidationError
 from .geometry import CertificateResult
-from .preprocessing import CountMatrix, PipelineComparison, oversized_cells
+from .preprocessing import CountMatrix, PipelineComparison
 from .transforms import chain_tokens
 
 
@@ -49,15 +53,17 @@ def sha256_file(path) -> str:
 
 
 def _rows_of(path) -> list:
-    """(1-based line number, cells) of every row of a CSV file that is not blank."""
-    rows, line = [], 0
+    """(1-based line where it starts, cells) of every row of a CSV file that is not blank."""
+    rows, line = [], 1
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            for line, row in enumerate(csv.reader(fh), start=1):
+            for row in reader:
                 if not _blank(row):
                     rows.append((line, row))
+                line = reader.line_num + 1  # a quoted cell may span lines
         except csv.Error as exc:  # such as a cell past csv's field size limit
-            raise ParseError(line + 1, 1, str(exc)) from None
+            raise ParseError(line, 1, str(exc)) from None
     return rows
 
 
@@ -74,33 +80,52 @@ def _write_csv(path, header, rows) -> Path:
     return path
 
 
-def _bad_cell(where, n_label_columns: int, at, reason: str) -> ParseError:
-    """ParseError for value c of data row r, where (r, c) = at, quoting the cell."""
-    r, c = map(int, at)
-    line, row = where(r)
-    column = n_label_columns + c
-    return ParseError(line, column + 1, f"{reason}: {row[column].strip()!r}")
+@contextmanager
+def _placing(where, n_label_columns: int, reason: str = ""):
+    """Raise a container's fault at the line and column of its index (ValidationError.at),
+    where(r) the (line, cells) of data row r and where(-1) the header's; value: "reason: 'cell'"."""
+    try:
+        yield
+    except ValidationError as fault:
+        repeated = str(fault).replace(" label ", " id ", 1)  # "duplicate gene id 'g1'"
+        match fault.at:
+            case (0, first, repeat):  # a repeated row id
+                message = f"{repeated}, first on line {where(first)[0]}"
+                raise DuplicateLabelInFile(where(repeat)[0], 1, message) from None
+            case (1, first, repeat):  # a repeated gene id
+                column = n_label_columns + 1  # the first gene's
+                message = f"{repeated}, first in column {column + first}"
+                raise DuplicateLabelInFile(where(-1)[0], column + repeat, message) from None
+            case (r,):  # a library, which the container names by its row and the file by its id
+                (line, row), size = where(r), str(fault).partition(" has ")[2]
+                raise ParseError(line, 1, f"cell {row[0].strip()!r} has {size}") from None
+            case (r, c):  # a value
+                (line, row), column = where(r), n_label_columns + c
+                raise ParseError(line, column + 1, f"{reason}: {row[column].strip()!r}") from None
+        raise
 
 
 def _read_table(path, n_label_columns: int, parse, what: str, label_text: str):
     """Parse a header of gene ids after the label columns, then rows of labels and values.
 
-    Returns (gene_ids, labels, data, where): each data row's stripped label
-    cells, its parsed values, and where(r), the (line, cells) of data row r.
+    Returns (gene_ids, labels, data, where): each data row's stripped label cells, its
+    parsed values, and where(r), the (line, cells) of data row r, or of the header at -1.
     """
     rows = _rows_of(path)
     if not rows:
         raise ParseError(1, 1, "empty file")
-    header_line, header = rows.pop(0)
+    header_line, header = rows[0]
     if len(header) <= n_label_columns:
         raise ParseError(header_line, 1, f"expected gene columns after {label_text}")
     gene_ids = [cell.strip() for cell in header[n_label_columns:]]
-    _check_unique(gene_ids, lambda j: (header_line, n_label_columns + j + 1), "gene")
-    if not rows:
+    where = lambda r: rows[r + 1]  # rows[0] is the header, where(-1)
+    with _placing(where, n_label_columns):  # before any row is parsed
+        _check_unique(gene_ids, "gene", 1)
+    if len(rows) == 1:
         raise ParseError(header_line, 1, "no data rows")
     labels = []
     data = []
-    for line, row in rows:
+    for line, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(line, 1, f"expected {len(header)} fields, found {len(row)}")
         labels.append([cell.strip() for cell in row[:n_label_columns]])
@@ -111,22 +136,11 @@ def _read_table(path, n_label_columns: int, parse, what: str, label_text: str):
             except ValueError:
                 raise ParseError(line, column, f"not {what}: {cell.strip()!r}") from None
         data.append(values)
-    return gene_ids, labels, data, rows.__getitem__
-
-
-def _check_unique(labels, cell_of, what: str) -> None:
-    """Raise at cell_of(i), the (line, column) of the first label i seen before, naming where."""
-    first = {}
-    for i, label in enumerate(labels):
-        j = first.setdefault(label, i)
-        if j != i:
-            (line, column), cell = cell_of(j), cell_of(i)
-            where = f"on line {line}" if column == cell[1] else f"in column {column}"
-            raise DuplicateLabelInFile(*cell, f"duplicate {what} id {label!r}, first {where}")
+    return gene_ids, labels, data, where
 
 
 class _Refused(Exception):
-    """A bulk-parsed table may differ from the positional reader's, or fails a check
+    """A bulk-parsed table may differ from the positional reader's, or holds a fault
     that only the positional reader can place at a line and column."""
 
 
@@ -159,7 +173,6 @@ def _bulk_table(path, n_label_columns: int, dtype):
     if _blank(header) or len(header) <= n_label_columns or values.shape[1] != len(header):
         raise _Refused
     gene_ids = [cell.strip() for cell in header[n_label_columns:]]
-    _check_unique(gene_ids, _refuse, "gene")
     values.setflags(write=False)
     return gene_ids, list(zip(*labels)), values[:, n_label_columns:], _refuse
 
@@ -182,13 +195,9 @@ def _write_matrix(path, label_columns, labels, gene_ids, values) -> Path:
 
 
 def _effect_matrix(gene_ids, labels, data, where) -> EffectMatrix:
-    values = np.asarray(data, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        raise _bad_cell(where, 1, bad[0], "not a finite number")
     (ids,) = zip(*labels)
-    _check_unique(ids, lambda i: (where(i)[0], 1), "perturbation")
-    return EffectMatrix(_Made(values), ids, tuple(gene_ids))
+    with _placing(where, 1, "not a finite number"):
+        return EffectMatrix(_Made(np.asarray(data, dtype=np.float64)), ids, tuple(gene_ids))
 
 
 def read_effect_matrix(path) -> EffectMatrix:
@@ -207,21 +216,11 @@ def write_effect_matrix(matrix: EffectMatrix, path) -> Path:
 def _count_matrix(gene_ids, labels, data, where) -> CountMatrix:
     try:
         counts = np.asarray(data, dtype=np.int64)
-    except OverflowError:  # a cell beyond 64 bits: compare the exact integers instead
-        exact = np.array(data, dtype=object)
-        bad = np.argwhere((exact < 0) | (exact >= 2**63))
-    else:
-        bad = np.argwhere(counts < 0)
-    if bad.size:
-        raise _bad_cell(where, 2, bad[0], "count out of range 0 to 2**63 - 1")
-    empty = np.flatnonzero(counts.sum(axis=1) == 0)  # wrapped sums are caught first
-    for cells, size in ((oversized_cells(counts), "exceeding 2**63 - 1"), (empty, "0")):
-        if len(cells):
-            line, row = where(cells[0])
-            raise ParseError(line, 1, f"cell {row[0].strip()!r} has library size {size}")
+    except OverflowError:  # a cell beyond 64 bits: the container compares the exact integers
+        counts = np.array(data, dtype=object)
     cell_ids, conditions = zip(*labels)
-    _check_unique(cell_ids, lambda i: (where(i)[0], 1), "cell")
-    return CountMatrix(_Made(counts), conditions, tuple(gene_ids), cell_ids)
+    with _placing(where, 2, "count out of range 0 to 2**63 - 1"):
+        return CountMatrix(_Made(counts), conditions, tuple(gene_ids), cell_ids)
 
 
 def read_count_matrix(path) -> CountMatrix:

@@ -39,21 +39,17 @@ def pipeline_from_token(token: str) -> PipelineSpec:
         raise BadParameter(f"unknown pipeline {token!r}; choose from: {choices}") from None
 
 
-def oversized_cells(counts: np.ndarray) -> list:
-    """Rows of nonnegative int64 counts whose exact sum exceeds 2**63 - 1. A float64
-    row sum errs by far less than half, so only rows from 2**62 need the exact sum."""
-    rows = np.flatnonzero(counts.sum(axis=1, dtype=np.float64) >= 2.0**62).tolist()
-    return [r for r in rows if sum(counts[r].tolist()) > 2**63 - 1]
-
-
 def _integer_counts(counts) -> np.ndarray:
     """counts as a 2-d array of integer values from 0 to 2**63 - 1, or ValidationError."""
     counts = np.asarray(counts)
     if counts.ndim != 2:
         raise ValidationError("counts must be a 2-d matrix")
     # checked before any cast, which would wrap or overflow a count from 2**63 up
-    if np.any(counts < 0) or np.any(counts >= 2**63):
-        raise ValidationError("counts must be from 0 to 2**63 - 1")
+    bad = counts < 0
+    bad |= counts >= 2**63
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0].tolist())
+        raise ValidationError("counts must be from 0 to 2**63 - 1", at=at)
     if not np.issubdtype(counts.dtype, np.integer):
         counts = np.asarray(counts, dtype=np.float64)
         if not np.isfinite(counts).all() or np.any(counts != np.floor(counts)):
@@ -71,24 +67,24 @@ class CountMatrix:
     cell_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        genes = tuple(str(g) for g in self.gene_ids)
+        _check_unique(genes, "gene", 1)
         counts = _frozen(self.counts, np.int64, _integer_counts)
         n_cells, n_genes = counts.shape
         condition = tuple(str(x) for x in self.cell_condition)
-        genes = tuple(str(g) for g in self.gene_ids)
         if len(condition) != n_cells:
             raise ValidationError(f"{len(condition)} condition labels for {n_cells} cells")
         if len(genes) != n_genes:
             raise ValidationError(f"{len(genes)} gene ids for {n_genes} columns")
-        _check_unique(genes, "gene")
-        oversized = oversized_cells(counts)
-        if oversized:
-            raise ValidationError(f"cell {oversized[0]} has library size exceeding 2**63 - 1")
-        libsizes = counts.sum(axis=1)
-        zero = np.flatnonzero(libsizes < 1)
-        if zero.size:
-            raise ZeroLibrarySize(f"cell {int(zero[0])} has library size 0")
-        if CONTROL_LABEL not in condition:
-            raise MissingControl(f"no cell labeled {CONTROL_LABEL!r}")
+        # A float64 sum of nonnegative counts is 0 only for an empty library, and errs by
+        # far less than half, so only rows from 2**62 need the exact sum.
+        sums = counts.sum(axis=1, dtype=np.float64)
+        for r in np.flatnonzero(sums >= 2.0**62).tolist():
+            if sum(counts[r].tolist()) > 2**63 - 1:
+                raise ValidationError(f"cell {r} has library size exceeding 2**63 - 1", at=(r,))
+        zero = np.flatnonzero(sums == 0).tolist()
+        if zero:
+            raise ZeroLibrarySize(f"cell {zero[0]} has library size 0", at=(zero[0],))
         cell_ids = self.cell_ids
         if cell_ids is None:
             cell_ids = tuple(f"cell{i:05d}" for i in range(n_cells))
@@ -96,7 +92,9 @@ class CountMatrix:
             cell_ids = tuple(str(c) for c in cell_ids)
             if len(cell_ids) != n_cells:
                 raise ValidationError(f"{len(cell_ids)} cell ids for {n_cells} cells")
-            _check_unique(cell_ids, "cell")
+            _check_unique(cell_ids, "cell", 0)
+        if CONTROL_LABEL not in condition:
+            raise MissingControl(f"no cell labeled {CONTROL_LABEL!r}")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "cell_condition", condition)
         object.__setattr__(self, "gene_ids", genes)

@@ -18,6 +18,7 @@ from pdscore import (
     DistanceSpec,
     DuplicateLabel,
     EffectMatrix,
+    MissingControl,
     ParseError,
     PdsError,
     SynthSpec,
@@ -35,6 +36,7 @@ from pdscore import (
     scale_sweep,
 )
 from pdscore import io as pio
+from pdscore.errors import DuplicateLabelInFile
 
 from helpers import random_pair
 
@@ -338,6 +340,75 @@ class TestBulkReader:
         refuse = AssertionError("the positional reader was called")
         with mock.patch.object(pio, "_read_table", side_effect=refuse):
             assert [outcome(read, path) for read, path in files] == expected
+
+
+BIG = 2**63 - 1
+
+
+class TestErrorPlacement:
+    """A file with a fault fails with the first fault at its line and column."""
+
+    @pytest.mark.parametrize("read, text, error, line, column, reason", [
+        # A repeated gene id comes before a bad cell in a later row.
+        ("effect", "perturbation,g1,g1\nA,1,oops\nB,2,3\n", DuplicateLabelInFile, 1, 3,
+         "duplicate gene id 'g1', first in column 2"),
+        ("effect", "perturbation,g1\nA,1\nA,nan\n", ParseError, 3, 2,
+         "not a finite number: 'nan'"),
+        ("count", "cell,condition,g1,g1\nc0,control,1,-1\n", DuplicateLabelInFile, 1, 4,
+         "duplicate gene id 'g1', first in column 3"),
+        # a repeated cell id comes before the missing control cell
+        ("count", "cell,condition,g1\nc0,A,1\nc0,A,2\n", DuplicateLabelInFile, 3, 1,
+         "duplicate cell id 'c0', first on line 2"),
+        # an oversized library comes before an empty one on an earlier line
+        ("count", f"cell,condition,g1,g2\nc0,control,1,1\nc1,A,0,0\nc2,A,{BIG},1\n", ParseError,
+         4, 1, "cell 'c2' has library size exceeding 2**63 - 1"),
+        ("count", "cell,condition,g1,g2\nc0,control,0,0\nc1,A,1,-1\n", ParseError, 3, 4,
+         "count out of range 0 to 2**63 - 1: '-1'"),
+        # exact integers: 2**63 - 1 must not round up to 2**63 and take the fault's place
+        ("count", f"cell,condition,g1,g2,g3\nc0,control,{BIG},-1,{BIG + 1}\n", ParseError, 2, 4,
+         "count out of range 0 to 2**63 - 1: '-1'"),
+    ])
+    def test_first_fault_of_two(self, tmp_path, read, text, error, line, column, reason):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(PdsError) as info:
+            getattr(pio, f"read_{read}_matrix")(path)
+        assert type(info.value) is error
+        assert (info.value.line, info.value.column, info.value.reason) == (line, column, reason)
+        assert str(info.value) == f"line {line}, column {column}: {reason}"
+
+    @pytest.mark.parametrize("read, text, reason", [
+        (pio.read_effect_matrix, 'perturbation,g1\n"two\nlines",4\nB,oops\n', "not a number"),
+        (pio.read_effect_matrix, 'perturbation,g1\n"two\nlines",4\n"two\nlines",5\n',
+         "duplicate perturbation id 'two\\nlines', first on line 2"),
+        (pio.read_target_map, 'perturbation,target\n"two\nlines",g1\n"two\nlines",g2\n',
+         "already has target 'g1'"),
+    ])
+    def test_line_is_where_the_row_starts(self, tmp_path, read, text, reason):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            read(path)
+        assert info.value.line == 4
+        assert reason in info.value.reason
+
+    @TestBulkReader.SETTINGS
+    @given(st.one_of(
+        matrix_csvs(["perturbation"], FLOAT_CELLS).map(lambda text: (pio.read_effect_matrix, text)),
+        matrix_csvs(["cell", "condition"], COUNT_CELLS).map(lambda text: (pio.read_count_matrix, text)),
+    ))
+    def test_every_error_is_placed(self, tmp_path, read_text):
+        read, text = read_text
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        try:
+            read(path)
+        except ParseError as err:
+            assert type(err.line) is int and type(err.column) is int
+            assert err.line >= 1 and err.column >= 1
+            assert str(err) == f"line {err.line}, column {err.column}: {err.reason}"
+        except MissingControl:
+            pass
 
 
 def seventeen_digits(value: float) -> str:
