@@ -13,12 +13,10 @@ from .asymptotics import (
     ScaleSweepResult,
     convergence_threshold_l1,
     convergence_threshold_l2,
-    l1_limit_scores,
-    l2_limit_scores,
     scale_sweep,
 )
 from .discrimination import ErrorPolicy, PdsEntry, PdsReport, compute_pds, pds_row
-from .effects import EffectMatrix, EffectPair, align_pair, anchor_subproblem
+from .effects import EffectMatrix, EffectPair, align_pair
 from .errors import (
     BadIndex,
     BadParameter,
@@ -49,11 +47,8 @@ from .metrics import (
     METRIC_TOKENS,
     DistanceKind,
     DistanceSpec,
-    cosine,
     distance,
     pairwise_to_rows,
-    sign_cosine,
-    sign_vector,
     spec_from_token,
 )
 from .preprocessing import (

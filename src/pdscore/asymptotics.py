@@ -8,6 +8,10 @@ ranking equals the limit ranking exactly. For l1 each coordinate resolves
 to c|a_j| - sign(a_j) r_j once c|a_j| >= |r_j|, with coordinates where the
 prediction is exactly zero contributing the constant |r_j| instead; the
 same kind of finite threshold follows.
+
+So the limits rank by the L2_LIMIT score -(a . r), the cosine ranking only when
+every candidate norm is equal, and by the L1_LIMIT score; L2_LIMIT on sign(a),
+which drops the zero coordinates' |r_j|, disagrees with brute-force l1 ranks.
 """
 
 from dataclasses import dataclass
@@ -15,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import compute_pds, rank_at_scales
-from .effects import EffectMatrix, EffectPair, _Made, target_columns
+from .effects import EffectPair, _Made, target_columns
 from .errors import BadParameter, DegeneratePair
-from .metrics import DistanceKind, DistanceSpec, pairwise_to_rows
+from .metrics import DistanceKind, DistanceSpec
 from .transforms import check_scale
 
 DEFAULT_SWEEP_SCALES = tuple(float(x) for x in np.geomspace(1e-2, 1e4, 25))
@@ -30,37 +34,6 @@ class ScaleSweepResult:
     scales: tuple[float, ...]
     mean_pds_per_scale: dict
     limit_mean_pds: dict
-
-
-def _truth_rows(truth) -> np.ndarray:
-    if isinstance(truth, EffectMatrix):
-        return truth.values
-    return np.asarray(truth, dtype=np.float64)
-
-
-def l2_limit_scores(predicted_row, truth) -> np.ndarray:
-    """Scores whose ascending order is the large-scale limit of the l2 ranking.
-
-    The score for candidate r is -(a . r): squared-distance gaps between
-    candidates reduce to inner-product gaps as the scale grows, so the limit
-    ranking is inner-product based. It coincides with the cosine ranking
-    only when all candidate norms are equal.
-    """
-    return pairwise_to_rows(DistanceSpec(DistanceKind.L2_LIMIT), predicted_row, _truth_rows(truth))
-
-
-def l1_limit_scores(predicted_row, truth) -> np.ndarray:
-    """Scores whose ascending order is the large-scale limit of the l1 ranking.
-
-    Corrected form: -(sum over sign(a_j) != 0 of sign(a_j) r_j)
-    + (sum over sign(a_j) == 0 of |r_j|). Coordinates where the prediction
-    is exactly zero contribute |r_j| at every scale, so the second term is
-    required for the scores to match brute-force rankings; without it (the
-    plain weighted sign similarity) the score is
-    l2_limit_scores(sign_vector(a), truth). A thresholded-sign variant is
-    DistanceSpec(DistanceKind.L1_LIMIT, t).
-    """
-    return pairwise_to_rows(DistanceSpec(DistanceKind.L1_LIMIT), predicted_row, _truth_rows(truth))
 
 
 def convergence_threshold_l2(pair: EffectPair, apply_target_mask: bool = False) -> float:

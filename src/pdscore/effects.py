@@ -200,21 +200,3 @@ def target_columns(pair: EffectPair, apply_target_mask: bool) -> np.ndarray:
     if pair.n_genes < 2 and (pair.target_columns >= 0).any():
         raise ValidationError("masking would leave no gene coordinates")
     return pair.target_columns
-
-
-def anchor_subproblem(pair: EffectPair, i: int, apply_target_mask: bool):
-    """Predicted row of anchor i and the truth matrix it is ranked against.
-
-    When apply_target_mask is set and the anchor declares a target gene,
-    that gene is zeroed in copies of the predicted row and of every truth row:
-    0 on both sides adds no difference, product, norm or sign count, so every
-    measure equals the one without the gene. Returns (a, rows); without a mask
-    they are a row view of the predictions and the truth values themselves.
-    """
-    a, rows = pair.predicted.values[i], pair.truth.values
-    column = target_columns(pair, apply_target_mask)[i]
-    if column < 0:
-        return a, rows
-    a, rows = a.copy(), rows.copy()
-    a[column] = rows[:, column] = 0.0
-    return a, rows

@@ -125,8 +125,12 @@ def region_fraction(
                 norms = pairwise_to_rows(_L2, origin, draws)
                 zero = norms == 0.0
                 redraw += int(zero.sum())
-                draws *= (norm_ratio / np.where(zero, 1.0, norms))[:, None]  # norm_ratio * u
-                wins += int((pairwise_to_rows(spec, pred, draws)[~zero] < true_distance).sum())
+                # A rescaled coordinate, square or sum overflows only where the draw's exact
+                # distance is far above any true distance (at most 1 + sqrt 2), and its inf
+                # (NaN for a 0 coordinate times an inf factor) compares as not closer.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    draws *= (norm_ratio / np.where(zero, 1.0, norms))[:, None]  # norm_ratio * u
+                    wins += int((pairwise_to_rows(spec, pred, draws)[~zero] < true_distance).sum())
             pending = redraw
 
     fraction = wins / samples

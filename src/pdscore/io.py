@@ -4,7 +4,9 @@ Effect matrix CSV: header row of gene ids after one label cell; each data
 row starts with the perturbation id. Counts CSV: header row of gene ids
 after two label cells; each data row starts with the cell id and its
 condition ("control" or a perturbation id). Floats are written with 17
-significant digits so a round trip reproduces every value exactly.
+significant digits so a round trip reproduces every value exactly. Every
+file is read and written as UTF-8, and a byte that does not decode is a
+ParseError at its cell.
 
 Matrix CSVs are parsed in bulk first: csv reads the header and numpy's C
 reader the rest. Where numpy refuses a cell or a row (a spelling such as
@@ -52,18 +54,25 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _rows_of(path) -> list:
-    """(1-based line where it starts, cells) of every row of a CSV file that is not blank."""
+def _rows_of(path, errors: str = "strict") -> list:
+    """(1-based line where it starts, cells) of every row of a UTF-8 CSV file not blank."""
     rows, line = [], 1
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
+    try:
+        with open(path, newline="", encoding="utf-8", errors=errors) as fh:
+            reader = csv.reader(fh)
             for row in reader:
                 if not _blank(row):
                     rows.append((line, row))
                 line = reader.line_num + 1  # a quoted cell may span lines
-        except csv.Error as exc:  # such as a cell past csv's field size limit
-            raise ParseError(line, 1, str(exc)) from None
+    except csv.Error as exc:  # such as a cell past csv's field size limit
+        raise ParseError(line, 1, str(exc)) from None
+    except UnicodeDecodeError:  # placed at its cell by a reading that keeps the bad bytes
+        for line, row in _rows_of(path, "surrogateescape"):
+            for column, cell in enumerate(row, start=1):
+                raw = cell.encode("utf-8", "surrogateescape")
+                if raw.decode("utf-8", "replace") != cell:
+                    raise ParseError(line, column, f"not UTF-8 text: {raw.strip()!r}") from None
+        raise
     return rows
 
 
@@ -73,7 +82,7 @@ def _blank(row) -> bool:
 
 def _write_csv(path, header, rows) -> Path:
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -161,7 +170,7 @@ def _bulk_table(path, n_label_columns: int, dtype):
     # a label column's converter keeps the stripped cell and gives numpy a 0 in its place
     keep = {c: (lambda s, out=out: out.append(s.strip()) or 0) for c, out in enumerate(labels)}
     try:
-        with open(path, newline="") as fh, warnings.catch_warnings():
+        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
             header = next(csv.reader(fh), [])
             values = np.loadtxt(
@@ -186,7 +195,7 @@ def _write_matrix(path, label_columns, labels, gene_ids, values) -> Path:
     row_format = ",".join([cell] * values.shape[1]) + "\r\n"
     line = csv.writer(SimpleNamespace(write=str)).writerow  # returns the line it writes
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(line([*label_columns, *gene_ids]))
         for label, row in zip(labels, values):
             # the label cells and the comma after them, without the line end
@@ -271,7 +280,7 @@ def write_json(payload: dict, path) -> Path:
     # Encode first, so a payload that cannot be encoded leaves no partial file behind.
     text = json.dumps(payload, indent=2, default=_json_default) + "\n"
     path = Path(path)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 

@@ -63,67 +63,37 @@ def spec_from_token(token: str, sign_threshold: float = 0.0) -> DistanceSpec:
     return DistanceSpec(kind, sign_threshold)
 
 
-def _vector(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatch("expected a 1-d vector")
-    return arr
-
-
-def _pair(a, b):
-    a = _vector(a)
-    b = _vector(b)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"vector lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[0] < 1:
-        raise DimensionMismatch("vectors must have at least one coordinate")
-    return a, b
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity; raises ZeroVector when either direction is undefined."""
-    a, b = _pair(a, b)
-    na = float(np.sqrt((a * a).sum()))
-    nb = float(np.sqrt((b * b).sum()))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine undefined for a zero vector")
-    return float((a * b).sum()) / (na * nb)
-
-
-def sign_vector(a, threshold: float = 0.0) -> np.ndarray:
-    """Coordinatewise sign, with |x| <= threshold mapped to 0."""
-    a = _vector(a)
-    if not np.isfinite(threshold) or threshold < 0.0:
-        raise BadParameter("threshold must be finite and >= 0")
-    return _signs(a, threshold)
-
-
 def _signs(values, threshold: float, out=None) -> np.ndarray:
+    """Coordinatewise sign, with |x| <= threshold mapped to 0."""
     out = np.sign(values, out=out)
     if threshold > 0.0:
         out[np.abs(values) <= threshold] = 0.0
     return out
 
 
-def sign_cosine(a, b, threshold: float = 0.0) -> float:
-    """Cosine similarity between coordinatewise sign vectors.
-
-    Equals (agreements - disagreements) / sqrt(nnz(a) * nnz(b)) where nnz
-    counts nonzero signs.
-    """
-    a, b = _pair(a, b)
-    sa = sign_vector(a, threshold)
-    sb = sign_vector(b, threshold)
-    nnz_a = float((sa != 0.0).sum())
-    nnz_b = float((sb != 0.0).sum())
-    if nnz_a == 0.0 or nnz_b == 0.0:
-        raise ZeroSignVector("sign cosine undefined when a sign vector is all zero")
-    return float((sa * sb).sum()) / float(np.sqrt(nnz_a * nnz_b))
-
-
 # Row chunks of about this many values, and compute_pds's anchor blocks of about this
 # many candidate pairs, stay in cache and bound the memory a call adds at any size.
 _CACHED = 2**16
+
+
+def _similarity(spec: DistanceSpec, a, rows):
+    """(similarity, undefined) of the cosine kinds from each row of a 2-d a (one row, or
+    one per row) to the rows of rows: the dot product of the rows (of their signs) over
+    the product of their norms, NaN where a zero norm (sign count) leaves it undefined."""
+    w = np.empty(rows.shape)
+    if spec.kind is DistanceKind.COSINE_DISSIM:
+        na = np.sqrt(np.multiply(a, a, out=w[: len(a)]).sum(axis=1))
+        rn = np.sqrt(np.multiply(rows, rows, out=w).sum(axis=1))
+        undefined, denominators = (na == 0.0) | (rn == 0.0), rn * na
+        dots = np.multiply(rows, a, out=w).sum(axis=1)
+    else:
+        sa = _signs(a, spec.sign_threshold)
+        sr = _signs(rows, spec.sign_threshold, out=w)
+        nnz_a, nnz_r = ((s != 0.0).sum(axis=1).astype(np.float64) for s in (sa, sr))
+        undefined, denominators = (nnz_a == 0.0) | (nnz_r == 0.0), np.sqrt(nnz_a * nnz_r)
+        dots = np.multiply(sr, sa, out=w).sum(axis=1)
+    similarity = np.divide(dots, denominators, out=np.full(len(dots), np.nan), where=~undefined)
+    return similarity, undefined
 
 
 def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
@@ -142,10 +112,19 @@ def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
     if rows.ndim != 2 or a.shape not in ((rows.shape[1],), rows.shape):
         raise DimensionMismatch(f"cannot measure {a.shape} against rows of shape {rows.shape}")
     a = a.reshape(-1, rows.shape[1])  # one row broadcasts over every row
-    # Reductions below use elementwise products (never BLAS matrix products)
-    # written into one fresh C-ordered array, so each row sums pairwise along the
-    # last axis whatever the layout of a and rows.
+    # Reductions here and in _similarity use elementwise products (never BLAS matrix
+    # products) written into one fresh C-ordered array, so each row sums pairwise along
+    # the last axis whatever the layout of a and rows.
     kind = spec.kind
+    if kind in (DistanceKind.COSINE_DISSIM, DistanceKind.SIGN_COSINE_DISSIM):
+        similarity, undefined = _similarity(spec, a, rows)
+        values = 1.0 - similarity
+        if not undefined.any():
+            return values
+        if kind is DistanceKind.COSINE_DISSIM:  # raised unnamed: a local would make a cycle
+            raise ZeroVector("cosine undefined for a zero vector", undefined, values)
+        message = "sign cosine undefined when a sign vector is all zero"
+        raise ZeroSignVector(message, undefined, values)
     w = np.empty(rows.shape)
     if kind is DistanceKind.L1:
         return np.abs(np.subtract(rows, a, out=w), out=w).sum(axis=1)
@@ -159,30 +138,14 @@ def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
         # contributes -sign(a_j) r_j
         np.multiply(rows, -sa, out=w)
         return np.abs(rows, out=w, where=sa == 0.0).sum(axis=1)
-    if kind is DistanceKind.COSINE_DISSIM:
-        na = np.sqrt(np.multiply(a, a, out=w[: len(a)]).sum(axis=1))
-        rn = np.sqrt(np.multiply(rows, rows, out=w).sum(axis=1))
-        undefined, denominators = (na == 0.0) | (rn == 0.0), rn * na
-        dots = np.multiply(rows, a, out=w).sum(axis=1)
-        error, message = ZeroVector, "cosine undefined for a zero vector"
-    elif kind is DistanceKind.SIGN_COSINE_DISSIM:
-        sa = _signs(a, spec.sign_threshold)
-        sr = _signs(rows, spec.sign_threshold, out=w)
-        nnz_a, nnz_r = ((s != 0.0).sum(axis=1).astype(np.float64) for s in (sa, sr))
-        undefined, denominators = (nnz_a == 0.0) | (nnz_r == 0.0), np.sqrt(nnz_a * nnz_r)
-        dots = np.multiply(sr, sa, out=w).sum(axis=1)
-        error, message = ZeroSignVector, "sign cosine undefined when a sign vector is all zero"
-    else:
-        raise BadParameter(f"unhandled distance kind {kind!r}")
-    values = 1.0 - np.divide(dots, denominators, out=np.full(len(dots), np.nan), where=~undefined)
-    if undefined.any():  # raised unnamed: a local naming it would be a cycle via its traceback
-        raise error(message, undefined, values)
-    return values
+    raise BadParameter(f"unhandled distance kind {kind!r}")
 
 
 def distance(spec: DistanceSpec, a, b) -> float:
     """Evaluate one measure between two vectors (dispatch over DistanceSpec)."""
-    a, b = _pair(a, b)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape or a.size < 1:
+        raise DimensionMismatch(f"need two vectors of one nonzero length, got {a.shape}, {b.shape}")
     return float(pairwise_to_rows(spec, a, b[None, :])[0])
 
 

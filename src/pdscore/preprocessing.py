@@ -13,8 +13,8 @@ from enum import Enum
 import numpy as np
 
 from .effects import EffectMatrix, _check_unique, _frozen, _Made
-from .errors import BadParameter, MissingControl, ValidationError, ZeroLibrarySize, ZeroVector
-from .metrics import cosine, sign_cosine
+from .errors import BadParameter, MissingControl, ValidationError, ZeroLibrarySize
+from .metrics import DistanceKind, DistanceSpec, _similarity
 
 CONTROL_LABEL = "control"
 
@@ -46,7 +46,8 @@ def _integer_counts(counts) -> np.ndarray:
         raise ValidationError("counts must be a 2-d matrix")
     # checked before any cast, which would wrap or overflow a count from 2**63 up
     bad = counts < 0
-    bad |= counts >= 2**63
+    if counts.dtype != np.int64:  # no int64 reaches 2**63
+        bad |= counts >= 2**63
     if bad.any():
         at = tuple(np.argwhere(bad)[0].tolist())
         raise ValidationError("counts must be from 0 to 2**63 - 1", at=at)
@@ -179,17 +180,6 @@ def mean_effects(normalized: np.ndarray, cell_condition, gene_ids) -> EffectMatr
     return EffectMatrix(_Made(effects), tuple(perts), tuple(gene_ids))
 
 
-def _where_defined(measure, a, b, *args) -> np.ndarray:
-    """measure(x, y, *args) for each pair of rows; NaN where a zero vector leaves it undefined."""
-    out = np.full(len(a), np.nan)
-    for i, (x, y) in enumerate(zip(a, b)):
-        try:
-            out[i] = measure(x, y, *args)
-        except ZeroVector:  # ZeroSignVector too; a bad threshold still raises
-            pass
-    return out
-
-
 def compare_pipelines(
     counts: CountMatrix,
     spec_a: PipelineSpec,
@@ -202,6 +192,7 @@ def compare_pipelines(
     NaN cosine and sign cosine; one whose sign vector is all zero (every
     |value| at or below sign_threshold) gets NaN sign cosine.
     """
+    sign_spec = DistanceSpec(DistanceKind.SIGN_COSINE_DISSIM, sign_threshold)
     effects_a = mean_effects(normalize(counts, spec_a), counts.cell_condition, counts.gene_ids)
     effects_b = mean_effects(normalize(counts, spec_b), counts.cell_condition, counts.gene_ids)
     a = effects_a.values
@@ -211,8 +202,8 @@ def compare_pipelines(
         "l1_norm_b": np.linalg.norm(b, 1, axis=1),
         "l2_norm_a": np.linalg.norm(a, 2, axis=1),
         "l2_norm_b": np.linalg.norm(b, 2, axis=1),
-        "cosine_between": _where_defined(cosine, a, b),
-        "sign_cosine_between": _where_defined(sign_cosine, a, b, sign_threshold),
+        "cosine_between": _similarity(DistanceSpec(DistanceKind.COSINE_DISSIM), a, b)[0],
+        "sign_cosine_between": _similarity(sign_spec, a, b)[0],
     }
     for arr in columns.values():
         arr.setflags(write=False)

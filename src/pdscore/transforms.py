@@ -12,7 +12,7 @@ import numpy as np
 
 from .effects import EffectMatrix, EffectPair, _Made
 from .errors import BadParameter, NonpositiveScale, ValidationError, ZeroPredictionNorm
-from .metrics import sign_vector
+from .metrics import _signs
 
 
 class TransformKind(Enum):
@@ -105,9 +105,11 @@ def _norm_matched(predicted: EffectMatrix, truth: EffectMatrix, p_norm: int) -> 
 
 
 def sign_project(predicted: EffectMatrix, threshold: float = 0.0) -> EffectMatrix:
-    """Replace each row by its sign vector (values in {-1, 0, 1})."""
-    out = np.vstack([sign_vector(row, threshold) for row in predicted.values])
-    return predicted.with_values(_Made(out))
+    """Replace each row by its sign vector (values in {-1, 0, 1}), with |x| <= threshold
+    mapped to 0."""
+    if not np.isfinite(threshold) or threshold < 0.0:
+        raise BadParameter("threshold must be finite and >= 0")
+    return predicted.with_values(_Made(_signs(predicted.values, threshold)))
 
 
 def apply_chain(pair: EffectPair, chain) -> EffectPair:

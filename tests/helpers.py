@@ -8,11 +8,12 @@ from pdscore import (
     EffectMatrix,
     EffectPair,
     ZeroVector,
-    anchor_subproblem,
     pairwise_to_rows,
     pds_row,
 )
 from pdscore.discrimination import ErrorPolicy, PdsEntry, finish_report, undefined_entry
+
+from oracles import anchor_subproblem
 
 
 def labels(prefix: str, n: int) -> tuple[str, ...]:

@@ -1,9 +1,10 @@
 """Brute-force references the tests check pdscore against.
 
-They share no ranking code with pdscore.discrimination: ranks come from full
-sorting (not comparison counting), l1, l2, cosine and sign-cosine from scalar
-formulas (not the batched kernel), limit rankings from literal distance
-evaluations at a large scale, and the ray certificate from a grid search.
+They share no ranking or measuring code with pdscore: ranks come from full
+sorting (not comparison counting), every measure from scalar formulas (not the
+batched kernel), a masked anchor's subproblem from copies with its target
+zeroed, limit rankings from literal distance evaluations at a large scale, and
+the ray certificate from a grid search.
 """
 
 import math
@@ -12,20 +13,25 @@ import numpy as np
 
 from pdscore import (
     BadParameter,
+    DimensionMismatch,
     DistanceKind,
     DistanceSpec,
     EffectPair,
     ErrorPolicy,
     PdsEntry,
     PdsReport,
+    ZeroSignVector,
     ZeroVector,
-    anchor_subproblem,
-    cosine,
-    distance,
-    sign_cosine,
 )
 from pdscore.discrimination import finish_report, undefined_entry
-from pdscore.metrics import _pair
+from pdscore.effects import target_columns
+
+
+def _pair(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape or a.size < 1:
+        raise DimensionMismatch(f"need two vectors of one nonzero length, got {a.shape}, {b.shape}")
+    return a, b
 
 
 def dist_l1(a, b) -> float:
@@ -38,6 +44,49 @@ def dist_l2(a, b) -> float:
     """Euclidean distance."""
     a, b = _pair(a, b)
     return float(np.sqrt(((a - b) ** 2).sum()))
+
+
+def cosine(a, b) -> float:
+    """Cosine similarity; raises ZeroVector when either direction is undefined."""
+    a, b = _pair(a, b)
+    na = float(np.sqrt((a * a).sum()))
+    nb = float(np.sqrt((b * b).sum()))
+    if na == 0.0 or nb == 0.0:
+        raise ZeroVector("cosine undefined for a zero vector")
+    return float((a * b).sum()) / (na * nb)
+
+
+def sign_vector(a, threshold: float = 0.0) -> np.ndarray:
+    """Coordinatewise sign, with |x| <= threshold mapped to 0."""
+    a = np.asarray(a, dtype=np.float64)
+    return np.where(np.abs(a) <= threshold, 0.0, np.sign(a))
+
+
+def sign_cosine(a, b, threshold: float = 0.0) -> float:
+    """Cosine similarity between coordinatewise sign vectors: (agreements -
+    disagreements) / sqrt(nnz(a) * nnz(b)), nnz counting nonzero signs."""
+    a, b = _pair(a, b)
+    sa, sb = sign_vector(a, threshold), sign_vector(b, threshold)
+    nnz_a, nnz_b = float((sa != 0.0).sum()), float((sb != 0.0).sum())
+    if nnz_a == 0.0 or nnz_b == 0.0:
+        raise ZeroSignVector("sign cosine undefined when a sign vector is all zero")
+    return float((sa * sb).sum()) / float(np.sqrt(nnz_a * nnz_b))
+
+
+def anchor_subproblem(pair: EffectPair, i: int, apply_target_mask: bool):
+    """Predicted row of anchor i and the truth matrix it is ranked against.
+
+    When apply_target_mask is set and the anchor declares a target gene, that gene
+    is zeroed in copies of the predicted row and of every truth row. Without a mask
+    they are a row view of the predictions and the truth values themselves.
+    """
+    a, rows = pair.predicted.values[i], pair.truth.values
+    column = target_columns(pair, apply_target_mask)[i]
+    if column < 0:
+        return a, rows
+    a, rows = a.copy(), rows.copy()
+    a[column] = rows[:, column] = 0.0
+    return a, rows
 
 
 def _sorted_average_ranks(values: np.ndarray) -> np.ndarray:
@@ -57,9 +106,8 @@ def _sorted_average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def _scalar_measure(spec: DistanceSpec, a: np.ndarray, r: np.ndarray) -> float:
-    """One measure from the scalar functions; only the limit kinds, which have
-    no scalar form, go through the batched kernel."""
-    kind = spec.kind
+    """One measure from the scalar functions and formulas above."""
+    kind, t = spec.kind, spec.sign_threshold
     if kind is DistanceKind.L1:
         return dist_l1(a, r)
     if kind is DistanceKind.L2:
@@ -67,8 +115,11 @@ def _scalar_measure(spec: DistanceSpec, a: np.ndarray, r: np.ndarray) -> float:
     if kind is DistanceKind.COSINE_DISSIM:
         return 1.0 - cosine(a, r)
     if kind is DistanceKind.SIGN_COSINE_DISSIM:
-        return 1.0 - sign_cosine(a, r, spec.sign_threshold)
-    return distance(spec, a, r)
+        return 1.0 - sign_cosine(a, r, t)
+    if kind is DistanceKind.L2_LIMIT:
+        return -float((a * r).sum())
+    signs = sign_vector(a, t)  # l1-limit: |r_j| where sign(a_j) = 0, else -sign(a_j) r_j
+    return float(np.where(signs == 0.0, np.abs(r), -signs * r).sum())
 
 
 def oracle_pds(
@@ -80,9 +131,9 @@ def oracle_pds(
     """Reference scorer: scalar distances plus full-sort average-of-tie ranks.
 
     Shares the masking rule and the error policy with compute_pds but none
-    of the ranking code, and evaluates l1, l2, cosine and sign-cosine with
-    the scalar measure functions rather than the batched kernel, so rank
-    agreement is a meaningful cross-check.
+    of the ranking code, and evaluates every measure with the scalar
+    functions above rather than the batched kernel, so rank agreement is a
+    meaningful cross-check.
     """
     n = pair.n_perturbations
     entries = []

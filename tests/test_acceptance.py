@@ -30,6 +30,7 @@ from pdscore import (
     compare_pipelines,
     norm_match,
     orthogonal_ray_certificate,
+    pairwise_to_rows,
     pipeline_from_token,
     region_fraction,
     scale_sweep,
@@ -141,9 +142,9 @@ def test_criterion_05_l1_limit_with_correction():
     pair = pair_from([[1.0, 0.0], [0.2, 0.3]], [[1.0, 5.0], [-1.0, 0.0]])
     brute = oracle_l1_limit(pair, 1e6)[0]
     corrected = compute_pds(pair, DistanceSpec(DistanceKind.L1_LIMIT)).per_perturbation[0].rank
-    from pdscore import l2_limit_scores, sign_vector
-
-    uncorrected = l2_limit_scores(sign_vector([1.0, 0.0]), pair.truth)
+    uncorrected = pairwise_to_rows(
+        DistanceSpec(DistanceKind.L2_LIMIT), np.sign([1.0, 0.0]), pair.truth.values
+    )
     corrected_matches = brute[0] == corrected == 2.0
     uncorrected_disagrees = int(np.argmin(uncorrected)) == 0 and int(brute.argmin()) == 1
     ok = mismatches == 0 and corrected_matches and uncorrected_disagrees

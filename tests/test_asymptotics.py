@@ -10,15 +10,12 @@ from pdscore import (
     DegeneratePair,
     DistanceKind,
     DistanceSpec,
-    EffectMatrix,
     compute_pds,
     convergence_threshold_l1,
     convergence_threshold_l2,
     global_scale,
-    l1_limit_scores,
-    l2_limit_scores,
+    pairwise_to_rows,
     scale_sweep,
-    sign_vector,
 )
 
 from helpers import (
@@ -30,11 +27,8 @@ from helpers import (
 )
 
 
-def truths(rows, genes=None):
-    rows = np.asarray(rows, dtype=float)
-    genes = genes or tuple(f"G{j:04d}" for j in range(rows.shape[1]))
-    perts = tuple(f"P{i:04d}" for i in range(rows.shape[0]))
-    return EffectMatrix(rows, perts, genes)
+L1_LIMIT = DistanceSpec(DistanceKind.L1_LIMIT)
+L2_LIMIT = DistanceSpec(DistanceKind.L2_LIMIT)
 
 
 def ranks_of(report):
@@ -43,27 +37,27 @@ def ranks_of(report):
 
 class TestL2LimitScores:
     def test_inner_product_example(self):
-        scores = l2_limit_scores([1.0, 0.0], truths([[1.0, 1.0], [0.1, 0.0]]))
+        scores = pairwise_to_rows(L2_LIMIT, [1.0, 0.0], [[1.0, 1.0], [0.1, 0.0]])
         assert scores.tolist() == [-1.0, -0.1]
 
     def test_orthogonal_distractor_loses_regardless_of_norms(self):
         # prediction orthogonal to the distractor, positive inner product
         # with the truth: any distractor norm still scores 0
         for distractor_scale in (0.01, 1.0, 100.0):
-            scores = l2_limit_scores([1.0, 0.0], truths([[0.5, 3.0], [0.0, distractor_scale]]))
+            scores = pairwise_to_rows(L2_LIMIT, [1.0, 0.0], [[0.5, 3.0], [0.0, distractor_scale]])
             assert scores[0] < scores[1] == 0.0
 
     def test_longer_collinear_distractor_wins_the_limit(self):
-        scores = l2_limit_scores([1.0, 2.0], truths([[1.0, 2.0], [2.0, 4.0]]))
+        scores = pairwise_to_rows(L2_LIMIT, [1.0, 2.0], [[1.0, 2.0], [2.0, 4.0]])
         assert scores[1] < scores[0]
 
 
 class TestL1LimitScores:
     def test_zero_coordinate_correction_example(self):
-        t = truths([[1.0, 5.0], [-1.0, 0.0]])
-        corrected = l1_limit_scores([1.0, 0.0], t)
+        t = [[1.0, 5.0], [-1.0, 0.0]]
+        corrected = pairwise_to_rows(L1_LIMIT, [1.0, 0.0], t)
         assert corrected.tolist() == [4.0, 1.0]
-        uncorrected = l2_limit_scores(sign_vector([1.0, 0.0]), t)
+        uncorrected = pairwise_to_rows(L2_LIMIT, np.sign([1.0, 0.0]), t)
         assert uncorrected.tolist() == [-1.0, 1.0]
         # corrected ranks the distractor first, matching brute force at
         # large scales; the plain weighted sign form ranks the truth first
@@ -73,14 +67,14 @@ class TestL1LimitScores:
     def test_no_zero_coordinates_matches_plain_form(self):
         rng = np.random.default_rng(21)
         a = rng.standard_normal(9)
-        t = truths(rng.standard_normal((5, 9)))
-        assert np.array_equal(l1_limit_scores(a, t), l2_limit_scores(sign_vector(a), t))
+        t = rng.standard_normal((5, 9))
+        assert np.array_equal(pairwise_to_rows(L1_LIMIT, a, t), pairwise_to_rows(L2_LIMIT, np.sign(a), t))
 
     def test_full_agreement_vs_full_disagreement(self):
         a = [1.0, -1.0, 1.0]
         agree = [2.0, -3.0, 1.0]
         disagree = [-1.0, 2.0, -2.0]
-        scores = l1_limit_scores(a, truths([agree, disagree]))
+        scores = pairwise_to_rows(L1_LIMIT, a, [agree, disagree])
         assert scores[0] == -float(np.abs(agree).sum())
         assert scores[1] == float(np.abs(disagree).sum())
 
@@ -377,7 +371,7 @@ class TestEqualNormReduction:
         pair = pair_from(pred, truth_rows)
         cosine_spec = DistanceSpec(DistanceKind.COSINE_DISSIM)
         for i in range(8):
-            limit = l2_limit_scores(pred[i], pair.truth)
+            limit = pairwise_to_rows(L2_LIMIT, pred[i], truth_rows)
             cos_d = 1.0 - (truth_rows @ pred[i]) / (
                 np.linalg.norm(truth_rows, axis=1) * np.linalg.norm(pred[i])
             )

@@ -13,6 +13,15 @@ from pdscore import io as pio
 from pdscore.cli import main
 
 
+def _run(*argv, cwd=None):
+    """pdscore run as `python -m pdscore argv` in a fresh process, so warnings reach stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "pdscore", *map(str, argv)], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+
+
 @pytest.fixture()
 def pair_files(tmp_path):
     out = tmp_path / "synth"
@@ -197,11 +206,9 @@ class TestSweepCommand:
         for name, rows in zip(("pred", "truth"), values):
             matrix = EffectMatrix(np.array(rows), ids, genes)
             pio.write_effect_matrix(matrix, tmp_path / f"{name}.csv")
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-m", "pdscore", *command, "--pred", str(tmp_path / "pred.csv"),
-             "--truth", str(tmp_path / "truth.csv"), "--out", str(tmp_path / "out")],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        done = _run(
+            *command, "--pred", tmp_path / "pred.csv", "--truth", tmp_path / "truth.csv",
+            "--out", tmp_path / "out",
         )
         assert done.returncode == 1
         message = "scale factor 1e+10 overflows the predicted effects of 'P0001'"
@@ -283,6 +290,17 @@ class TestGeometryCommands:
             rows = list(csv.reader(fh))
         assert rows[0] == ["d", "rho", "kappa", "fraction", "stderr"]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("metric, rho", [("l1", "1e308"), ("l2", "1e200"), ("l2", "1e308")])
+    def test_region_at_huge_rho_warns_nothing(self, metric, rho, tmp_path):
+        """A distractor of norm rho >= 1e200 is farther than the truth (at most 1 + sqrt 2)
+        whichever way it points, so it never wins, and an overflow on the way says nothing."""
+        done = _run(
+            "geometry", "region", "--dims", "2,8", "--rho", rho, "--kappa", "0.4",
+            "--samples", "500", "--seed", "3", "--metric", metric, "--out", tmp_path,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.count("fraction=0.000000 stderr=0.000000") == 2
 
     def test_region_without_dims_exits_2(self, tmp_path, capsys):
         out = tmp_path / "region"
@@ -464,12 +482,9 @@ class TestSynthCommands:
         ],
     )
     def test_counts_out_of_range_is_an_error(self, option, message, tmp_path):
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-m", "pdscore", "synth", "counts", "--perturbations", "2",
-             "--cells-per-condition", "3", "--genes", "6", *option, "--out", str(tmp_path)],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-            timeout=60,
+        done = _run(
+            "synth", "counts", "--perturbations", "2", "--cells-per-condition", "3",
+            "--genes", "6", *option, "--out", tmp_path,
         )
         assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
 
@@ -487,3 +502,26 @@ def test_import_loads_no_thread_pool_or_logging():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+@pytest.mark.parametrize(
+    "bad, command, where",
+    [
+        (b"perturbation,G1,G2\nA,1,2\nB,\xff\xfe,3\n",
+         ["pds", "--pred", "bad.csv", "--truth", "good.csv"], "line 3, column 2"),
+        (b"cell,condition,G1,G2\nc1,control,1,2\nc2,A,\xff\xfe,3\n",
+         ["preprocess", "effects", "--counts", "bad.csv"], "line 3, column 3"),
+        (b"perturbation,target\nB,\xff\xfe\n",
+         ["pds", "--pred", "good.csv", "--truth", "good.csv", "--targets", "bad.csv",
+          "--mask-target"], "line 2, column 2"),
+    ],
+    ids=["effects", "counts", "targets"],
+)
+def test_bytes_that_are_not_utf8_are_one_error_line(bad, command, where, tmp_path):
+    """An effect, count or target CSV with bytes that do not decode fails at their cell."""
+    (tmp_path / "bad.csv").write_bytes(bad)
+    (tmp_path / "good.csv").write_text("perturbation,G1,G2\nA,1,2\nB,4,3\n", encoding="utf-8")
+    done = _run(*command, "--out", "out", cwd=tmp_path)
+    message = f"{where}: not UTF-8 text: b'\\xff\\xfe'"
+    assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
+    assert not (tmp_path / "out" / "run_config.json").exists()

@@ -14,13 +14,11 @@ from pdscore import (
     ValidationError,
     ZeroVector,
     compute_pds,
-    cosine,
     pds_row,
-    sign_cosine,
 )
 
 from helpers import pair_from, per_anchor_pds, random_pair
-from oracles import dist_l1, dist_l2, oracle_pds
+from oracles import cosine, dist_l1, dist_l2, oracle_pds, sign_cosine
 
 ALL_FOUR = [
     DistanceSpec(DistanceKind.L1),

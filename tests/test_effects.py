@@ -14,7 +14,6 @@ from pdscore import (
     ValidationError,
     SynthSpec,
     align_pair,
-    anchor_subproblem,
     apply_chain,
     generate,
     generate_counts,
@@ -26,6 +25,7 @@ from pdscore import (
 from pdscore import io as pio
 
 from helpers import labels, pair_from
+from oracles import anchor_subproblem
 
 
 def matrix(values, perts, genes):
@@ -232,6 +232,9 @@ class TestEffectPair:
 
 
 class TestAnchorSubproblem:
+    """The reference scorers' masked subproblem, which the ranking and threshold
+    references in oracles.py and helpers.py build on."""
+
     def test_target_mask_excludes_shared_column(self):
         pair = pair_from(
             [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],

@@ -9,15 +9,14 @@ from pdscore import (
     DimensionMismatch,
     DistanceKind,
     DistanceSpec,
+    EffectMatrix,
     ZeroSignVector,
     ZeroVector,
     compute_pds,
     convergence_threshold_l1,
-    cosine,
     distance,
     pairwise_to_rows,
-    sign_cosine,
-    sign_vector,
+    sign_project,
     spec_from_token,
 )
 from pdscore.errors import BadParameter
@@ -25,6 +24,9 @@ from pdscore.metrics import Screen
 
 from helpers import pair_from
 from oracles import dist_l1, dist_l2
+
+COSINE = DistanceSpec(DistanceKind.COSINE_DISSIM)
+SIGN_COSINE = DistanceSpec(DistanceKind.SIGN_COSINE_DISSIM)
 
 METRIC_SPECS = [
     DistanceSpec(DistanceKind.L1),
@@ -83,19 +85,25 @@ class TestHandValues:
         assert dist_l2([0, 0], [3, 4]) == 5.0
 
     def test_cosine(self):
-        assert cosine([3, 4], [1, 0]) == pytest.approx(0.6, rel=1e-12)
-        assert cosine([2, -5], [2, -5]) == pytest.approx(1.0, rel=1e-12)
-        assert cosine([1, 0], [0, 1]) == 0.0
+        assert 1.0 - distance(COSINE, [3, 4], [1, 0]) == pytest.approx(0.6, rel=1e-12)
+        assert 1.0 - distance(COSINE, [2, -5], [2, -5]) == pytest.approx(1.0, rel=1e-12)
+        assert distance(COSINE, [1, 0], [0, 1]) == 1.0
 
     def test_sign_vector(self):
-        assert sign_vector([-2.5, 0.0, 3.0]).tolist() == [-1.0, 0.0, 1.0]
-        assert sign_vector([0.05, -0.2], threshold=0.1).tolist() == [0.0, -1.0]
-        assert sign_vector([0.0, 0.0]).tolist() == [0.0, 0.0]
+        """Both sign kinds take |x| <= threshold as sign 0."""
+        sign_cosine = DistanceSpec(DistanceKind.SIGN_COSINE_DISSIM, 0.1)
+        assert 1.0 - distance(sign_cosine, [0.05, -0.2], [1.0, -1.0]) == pytest.approx(
+            1 / math.sqrt(2), rel=1e-12
+        )
+        l1_limit = DistanceSpec(DistanceKind.L1_LIMIT, 0.1)
+        assert distance(l1_limit, [0.05, -0.2, 0.1], [3.0, -2.0, -5.0]) == 3.0 - 2.0 + 5.0
 
     def test_sign_cosine(self):
-        assert sign_cosine([3, 4], [1, 0]) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
-        assert sign_cosine([3, -4, 1], [3, -4, 1]) == pytest.approx(1.0, rel=1e-12)
-        assert sign_cosine([1, 1], [-1, -1]) == -1.0
+        assert 1.0 - distance(SIGN_COSINE, [3, 4], [1, 0]) == pytest.approx(
+            1 / math.sqrt(2), rel=1e-12
+        )
+        assert distance(SIGN_COSINE, [3, -4, 1], [3, -4, 1]) == pytest.approx(0.0, abs=1e-12)
+        assert distance(SIGN_COSINE, [1, 1], [-1, -1]) == 2.0
 
     def test_dispatch(self):
         assert distance(DistanceSpec(DistanceKind.L1), [3, 4], [1, 0]) == 6.0
@@ -115,28 +123,33 @@ class TestHandValues:
 
 class TestErrors:
     def test_dimension_mismatch(self):
-        for fn in (dist_l1, dist_l2, cosine, sign_cosine):
-            with pytest.raises(DimensionMismatch):
-                fn([1, 2, 3], [1, 2])
+        measures = [dist_l1, dist_l2] + [
+            lambda a, b, spec=spec: distance(spec, a, b) for spec in METRIC_SPECS
+        ]
+        for fn in measures:
+            for a, b in (([1, 2, 3], [1, 2]), ([], []), ([[1, 2]], [[1, 2]])):
+                with pytest.raises(DimensionMismatch):
+                    fn(a, b)
 
     def test_zero_vector_cosine(self):
         with pytest.raises(ZeroVector):
-            cosine([0, 0], [1, 2])
+            distance(COSINE, [0, 0], [1, 2])
         with pytest.raises(ZeroVector):
-            cosine([1, 2], [0, 0])
+            distance(COSINE, [1, 2], [0, 0])
 
     def test_zero_sign_vector(self):
         with pytest.raises(ZeroSignVector):
-            sign_cosine([0.0, 0.0], [1.0, 2.0])
+            distance(SIGN_COSINE, [0.0, 0.0], [1.0, 2.0])
         with pytest.raises(ZeroSignVector):
-            sign_cosine([0.05, -0.05], [1.0, 2.0], threshold=0.1)
+            distance(DistanceSpec(DistanceKind.SIGN_COSINE_DISSIM, 0.1), [0.05, -0.05], [1.0, 2.0])
 
     def test_non_finite_sign_threshold(self):
+        matrix = EffectMatrix([[1.0, -2.0]], ["P0"], ["g1", "g2"])
         for threshold in (math.nan, math.inf):
             with pytest.raises(BadParameter, match="must be finite and >= 0"):
-                sign_vector([1.0, -2.0], threshold)
+                sign_project(matrix, threshold)
             with pytest.raises(BadParameter, match="must be finite and >= 0"):
-                sign_cosine([1.0, -2.0], [2.0, 1.0], threshold)
+                DistanceSpec(DistanceKind.SIGN_COSINE_DISSIM, threshold)
 
     def test_bad_spec_parameters(self):
         with pytest.raises(BadParameter):
@@ -215,18 +228,20 @@ class TestProperties:
         a, b = map(np.asarray, ab)
         if not _usable(DistanceSpec(DistanceKind.COSINE_DISSIM), a, b):
             return
-        assert cosine(c * a, b) == pytest.approx(cosine(a, b), rel=1e-12, abs=1e-12)
+        assert distance(COSINE, c * a, b) == pytest.approx(
+            distance(COSINE, a, b), rel=1e-12, abs=1e-12
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(vec_pairs())
     def test_sign_cosine_invariant_under_sign_preserving_maps(self, ab):
         a, b = map(np.asarray, ab)
-        if np.all(sign_vector(a) == 0) or np.all(sign_vector(b) == 0):
+        if np.all(a == 0) or np.all(b == 0):
             return
         rng = np.random.default_rng(0)
         factors = rng.uniform(0.5, 2.0, a.shape[0])
-        assert sign_cosine(factors * a, b) == sign_cosine(a, b)
-        assert sign_cosine(a, factors * b) == sign_cosine(a, b)
+        assert distance(SIGN_COSINE, factors * a, b) == distance(SIGN_COSINE, a, b)
+        assert distance(SIGN_COSINE, a, factors * b) == distance(SIGN_COSINE, a, b)
 
     @settings(max_examples=150, deadline=None)
     @given(vec_pairs())

@@ -3,6 +3,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pdscore import (
     CountMatrix,
@@ -11,12 +14,15 @@ from pdscore import (
     PipelineSpec,
     ValidationError,
     ZeroLibrarySize,
+    ZeroVector,
     compare_pipelines,
     mean_effects,
     normalize,
     pipeline_from_token,
 )
 from pdscore.errors import BadParameter
+
+from oracles import cosine, sign_cosine
 
 PER10K = PipelineSpec.PER10K
 MEDIAN = PipelineSpec.MEDIAN
@@ -254,3 +260,52 @@ class TestComparePipelines:
         zero_effect = counts_of(ZERO_EFFECT_ROWS, ZERO_EFFECT_CONDITIONS)
         with pytest.raises(BadParameter, match="must be finite and >= 0"):
             compare_pipelines(zero_effect, PER10K, MEDIAN, math.nan)
+
+
+@st.composite
+def comparison_cases(draw):
+    """Counts whose perturbations each either repeat the control cells (a zero effect
+    under every pipeline) or draw their own, two pipelines and a sign threshold: 0, one
+    that leaves some signs, or one that leaves none."""
+    n_genes, n_cells = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    block = arrays(np.int64, (n_cells, n_genes), elements=st.integers(0, 40))
+    control = draw(block)
+    rows, conditions = [control], ["control"] * n_cells
+    for k in range(draw(st.integers(1, 4))):
+        rows.append(control if draw(st.booleans()) else draw(block))
+        conditions += [f"P{k}"] * n_cells
+    counts = np.vstack(rows)
+    counts[:, 0] += 1  # no empty library
+    pipelines = draw(st.tuples(st.sampled_from(PipelineSpec), st.sampled_from(PipelineSpec)))
+    threshold = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1e6)))
+    return counts_of(counts, conditions), pipelines, threshold
+
+
+def _same_bits(got, want) -> bool:
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(comparison_cases())
+def test_between_columns_equal_the_scalar_references(case):
+    """cosine_between and sign_cosine_between equal the scalar cosine and sign cosine of
+    each pair of effect rows bit for bit, NaN where a zero effect or an all-zero sign
+    vector leaves them undefined."""
+    cm, (spec_a, spec_b), threshold = case
+    a, b = (
+        mean_effects(normalize(cm, spec), cm.cell_condition, cm.gene_ids).values
+        for spec in (spec_a, spec_b)
+    )
+
+    def defined(measure, *args):
+        try:
+            return measure(*args)
+        except ZeroVector:  # ZeroSignVector too
+            return math.nan
+
+    result = compare_pipelines(cm, spec_a, spec_b, threshold)
+    want_cosine = np.array([defined(cosine, x, y) for x, y in zip(a, b)])
+    want_sign = np.array([defined(sign_cosine, x, y, threshold) for x, y in zip(a, b)])
+    assert _same_bits(result.cosine_between, want_cosine)
+    assert _same_bits(result.sign_cosine_between, want_sign)

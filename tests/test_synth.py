@@ -16,6 +16,7 @@ from pdscore import (
     generate_counts,
     global_scale,
     orthogonal_ray_certificate,
+    pairwise_to_rows,
 )
 
 from helpers import pair_from, random_pair
@@ -203,15 +204,13 @@ class TestOracleL1Limit:
         assert above[0].tolist() == [2.0, 1.0]
 
     def test_no_zero_coordinates_matches_plain_sign_form(self):
-        from pdscore import l2_limit_scores, sign_vector
-
         rng = np.random.default_rng(43)
         pred = rng.standard_normal((4, 6))
         truth = rng.standard_normal((4, 6))
         pair = pair_from(pred, truth)
         brute = oracle_l1_limit(pair, 1e8)
         for i in range(4):
-            scores = l2_limit_scores(sign_vector(pred[i]), pair.truth)
+            scores = pairwise_to_rows(DistanceSpec(DistanceKind.L2_LIMIT), np.sign(pred[i]), truth)
             order_expected = np.argsort(scores)
             order_brute = np.argsort([brute[i, j] for j in range(4)])
             assert np.array_equal(order_expected, order_brute)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pdscore import (
     BadParameter,
     DistanceKind,
     DistanceSpec,
+    EffectMatrix,
     NonpositiveScale,
     TransformDescriptor,
     TransformKind,
@@ -148,6 +150,21 @@ class TestSignProject:
         pair = pair_from([[0.05, -0.2]], [[1.0, 1.0]])
         projected = sign_project(pair.predicted, threshold=0.1)
         assert projected.values[0].tolist() == [0.0, -1.0]
+
+
+    @given(
+        arrays(
+            np.float64, st.tuples(st.integers(1, 5), st.integers(1, 6)),
+            elements=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+        ),
+        st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    )
+    def test_rows_are_their_thresholded_signs(self, values, threshold):
+        perts = [f"P{i}" for i in range(values.shape[0])]
+        matrix = EffectMatrix(values, perts, [f"G{j}" for j in range(values.shape[1])])
+        got = sign_project(matrix, threshold).values
+        want = [np.where(np.abs(row) <= threshold, 0.0, np.sign(row)) for row in values]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestApplyChain:
