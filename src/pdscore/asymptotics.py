@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import compute_pds, rank_at_scales
+from .discrimination import rank_at_scales
 from .effects import EffectPair, _Made, target_columns
 from .errors import BadParameter, DegeneratePair
 from .metrics import DistanceKind, DistanceSpec
@@ -104,13 +104,13 @@ def convergence_threshold_l1(pair: EffectPair, apply_target_mask: bool = False) 
     return float(ratios.max(initial=0.0))
 
 
-def _limit_mean_pds(pair: EffectPair, spec: DistanceSpec, apply_target_mask: bool) -> float:
-    """Mean PDS of the predictions scaled without bound. l1 and l2 rank there by their
-    limit kinds. Once every nonzero predicted coordinate exceeds the sign threshold t,
-    the prediction's signs stop moving: l1-limit is then l1-limit at threshold 0, and
-    sign-cosine is its score with every coordinate sign(a_k) times the next float above
-    t, the prediction's signs against the truth's at t. The other kinds are scale
-    invariant."""
+def _limit_mean_pds(pair: EffectPair, spec: DistanceSpec, columns) -> float:
+    """Mean PDS of the predictions scaled without bound, with the target columns
+    zeroed. l1 and l2 rank there by their limit kinds. Once every nonzero predicted
+    coordinate exceeds the sign threshold t, the prediction's signs stop moving:
+    l1-limit is then l1-limit at threshold 0, and sign-cosine is its score with every
+    coordinate sign(a_k) times the next float above t, the prediction's signs against
+    the truth's at t. The other kinds are scale invariant. Undefined anchors score 0."""
     kind = spec.kind
     if kind in (DistanceKind.L1, DistanceKind.L1_LIMIT):
         spec = DistanceSpec(DistanceKind.L1_LIMIT)
@@ -119,7 +119,7 @@ def _limit_mean_pds(pair: EffectPair, spec: DistanceSpec, apply_target_mask: boo
     elif kind is DistanceKind.SIGN_COSINE_DISSIM:
         signs = np.sign(pair.predicted.values) * np.nextafter(spec.sign_threshold, np.inf)
         pair = pair.with_predicted(pair.predicted.with_values(_Made(signs)))
-    return compute_pds(pair, spec, apply_target_mask).mean_pds
+    return float(np.mean(rank_at_scales(pair, spec, columns, (1.0,))[2][0]))
 
 
 def scale_sweep(
@@ -152,10 +152,7 @@ def scale_sweep(
     columns = target_columns(pair, apply_target_mask)
     curves: dict = {}
     for spec, token in zip(specs, tokens):
-        scores = np.empty((len(scales), pair.n_perturbations))
-        for anchors, ranked in rank_at_scales(pair, spec, columns, scales):
-            for row, (_, _, pds, undefined, _) in zip(scores, ranked):
-                row[anchors] = np.where(undefined, 0.0, pds)
-        curves[token] = tuple(float(np.mean(row)) for row in scores)
-    limits = [_limit_mean_pds(pair, spec, apply_target_mask) for spec in specs]
+        pds = rank_at_scales(pair, spec, columns, scales)[2]
+        curves[token] = tuple(float(np.mean(row)) for row in pds)
+    limits = [_limit_mean_pds(pair, spec, columns) for spec in specs]
     return ScaleSweepResult(scales, curves, dict(zip(tokens, limits)))

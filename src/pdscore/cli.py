@@ -94,15 +94,9 @@ def _echo_config(args, out: Path, inputs: dict, digests: dict) -> None:
     }
     if "transform" in options:
         options["transform"] = chain_tokens(args.transform)
-    payload = {
-        "record": "run-config",
-        "tool": "pdscore",
-        "version": __version__,
-        "command": args.command,
-        "options": options,
-        "input_digests": {str(inputs[name]): d for name, d in digests.items()},
-    }
-    io.write_json(payload, out / "run_config.json")
+    digests = {str(inputs[name]): d for name, d in digests.items()}
+    body = {"command": args.command, "options": options, "input_digests": digests}
+    io.write_json(io._payload("run-config", None, body), out / "run_config.json")
 
 
 def _emit(args, out: Path, stem: str, result, meta, payload, write_csv) -> None:

@@ -67,7 +67,7 @@ def _mid_ranks(distances: np.ndarray, own: np.ndarray):
     closer = (distances < own[:, None]).sum(axis=1)
     tied_others = (distances == own[:, None]).sum(axis=1) - 1
     rank = 1.0 + closer + 0.5 * tied_others
-    return rank.tolist(), (1.0 - (rank - 1.0) / (distances.shape[1] - 1.0)).tolist()
+    return rank, 1.0 - (rank - 1.0) / (distances.shape[1] - 1.0)
 
 
 def pds_row(distances, true_index: int) -> tuple[float, float]:
@@ -81,7 +81,7 @@ def pds_row(distances, true_index: int) -> tuple[float, float]:
     if not np.isfinite(d).all():
         raise ValidationError("distances must be finite")
     rank, pds = _mid_ranks(d[None, :], d[[int(true_index)]])
-    return rank[0], pds[0]
+    return float(rank[0]), float(pds[0])
 
 
 def compute_pds(
@@ -100,28 +100,33 @@ def compute_pds(
     brute-force reference scorer (scalar measures, full sort) bit for bit, whatever
     the number of workers (threads over row-blocks of anchors, at most one per CPU).
     """
-    n, ids, entries = pair.n_perturbations, pair.perturbation_ids, []
-    columns = target_columns(pair, apply_target_mask)
-    for anchors, ((own, ranks, scores, undefined, error),) in rank_at_scales(
-        pair, spec, columns, (1.0,), workers
-    ):
-        for i, value, rank, score, bad in zip(anchors, own.tolist(), ranks, scores, undefined):
-            entry = PdsEntry(ids[i], value, rank, score)
-            entries.append(undefined_entry(ids[i], n, error_policy, error) if bad else entry)
-    return finish_report(pair, spec, entries, apply_target_mask, error_policy)
+    ranked = rank_at_scales(pair, spec, target_columns(pair, apply_target_mask), (1.0,), workers)
+    own, rank, pds, undefined, error = (part[0] for part in ranked)
+    scored = pds
+    if error_policy is ErrorPolicy.SKIP:  # no rank or score, and out of the mean
+        rank[undefined] = pds[undefined] = np.nan
+        scored = pds[~undefined]
+        if not scored.size:
+            raise ValidationError("every anchor failed; nothing to average")
+    rows = zip(pair.perturbation_ids, own.tolist(), rank.tolist(), pds.tolist(), undefined.tolist())
+    entries = tuple(PdsEntry(*row, error if bad else None) for *row, bad in rows)
+    mean = float(np.mean(scored))
+    return PdsReport(spec, entries, mean, pair.transform_chain, apply_target_mask, error_policy)
 
 
 def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, workers: int = 1):
     """Rank every anchor of an aligned pair among all N truths at each scale c of its
     predictions, fl(c P), with column columns[i] zeroed on both sides unless it is -1.
 
-    Returns a list of (anchors, ranked) over row-blocks of anchors, where ranked holds,
-    per scale, each anchor's own measure, mid-rank and score, which anchors are
-    undefined, and the message one of them raised. One metrics.Screen forms the truth
-    side and each block its cross products with the truth, once; at every scale a
-    candidate whose interval lies wholly below or above the anchor's own measure is
-    settled, and the own measure and the rest come from pairwise_to_rows on the scaled
-    rows. Blocks run on threads, at most one per CPU.
+    Returns (own, rank, pds, undefined, errors): scale x anchor arrays of each anchor's
+    own measure, mid-rank and score and of which anchors are undefined, and per scale the
+    message they raised (None if none did). An undefined anchor, one whose own measure or
+    any candidate's is undefined, has a NaN measure, the worst rank N and score 0.
+    One metrics.Screen forms the truth side and each block its cross products with the
+    truth, once; at every scale a candidate whose interval lies wholly below or above
+    the anchor's own measure is settled, and the own measure and the rest come from
+    pairwise_to_rows on the scaled rows. Blocks of anchors run on threads, at most one
+    per CPU, each writing its own anchors' columns.
     """
     n = pair.n_perturbations
     if n < 2:
@@ -130,6 +135,8 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
         raise BadParameter(f"workers must be at least 1, got {workers!r}")
     P, T, screen = pair.predicted.values, pair.truth.values, Screen(spec, pair.truth.values)
     step = max(1, min(n, _CACHED // pair.n_genes))  # pairs per gathered chunk
+    own, rank, pds = (np.empty((len(scales), n)) for _ in range(3))
+    undefined, errors = np.zeros((len(scales), n), bool), [None] * len(scales)
 
     def parts(count):
         return (slice(k, min(k + step, count)) for k in range(0, count, step))
@@ -137,13 +144,13 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
     def measure(chunks, count):
         """pairwise_to_rows over chunks (part, a, r) of count paired rows. Returns the
         measures, which are undefined and the message they raised."""
-        values, undefined, error = np.empty(count), np.zeros(count, bool), None
+        values, failed, error = np.empty(count), np.zeros(count, bool), None
         for part, a, r in chunks:
             try:
                 values[part] = pairwise_to_rows(spec, a, r)
             except ZeroVector as exc:  # covers ZeroSignVector
-                values[part], undefined[part], error = exc.values, exc.undefined, str(exc)
-        return values, undefined, error
+                values[part], failed[part], error = exc.values, exc.undefined, str(exc)
+        return values, failed, error
 
     def gathered(rows, column, i, j):
         """Chunks of the rows i with the truth rows j, the anchor's target column zeroed."""
@@ -153,65 +160,42 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
             r[masked, target[masked]] = 0.0
             yield part, rows[i[part]], r
 
-    def rank(anchors) -> list:
+    def rank_block(anchors) -> None:
         block, column = P[anchors[0] : anchors[-1] + 1], columns[anchors]  # a view
         masked, local = np.flatnonzero(column >= 0), np.arange(len(anchors))
         if masked.size:  # a copy, with masked targets zeroed
             block = block.copy()
             block[masked, column[masked]] = 0.0
-        formed, ranked = screen.cross(block), []
-        cross = formed
-        for c in scales:
+        cross = formed = screen.cross(block)
+        for k, c in enumerate(scales):
             rows = block if c == 1.0 else block * c
             cross = formed if c == 1.0 else screen.rescaled(cross, rows)
             lo, hi = screen.bounds(cross, rows, column, c)
-            own, undefined, error = measure(gathered(rows, column, local, anchors), len(rows))
-            closer = hi < own[:, None]
-            undecided = ~(closer | (lo > own[:, None]) | (lo == hi))  # NaN bounds stay undecided
+            mine, bad, error = measure(gathered(rows, column, local, anchors), len(rows))
+            closer = hi < mine[:, None]
+            undecided = ~(closer | (lo > mine[:, None]) | (lo == hi))  # NaN bounds stay undecided
             undecided[local, anchors] = False
-            undecided[undefined] = False  # one undefined measure settles the anchor
+            undecided[bad] = False  # one undefined measure settles the anchor
             d = np.where(closer, hi, lo)  # on the same side of own as the measure
             i, j = np.nonzero(undecided)
             d[i, j], failed, raised = measure(gathered(rows, column, i, j), len(i))
-            undefined[i[failed]] = True
-            d[local, anchors] = own
-            if not np.isfinite(d[~undefined]).all():
+            bad[i[failed]] = True
+            d[local, anchors] = mine
+            if not np.isfinite(d[~bad]).all():
                 raise ValidationError("distances must be finite")
-            ranked.append((own, *_mid_ranks(d, own), undefined.tolist(), error or raised))
-        return ranked
+            own[k, anchors], undefined[k, anchors] = mine, bad
+            rank[k, anchors], pds[k, anchors] = _mid_ranks(d, mine)
+            if error or raised:  # one message per kind, so blocks may race to write it
+                errors[k] = error or raised
 
     threads = min(workers, os.cpu_count() or 1)
     blocks = np.array_split(np.arange(n), min(n, max(workers, -(-n * n // _CACHED))))
     if threads < 2:  # no pool, so a one-worker run never imports concurrent.futures
-        return list(zip(blocks, map(rank, blocks)))
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(threads) as pool:
-        return list(zip(blocks, pool.map(rank, blocks)))
-
-
-def undefined_entry(perturbation_id: str, n: int, error_policy: ErrorPolicy, exc) -> PdsEntry:
-    """Entry for an anchor whose measure is undefined among n candidates:
-    the worst rank under WORST, no rank or score under SKIP."""
-    if error_policy is ErrorPolicy.WORST:
-        return PdsEntry(perturbation_id, float("nan"), float(n), 0.0, error=str(exc))
-    return PdsEntry(perturbation_id, float("nan"), float("nan"), float("nan"), error=str(exc))
-
-
-def finish_report(
-    pair: EffectPair,
-    spec: DistanceSpec,
-    entries,
-    apply_target_mask: bool,
-    error_policy: ErrorPolicy,
-) -> PdsReport:
-    """Report over per-anchor entries; SKIP leaves undefined anchors out of the mean."""
-    entries = tuple(entries)
-    if error_policy is ErrorPolicy.SKIP:
-        values = [e.pds for e in entries if e.error is None]
-        if not values:
-            raise ValidationError("every anchor failed; nothing to average")
+        list(map(rank_block, blocks))
     else:
-        values = [e.pds for e in entries]
-    mean = float(np.mean(np.asarray(values, dtype=np.float64)))
-    return PdsReport(spec, entries, mean, pair.transform_chain, apply_target_mask, error_policy)
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(rank_block, blocks))  # list() re-raises a block's error
+    own[undefined], rank[undefined], pds[undefined] = np.nan, n, 0.0
+    return own, rank, pds, undefined, errors

@@ -55,10 +55,11 @@ def sha256_file(path) -> str:
 
 
 def _rows_of(path, errors: str = "strict") -> list:
-    """(1-based line where it starts, cells) of every row of a UTF-8 CSV file not blank."""
+    """(1-based line where it starts, cells) of every row of a UTF-8 CSV file not blank,
+    a leading byte-order mark dropped."""
     rows, line = [], 1
     try:
-        with open(path, newline="", encoding="utf-8", errors=errors) as fh:
+        with open(path, newline="", encoding="utf-8-sig", errors=errors) as fh:
             reader = csv.reader(fh)
             for row in reader:
                 if not _blank(row):

@@ -11,9 +11,9 @@ from pdscore import (
     pairwise_to_rows,
     pds_row,
 )
-from pdscore.discrimination import ErrorPolicy, PdsEntry, finish_report, undefined_entry
+from pdscore.discrimination import ErrorPolicy, PdsEntry
 
-from oracles import anchor_subproblem
+from oracles import anchor_subproblem, policy_report, undefined_anchor
 
 
 def labels(prefix: str, n: int) -> tuple[str, ...]:
@@ -44,7 +44,7 @@ def per_anchor_pds(pair, spec, apply_target_mask=False, error_policy=ErrorPolicy
     """compute_pds measuring every candidate of every anchor with the elementwise kernel.
 
     The scoring path before screening: anchor_subproblem, then pairwise_to_rows
-    over the whole truth matrix, then pds_row.
+    over the whole truth matrix, then pds_row, with the reference error policy.
     """
     n = pair.n_perturbations
     entries = []
@@ -56,8 +56,8 @@ def per_anchor_pds(pair, spec, apply_target_mask=False, error_policy=ErrorPolicy
             rank, value = pds_row(dists, i)
             entries.append(PdsEntry(pid, float(dists[i]), rank, value))
         except ZeroVector as exc:
-            entries.append(undefined_entry(pid, n, error_policy, exc))
-    return finish_report(pair, spec, entries, apply_target_mask, error_policy)
+            entries.append(undefined_anchor(pid, n, error_policy, exc))
+    return policy_report(pair, spec, entries, apply_target_mask, error_policy)
 
 
 def threshold_l1_per_anchor(pair, apply_target_mask=False):

@@ -1,10 +1,11 @@
 """Brute-force references the tests check pdscore against.
 
-They share no ranking or measuring code with pdscore: ranks come from full
-sorting (not comparison counting), every measure from scalar formulas (not the
-batched kernel), a masked anchor's subproblem from copies with its target
-zeroed, limit rankings from literal distance evaluations at a large scale, and
-the ray certificate from a grid search.
+They share no ranking, measuring or error-policy code with pdscore: ranks come
+from full sorting (not comparison counting), every measure from scalar formulas
+(not the batched kernel), undefined anchors from their own policy below, a
+masked anchor's subproblem from copies with its target zeroed, limit rankings
+from literal distance evaluations at a large scale, and the ray certificate
+from a grid search.
 """
 
 import math
@@ -20,10 +21,10 @@ from pdscore import (
     ErrorPolicy,
     PdsEntry,
     PdsReport,
+    ValidationError,
     ZeroSignVector,
     ZeroVector,
 )
-from pdscore.discrimination import finish_report, undefined_entry
 from pdscore.effects import target_columns
 
 
@@ -122,6 +123,25 @@ def _scalar_measure(spec: DistanceSpec, a: np.ndarray, r: np.ndarray) -> float:
     return float(np.where(signs == 0.0, np.abs(r), -signs * r).sum())
 
 
+def undefined_anchor(pid: str, n: int, error_policy: ErrorPolicy, exc) -> PdsEntry:
+    """An anchor whose measure is undefined among n candidates: no measure, and the
+    worst rank n with score 0 under WORST, no rank or score under SKIP."""
+    if error_policy is ErrorPolicy.WORST:
+        return PdsEntry(pid, math.nan, float(n), 0.0, str(exc))
+    return PdsEntry(pid, math.nan, math.nan, math.nan, str(exc))
+
+
+def policy_report(pair, spec, entries, apply_target_mask, error_policy) -> PdsReport:
+    """Report over per-anchor entries, its mean over every score under WORST and over
+    the defined anchors' under SKIP, which fails when none is defined."""
+    entries = tuple(entries)
+    kept = [e.pds for e in entries if error_policy is ErrorPolicy.WORST or e.error is None]
+    if not kept:
+        raise ValidationError("every anchor failed; nothing to average")
+    mean = float(np.mean(np.asarray(kept, dtype=np.float64)))
+    return PdsReport(spec, entries, mean, pair.transform_chain, apply_target_mask, error_policy)
+
+
 def oracle_pds(
     pair: EffectPair,
     spec: DistanceSpec,
@@ -130,10 +150,10 @@ def oracle_pds(
 ) -> PdsReport:
     """Reference scorer: scalar distances plus full-sort average-of-tie ranks.
 
-    Shares the masking rule and the error policy with compute_pds but none
-    of the ranking code, and evaluates every measure with the scalar
-    functions above rather than the batched kernel, so rank agreement is a
-    meaningful cross-check.
+    Shares the masking rule with compute_pds but none of the ranking code or
+    the error policy (undefined_anchor and policy_report above), and evaluates
+    every measure with the scalar functions above rather than the batched
+    kernel, so rank agreement is a meaningful cross-check.
     """
     n = pair.n_perturbations
     entries = []
@@ -145,8 +165,8 @@ def oracle_pds(
             value = 1.0 - (rank - 1.0) / (n - 1.0)
             entries.append(PdsEntry(pid, float(dists[i]), rank, value))
         except ZeroVector as exc:
-            entries.append(undefined_entry(pid, n, error_policy, exc))
-    return finish_report(pair, spec, entries, apply_target_mask, error_policy)
+            entries.append(undefined_anchor(pid, n, error_policy, exc))
+    return policy_report(pair, spec, entries, apply_target_mask, error_policy)
 
 
 def oracle_l1_limit(pair: EffectPair, c: float) -> np.ndarray:

@@ -361,6 +361,35 @@ def test_sweep_points_equal_compute_pds_on_scaled_predictions(case):
                 assert point.hex() == want.hex(), (kind.value, mask, c)
 
 
+def _written_limit(pair, spec):
+    """The pair and measure whose compute_pds mean is spec's large-scale limit: the
+    limit kinds at threshold 0 for l1 and l2, and for sign-cosine at threshold t the
+    predictions sign(P) times the next float above t; cosine and l2-limit themselves."""
+    kind, t = spec.kind, spec.sign_threshold
+    if kind in (DistanceKind.L1, DistanceKind.L1_LIMIT):
+        return pair, L1_LIMIT
+    if kind is DistanceKind.L2:
+        return pair, L2_LIMIT
+    if kind is DistanceKind.SIGN_COSINE_DISSIM:
+        signs = np.sign(pair.predicted.values) * np.nextafter(t, np.inf)
+        return pair_from(signs, pair.truth.values, pair.target_gene_of), spec
+    return pair, spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(swept_pairs())
+def test_limits_equal_compute_pds_on_the_written_out_limit(case):
+    """Each metric's limit_mean_pds is compute_pds's mean on its limit, bit for bit."""
+    pair, _, threshold = case
+    for kind in DistanceKind:
+        spec = DistanceSpec(kind, threshold)
+        limit_pair, limit_spec = _written_limit(pair, spec)
+        for mask in (False, True):
+            limit = scale_sweep(pair, [spec], (1.0,), mask).limit_mean_pds[kind.value]
+            want = compute_pds(limit_pair, limit_spec, mask).mean_pds
+            assert limit.hex() == want.hex(), (kind.value, mask)
+
+
 class TestEqualNormReduction:
     def test_limit_ranking_equals_cosine_ranking_when_norms_are_equal(self):
         rng = np.random.default_rng(61)

@@ -111,6 +111,26 @@ class TestPdsCommand:
         report = json.loads((out / "pds_l1.json").read_text())
         assert report["apply_target_mask"] is True
 
+    def test_byte_order_mark_in_target_map_is_ignored(self, pair_files, tmp_path):
+        """A headerless map saved with a UTF-8 byte-order mark still masks its first
+        perturbation: the report equals the one from the same map without the mark."""
+        pred, truth = pair_files
+        reports = []
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            targets = tmp_path / f"{name}.csv"
+            targets.write_bytes(mark + b"P0000,G0003\nP0001,G0001\n")
+            out = tmp_path / name
+            code = main(
+                [
+                    "pds", "--pred", str(pred), "--truth", str(truth),
+                    "--metric", "l1", "--mask-target", "--targets", str(targets),
+                    "--out", str(out),
+                ]
+            )
+            assert code == 0
+            reports.append((out / "pds_l1.csv").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_unknown_metric_exits_2_with_choices(self, pair_files, tmp_path, capsys):
         pred, truth = pair_files
         code = main(

@@ -214,6 +214,29 @@ class TestComputePds:
             parallel = compute_pds(pair, spec, workers=4)
             assert serial == parallel
 
+    def test_parallel_blocks_keep_every_undefined_anchors_message(self):
+        """Blocks on threads write one shared message per scale: with a short switch
+        interval and more blocks than threads, no undefined anchor loses its message."""
+        import sys
+
+        pred = np.random.default_rng(34).standard_normal((64, 6))
+        pred[::8] = 0.0  # undefined anchors in every other block of four
+        pair = pair_from(pred, np.random.default_rng(36).standard_normal((64, 6)))
+        spec = DistanceSpec(DistanceKind.COSINE_DISSIM)
+
+        def scored(report):  # NaN measures compare unequal, so ranks, scores and errors
+            return report.mean_pds, [(e.rank, e.pds, e.error) for e in report.per_perturbation]
+
+        serial = scored(compute_pds(pair, spec))
+        assert [error is None for *_, error in serial[1]] == [i % 8 != 0 for i in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                assert scored(compute_pds(pair, spec, workers=16)) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_workers_below_one_rejected(self):
         pair = random_pair(np.random.default_rng(35), n=4, p=3)
         for workers in (0, -2):

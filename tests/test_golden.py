@@ -18,12 +18,15 @@ The inputs in tests/golden/inputs were made once:
 Each run in RUNS reads copies of them in a temporary directory and must write
 exactly the files under tests/golden/expected/<run>, with the same bytes.
 run_config.json records input and output paths, so the temporary directory is
-replaced by TMP before it is compared. After an intended format change,
-regenerate the expected files with
+replaced by TMP before it is compared. Each run must also replay: the options
+its run_config.json records rebuild a command line that writes the same bytes.
+After an intended format change, regenerate the expected files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
+import json
 import shutil
 import sys
 import tempfile
@@ -33,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from pdscore.cli import main
+from pdscore.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 TMP = "<tmp>"
@@ -110,13 +113,48 @@ def _run(name: str, tmp: Path) -> dict:
     argv = [a.replace("{in}", str(inputs)) for a in RUNS[name]] + ["--out", str(out)]
     with redirect_stdout(StringIO()):
         assert main(argv) == 0
+    return _outputs(out, tmp)
+
+
+def _outputs(out: Path, *roots: Path) -> dict:
+    """{file name: bytes} of the files in out, each root replaced by TMP in run_config.json."""
     files = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
         if path.name == "run_config.json":
-            data = data.replace(str(tmp).encode(), TMP.encode())
+            for root in roots:
+                data = data.replace(str(root).encode(), TMP.encode())
         files[path.name] = data
     return files
+
+
+def _replay_argv(options: dict, out: Path) -> list:
+    """The command line that options, as run_config.json records them, came from, with
+    out as its --out. Subcommands come from the subparsers' destinations and every other
+    option from its flag, as the parser maps destinations to flags; a list is a comma
+    separated value, and the grid <first>:<last>:<count>."""
+    argv, flags, commands, parser = [], {}, set(), build_parser()
+    while parser is not None:
+        actions, parser = parser._actions, None
+        for action in actions:
+            if isinstance(action, argparse._SubParsersAction):
+                commands.add(action.dest)
+                argv.append(options[action.dest])
+                parser = action.choices[options[action.dest]]
+            elif action.option_strings:
+                flags[action.dest] = action
+    assert set(options) <= set(flags) | commands, "an option with no flag cannot be replayed"
+    for dest, value in options.items():
+        if dest in commands or dest == "out" or value is None or value is False:
+            continue
+        argv.append(flags[dest].option_strings[0])
+        if dest == "grid":
+            argv.append(f"{value[0]!r}:{value[-1]!r}:{len(value)}")
+        elif isinstance(value, list):
+            argv.append(",".join(map(str, value)))
+        elif value is not True:
+            argv.append(str(value))
+    return [*argv, "--out", str(out)]
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -127,6 +165,19 @@ def test_outputs_are_byte_identical(name, tmp_path):
     assert sorted(actual) == sorted(expected)
     for file_name, data in expected.items():
         assert actual[file_name] == data, f"{name}/{file_name} differs from its golden file"
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_config_replays_its_run(name, tmp_path):
+    """A run's recorded options rebuild its command line: run from them alone, with a
+    fresh --out, it writes the same bytes, run_config.json included."""
+    first = _run(name, tmp_path / "first")
+    config = tmp_path / "first" / "out" / name / "run_config.json"
+    options = json.loads(config.read_text(encoding="utf-8"))["options"]
+    out = tmp_path / "again" / "out" / name
+    with redirect_stdout(StringIO()):
+        assert main(_replay_argv(options, out)) == 0
+    assert _outputs(out, tmp_path / "first", tmp_path / "again") == first
 
 
 def _regenerate() -> None:

@@ -485,6 +485,11 @@ class TestTargetMap:
         assert pio.read_target_map(with_header) == {"A": "g1", "B": "g2"}
         assert pio.read_target_map(bare) == {"A": "g1", "B": "g2"}
 
+    def test_byte_order_mark_before_header_is_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfperturbation,target\nA,g1\nB,g2\n")
+        assert pio.read_target_map(path) == {"A": "g1", "B": "g2"}
+
     def test_wrong_width(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("A,g1,extra\n")
