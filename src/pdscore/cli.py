@@ -24,18 +24,25 @@ from .synth import CountSynthSpec, SynthSpec, generate, generate_counts
 from .transforms import CHAIN_GRAMMAR, apply_chain, chain_tokens, norm_match, parse_chain
 
 
-def _metric_list(text: str):
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise argparse.ArgumentTypeError(f"no metrics given; choose from: {', '.join(METRIC_TOKENS)}")
-    for token in tokens:
-        if token not in METRIC_TOKENS:
-            raise argparse.ArgumentTypeError(
-                f"unknown metric {token!r}; choose from: {', '.join(METRIC_TOKENS)}"
-            )
-        if tokens.count(token) > 1:
-            raise argparse.ArgumentTypeError(f"metric {token!r} given more than once")
-    return tokens
+def _distinct(kind: str, choices):
+    """Parser of a comma separated list of tokens from choices, none repeated."""
+    listed = ", ".join(choices)
+
+    def parse(text: str):
+        tokens = [t.strip() for t in text.split(",") if t.strip()]
+        if not tokens:
+            raise argparse.ArgumentTypeError(f"no {kind}s given; choose from: {listed}")
+        for token in tokens:
+            if token not in choices:
+                raise argparse.ArgumentTypeError(f"unknown {kind} {token!r}; choose from: {listed}")
+            if tokens.count(token) > 1:
+                raise argparse.ArgumentTypeError(f"{kind} {token!r} given more than once")
+        return tokens
+
+    return parse
+
+
+_metric_list, _formats = _distinct("metric", METRIC_TOKENS), _distinct("format", ("json", "csv"))
 
 
 def _chain(text: str):
@@ -229,13 +236,6 @@ def _cmd_synth_counts(args, out: Path, meta: dict | None) -> None:
     print(f"wrote {path}")
 
 
-def _formats(text: str):
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    if not tokens or any(t not in ("json", "csv") for t in tokens):
-        raise argparse.ArgumentTypeError("formats must be a comma separated subset of json,csv")
-    return tokens
-
-
 def _add_common_io(parser, with_formats=True):
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     if with_formats:
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--dims", type=_int_list, required=True, help="comma separated dimensions")
     r.add_argument("--rho", type=float, required=True, help="distractor to prediction norm ratio")
     r.add_argument("--kappa", type=float, required=True, help="cosine between prediction and truth")
-    r.add_argument("--samples", type=int, default=100000)
+    r.add_argument("--samples", type=_int_at_least(1), default=100000)
     r.add_argument("--seed", type=_int_at_least(0), default=0)
     r.add_argument("--metric", choices=["l1", "l2"], default="l2")
     _add_common_io(r)

@@ -13,8 +13,8 @@ from enum import Enum
 import numpy as np
 
 from .effects import EffectPair, target_columns
-from .errors import BadIndex, BadParameter, ValidationError, ZeroVector
-from .metrics import _CACHED, DistanceSpec, Screen, pairwise_to_rows
+from .errors import BadIndex, BadParameter, ValidationError
+from .metrics import _CACHED, _UNDEFINED, DistanceSpec, Screen, _measured
 
 
 class ErrorPolicy(Enum):
@@ -101,7 +101,7 @@ def compute_pds(
     the number of workers (threads over row-blocks of anchors, at most one per CPU).
     """
     ranked = rank_at_scales(pair, spec, target_columns(pair, apply_target_mask), (1.0,), workers)
-    own, rank, pds, undefined, error = (part[0] for part in ranked)
+    own, rank, pds, undefined = (part[0] for part in ranked)
     scored = pds
     if error_policy is ErrorPolicy.SKIP:  # no rank or score, and out of the mean
         rank[undefined] = pds[undefined] = np.nan
@@ -109,7 +109,7 @@ def compute_pds(
         if not scored.size:
             raise ValidationError("every anchor failed; nothing to average")
     rows = zip(pair.perturbation_ids, own.tolist(), rank.tolist(), pds.tolist(), undefined.tolist())
-    entries = tuple(PdsEntry(*row, error if bad else None) for *row, bad in rows)
+    entries = tuple(PdsEntry(*row, _UNDEFINED[spec.kind][1] if bad else None) for *row, bad in rows)
     mean = float(np.mean(scored))
     return PdsReport(spec, entries, mean, pair.transform_chain, apply_target_mask, error_policy)
 
@@ -118,15 +118,15 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
     """Rank every anchor of an aligned pair among all N truths at each scale c of its
     predictions, fl(c P), with column columns[i] zeroed on both sides unless it is -1.
 
-    Returns (own, rank, pds, undefined, errors): scale x anchor arrays of each anchor's
-    own measure, mid-rank and score and of which anchors are undefined, and per scale the
-    message they raised (None if none did). An undefined anchor, one whose own measure or
-    any candidate's is undefined, has a NaN measure, the worst rank N and score 0.
+    Returns (own, rank, pds, undefined): scale x anchor arrays of each anchor's own
+    measure, mid-rank and score and of which anchors are undefined. An undefined anchor,
+    one whose own measure or any candidate's is undefined, has a NaN measure, the worst
+    rank N and score 0.
     One metrics.Screen forms the truth side and each block its cross products with the
     truth, once; at every scale a candidate whose interval lies wholly below or above
     the anchor's own measure is settled, and the own measure and the rest come from
-    pairwise_to_rows on the scaled rows. Blocks of anchors run on threads, at most one
-    per CPU, each writing its own anchors' columns.
+    metrics._measured on the scaled rows. Blocks of anchors run on threads, at most one
+    per CPU, each writing only its own anchors' columns.
     """
     n = pair.n_perturbations
     if n < 2:
@@ -136,29 +136,19 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
     P, T, screen = pair.predicted.values, pair.truth.values, Screen(spec, pair.truth.values)
     step = max(1, min(n, _CACHED // pair.n_genes))  # pairs per gathered chunk
     own, rank, pds = (np.empty((len(scales), n)) for _ in range(3))
-    undefined, errors = np.zeros((len(scales), n), bool), [None] * len(scales)
+    undefined = np.zeros((len(scales), n), bool)
 
-    def parts(count):
-        return (slice(k, min(k + step, count)) for k in range(0, count, step))
-
-    def measure(chunks, count):
-        """pairwise_to_rows over chunks (part, a, r) of count paired rows. Returns the
-        measures, which are undefined and the message they raised."""
-        values, failed, error = np.empty(count), np.zeros(count, bool), None
-        for part, a, r in chunks:
-            try:
-                values[part] = pairwise_to_rows(spec, a, r)
-            except ZeroVector as exc:  # covers ZeroSignVector
-                values[part], failed[part], error = exc.values, exc.undefined, str(exc)
-        return values, failed, error
-
-    def gathered(rows, column, i, j):
-        """Chunks of the rows i with the truth rows j, the anchor's target column zeroed."""
-        for part in parts(len(i)):
+    def measured(rows, column, i, j):
+        """(values, undefined) of metrics._measured from the rows i to the truth rows j,
+        the anchor's target column zeroed in both, in chunks of at most step pairs."""
+        values, failed = np.empty(len(i)), np.empty(len(i), bool)
+        for k in range(0, len(i), step):
+            part = slice(k, k + step)
             r, target = T[j[part]], column[i[part]]
             masked = np.flatnonzero(target >= 0)
             r[masked, target[masked]] = 0.0
-            yield part, rows[i[part]], r
+            values[part], failed[part] = _measured(spec, rows[i[part]], r)
+        return values, failed
 
     def rank_block(anchors) -> None:
         block, column = P[anchors[0] : anchors[-1] + 1], columns[anchors]  # a view
@@ -171,22 +161,20 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
             rows = block if c == 1.0 else block * c
             cross = formed if c == 1.0 else screen.rescaled(cross, rows)
             lo, hi = screen.bounds(cross, rows, column, c)
-            mine, bad, error = measure(gathered(rows, column, local, anchors), len(rows))
+            mine, bad = measured(rows, column, local, anchors)
             closer = hi < mine[:, None]
             undecided = ~(closer | (lo > mine[:, None]) | (lo == hi))  # NaN bounds stay undecided
             undecided[local, anchors] = False
             undecided[bad] = False  # one undefined measure settles the anchor
             d = np.where(closer, hi, lo)  # on the same side of own as the measure
             i, j = np.nonzero(undecided)
-            d[i, j], failed, raised = measure(gathered(rows, column, i, j), len(i))
+            d[i, j], failed = measured(rows, column, i, j)
             bad[i[failed]] = True
             d[local, anchors] = mine
             if not np.isfinite(d[~bad]).all():
                 raise ValidationError("distances must be finite")
             own[k, anchors], undefined[k, anchors] = mine, bad
             rank[k, anchors], pds[k, anchors] = _mid_ranks(d, mine)
-            if error or raised:  # one message per kind, so blocks may race to write it
-                errors[k] = error or raised
 
     threads = min(workers, os.cpu_count() or 1)
     blocks = np.array_split(np.arange(n), min(n, max(workers, -(-n * n // _CACHED))))
@@ -198,4 +186,4 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(rank_block, blocks))  # list() re-raises a block's error
     own[undefined], rank[undefined], pds[undefined] = np.nan, n, 0.0
-    return own, rank, pds, undefined, errors
+    return own, rank, pds, undefined

@@ -33,12 +33,7 @@ class UnknownPerturbation(ValidationError, KeyError):
 
 
 class ZeroVector(ValidationError):
-    """A cosine measure is undefined. From pairwise_to_rows, `undefined` marks the
-    rows concerned and `values` holds every row's measure, NaN in those rows."""
-
-    def __init__(self, message, undefined=None, values=None):
-        super().__init__(message)
-        self.undefined, self.values = undefined, values
+    """A cosine measure is undefined for a vector of zero norm (sign count)."""
 
 
 class ZeroSignVector(ZeroVector):

@@ -43,10 +43,7 @@ class DistanceSpec:
     sign_threshold: float = 0.0
 
     def __post_init__(self):
-        threshold = float(self.sign_threshold)
-        if not np.isfinite(threshold) or threshold < 0.0:
-            raise BadParameter("sign_threshold must be finite and >= 0")
-        object.__setattr__(self, "sign_threshold", threshold)
+        object.__setattr__(self, "sign_threshold", _sign_threshold(self.sign_threshold))
 
     @property
     def token(self) -> str:
@@ -61,6 +58,14 @@ def spec_from_token(token: str, sign_threshold: float = 0.0) -> DistanceSpec:
             f"unknown metric {token!r}; choose from: {', '.join(METRIC_TOKENS)}"
         ) from None
     return DistanceSpec(kind, sign_threshold)
+
+
+def _sign_threshold(value) -> float:
+    """value as a float sign threshold: BadParameter unless it is finite and >= 0."""
+    threshold = np.nan if value is None else float(value)
+    if not 0.0 <= threshold < np.inf:
+        raise BadParameter("sign threshold must be finite and >= 0")
+    return threshold
 
 
 def _signs(values, threshold: float, out=None) -> np.ndarray:
@@ -96,6 +101,40 @@ def _similarity(spec: DistanceSpec, a, rows):
     return similarity, undefined
 
 
+_UNDEFINED = {  # each cosine kind's exception for an undefined row, and its message
+    DistanceKind.COSINE_DISSIM: (ZeroVector, "cosine undefined for a zero vector"),
+    DistanceKind.SIGN_COSINE_DISSIM:
+        (ZeroSignVector, "sign cosine undefined when a sign vector is all zero"),
+}
+
+
+def _measured(spec: DistanceSpec, a, rows):
+    """(values, undefined) from each row of a 2-d float64 a (one row, or one per row) to
+    the rows of rows: pairwise_to_rows's measures, NaN where a zero norm (cosine) or sign
+    count (sign-cosine) leaves a row undefined, and which rows those are."""
+    # Reductions here and in _similarity use elementwise products (never BLAS matrix
+    # products) written into one fresh C-ordered array, so each row sums pairwise along
+    # the last axis whatever the layout of a and rows.
+    kind = spec.kind
+    if kind in _UNDEFINED:
+        similarity, undefined = _similarity(spec, a, rows)
+        return 1.0 - similarity, undefined
+    w, undefined = np.empty(rows.shape), np.zeros(len(rows), bool)  # always defined
+    if kind is DistanceKind.L1:
+        return np.abs(np.subtract(rows, a, out=w), out=w).sum(axis=1), undefined
+    if kind is DistanceKind.L2:
+        return np.sqrt(np.square(np.subtract(rows, a, out=w), out=w).sum(axis=1)), undefined
+    if kind is DistanceKind.L2_LIMIT:
+        return -np.multiply(rows, a, out=w).sum(axis=1), undefined
+    if kind is DistanceKind.L1_LIMIT:
+        sa = _signs(a, spec.sign_threshold)
+        # coordinate with a zero predicted sign contributes |r_j|, any other
+        # contributes -sign(a_j) r_j
+        np.multiply(rows, -sa, out=w)
+        return np.abs(rows, out=w, where=sa == 0.0).sum(axis=1), undefined
+    raise BadParameter(f"unhandled distance kind {kind!r}")
+
+
 def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
     """Measure from one prediction row to every row of a truth matrix, or from each
     row of a matrix a to the same row of rows.
@@ -105,40 +144,16 @@ def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:
     smaller still means closer. See the asymptotics module for derivations.
 
     A zero norm (cosine) or sign count (sign-cosine) leaves a row undefined: then
-    ZeroVector (ZeroSignVector) is raised once every row is measured, with those
-    rows in its `undefined` and every row's measure in its `values`.
+    ZeroVector (ZeroSignVector) is raised once every row is measured.
     """
     a, rows = np.asarray(a, dtype=np.float64), np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or a.shape not in ((rows.shape[1],), rows.shape):
         raise DimensionMismatch(f"cannot measure {a.shape} against rows of shape {rows.shape}")
-    a = a.reshape(-1, rows.shape[1])  # one row broadcasts over every row
-    # Reductions here and in _similarity use elementwise products (never BLAS matrix
-    # products) written into one fresh C-ordered array, so each row sums pairwise along
-    # the last axis whatever the layout of a and rows.
-    kind = spec.kind
-    if kind in (DistanceKind.COSINE_DISSIM, DistanceKind.SIGN_COSINE_DISSIM):
-        similarity, undefined = _similarity(spec, a, rows)
-        values = 1.0 - similarity
-        if not undefined.any():
-            return values
-        if kind is DistanceKind.COSINE_DISSIM:  # raised unnamed: a local would make a cycle
-            raise ZeroVector("cosine undefined for a zero vector", undefined, values)
-        message = "sign cosine undefined when a sign vector is all zero"
-        raise ZeroSignVector(message, undefined, values)
-    w = np.empty(rows.shape)
-    if kind is DistanceKind.L1:
-        return np.abs(np.subtract(rows, a, out=w), out=w).sum(axis=1)
-    if kind is DistanceKind.L2:
-        return np.sqrt(np.square(np.subtract(rows, a, out=w), out=w).sum(axis=1))
-    if kind is DistanceKind.L2_LIMIT:
-        return -np.multiply(rows, a, out=w).sum(axis=1)
-    if kind is DistanceKind.L1_LIMIT:
-        sa = _signs(a, spec.sign_threshold)
-        # coordinate with a zero predicted sign contributes |r_j|, any other
-        # contributes -sign(a_j) r_j
-        np.multiply(rows, -sa, out=w)
-        return np.abs(rows, out=w, where=sa == 0.0).sum(axis=1)
-    raise BadParameter(f"unhandled distance kind {kind!r}")
+    values, undefined = _measured(spec, a.reshape(-1, rows.shape[1]), rows)  # a row broadcasts
+    if undefined.any():
+        error, message = _UNDEFINED[spec.kind]
+        raise error(message)
+    return values
 
 
 def distance(spec: DistanceSpec, a, b) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .effects import EffectMatrix, EffectPair, _Made
 from .errors import BadParameter, NonpositiveScale, ValidationError, ZeroPredictionNorm
-from .metrics import _signs
+from .metrics import _sign_threshold, _signs
 
 
 class TransformKind(Enum):
@@ -41,8 +41,7 @@ class TransformDescriptor:
             ):
                 raise NonpositiveScale("scale factor must be a finite positive number")
         elif self.kind is TransformKind.SIGN_PROJECT:
-            if self.parameter is None or not np.isfinite(self.parameter) or self.parameter < 0.0:
-                raise BadParameter("sign threshold must be finite and >= 0")
+            _sign_threshold(self.parameter)
         elif self.parameter is not None:
             raise BadParameter(f"{self.kind.value} takes no parameter")
 
@@ -107,9 +106,7 @@ def _norm_matched(predicted: EffectMatrix, truth: EffectMatrix, p_norm: int) -> 
 def sign_project(predicted: EffectMatrix, threshold: float = 0.0) -> EffectMatrix:
     """Replace each row by its sign vector (values in {-1, 0, 1}), with |x| <= threshold
     mapped to 0."""
-    if not np.isfinite(threshold) or threshold < 0.0:
-        raise BadParameter("threshold must be finite and >= 0")
-    return predicted.with_values(_Made(_signs(predicted.values, threshold)))
+    return predicted.with_values(_Made(_signs(predicted.values, _sign_threshold(threshold))))
 
 
 def apply_chain(pair: EffectPair, chain) -> EffectPair:

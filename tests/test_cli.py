@@ -201,19 +201,22 @@ class TestSweepCommand:
                 ["sweep", "--pred", str(pred), "--truth", str(truth), "--grid", grid]
             ) == 2, grid
 
-    def test_repeated_metric_exits_2(self, pair_files, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, option, text",
+        [("pds", "--metric", "l2"), ("sweep", "--metric", "l2"), ("pds", "--format", "json")],
+    )
+    def test_repeated_token_exits_2(self, pair_files, tmp_path, capsys, command, option, text):
         pred, truth = pair_files
-        for command in ("pds", "sweep"):
-            out = tmp_path / command
-            code = main(
-                [
-                    command, "--pred", str(pred), "--truth", str(truth),
-                    "--metric", "l2,l2", "--out", str(out),
-                ]
-            )
-            assert code == 2, command
-            assert "more than once" in capsys.readouterr().err
-            assert not out.exists()
+        out = tmp_path / command
+        code = main(
+            [
+                command, "--pred", str(pred), "--truth", str(truth),
+                option, f"{text},{text}", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"{option[2:]} {text!r} given more than once" in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize(
@@ -322,16 +325,12 @@ class TestGeometryCommands:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.count("fraction=0.000000 stderr=0.000000") == 2
 
-    def test_region_without_dims_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("option, value", [("--dims", ""), ("--samples", "0")])
+    def test_region_bad_count_exits_2(self, tmp_path, capsys, option, value):
         out = tmp_path / "region"
-        code = main(
-            [
-                "geometry", "region",
-                "--dims", "", "--rho", "0.5", "--kappa", "0.4", "--out", str(out),
-            ]
-        )
-        assert code == 2
-        assert "--dims" in capsys.readouterr().err
+        argv = ["geometry", "region", "--dims", "2", "--rho", "0.5", "--kappa", "0.4"]
+        assert main([*argv, option, value, "--out", str(out)]) == 2
+        assert option in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -166,8 +166,8 @@ class TestComputePds:
         assert all(e.error is None for e in report.per_perturbation[1:])
 
     def test_undefined_anchors_leave_no_reference_cycles(self):
-        """The kernel's error for undefined rows, and the arrays its traceback
-        holds, are freed when compute_pds has read it, not by a later gc pass."""
+        """Every object compute_pds makes for undefined anchors, on one thread or on a
+        pool, is freed when it returns, not by a later gc pass."""
         import gc
 
         pair = pair_from(np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]]), np.ones((3, 2)))
@@ -215,27 +215,36 @@ class TestComputePds:
             assert serial == parallel
 
     def test_parallel_blocks_keep_every_undefined_anchors_message(self):
-        """Blocks on threads write one shared message per scale: with a short switch
-        interval and more blocks than threads, no undefined anchor loses its message."""
+        """Blocks on threads mark their own anchors undefined and compute_pds adds the
+        message after them: with a short switch interval and more blocks than threads,
+        every undefined anchor keeps its message under both cosine kinds, masked or not."""
         import sys
 
         pred = np.random.default_rng(34).standard_normal((64, 6))
         pred[::8] = 0.0  # undefined anchors in every other block of four
-        pair = pair_from(pred, np.random.default_rng(36).standard_normal((64, 6)))
-        spec = DistanceSpec(DistanceKind.COSINE_DISSIM)
+        targets = {f"P{i:04d}": f"G{i % 6:04d}" for i in range(64)}
+        for i in range(4, 64, 8):  # only its target gene: undefined once that is masked
+            pred[i] = 0.0
+            pred[i, i % 6] = 1.0
+        truth = np.random.default_rng(36).standard_normal((64, 6))
+        pair = pair_from(pred, truth, targets)
 
         def scored(report):  # NaN measures compare unequal, so ranks, scores and errors
             return report.mean_pds, [(e.rank, e.pds, e.error) for e in report.per_perturbation]
 
-        serial = scored(compute_pds(pair, spec))
-        assert [error is None for *_, error in serial[1]] == [i % 8 != 0 for i in range(64)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(50):
-                assert scored(compute_pds(pair, spec, workers=16)) == serial
-        finally:
-            sys.setswitchinterval(interval)
+        for kind in (DistanceKind.COSINE_DISSIM, DistanceKind.SIGN_COSINE_DISSIM):
+            for mask in (False, True):
+                spec = DistanceSpec(kind)
+                serial = scored(compute_pds(pair, spec, mask))
+                failed = [i % 8 == 0 or (mask and i % 8 == 4) for i in range(64)]
+                assert [error is not None for *_, error in serial[1]] == failed
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    for _ in range(50):
+                        assert scored(compute_pds(pair, spec, mask, workers=16)) == serial
+                finally:
+                    sys.setswitchinterval(interval)
 
     def test_workers_below_one_rejected(self):
         pair = random_pair(np.random.default_rng(35), n=4, p=3)

@@ -20,7 +20,7 @@ from pdscore import (
     spec_from_token,
 )
 from pdscore.errors import BadParameter
-from pdscore.metrics import Screen
+from pdscore.metrics import Screen, _measured
 
 from helpers import pair_from
 from oracles import dist_l1, dist_l2
@@ -164,7 +164,8 @@ class TestErrors:
             pairwise_to_rows(DistanceSpec(DistanceKind.L1), np.ones((2, 3)), np.ones((3, 3)))
 
     def test_undefined_rows_are_marked(self):
-        """The error lists which rows are undefined and carries the others' measures."""
+        """_measured marks the undefined rows, NaN in their values and every other row's
+        measure in the rest; pairwise_to_rows raises for them."""
         a = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0], [1e-170, 0.0]])
         rows = np.array([[2.0, 1.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         for kind, error in (
@@ -172,15 +173,21 @@ class TestErrors:
             (DistanceKind.SIGN_COSINE_DISSIM, ZeroSignVector),
         ):
             spec = DistanceSpec(kind)
-            with pytest.raises(error) as caught:
-                pairwise_to_rows(spec, a, rows)
+            values, undefined = _measured(spec, a, rows)
             # 1e-170 squares to 0, so its cosine is undefined, not its sign cosine
-            undefined = [False, True, True, kind is DistanceKind.COSINE_DISSIM]
-            assert caught.value.undefined.tolist() == undefined
-            assert np.isnan(caught.value.values[undefined]).all()
-            assert caught.value.values[0] == distance(spec, a[0], rows[0])
+            want = [False, True, True, kind is DistanceKind.COSINE_DISSIM]
+            assert undefined.tolist() == want
+            assert np.isnan(values[want]).all()
+            for i in np.flatnonzero(~undefined):
+                assert values[i] == distance(spec, a[i], rows[i])
+            with pytest.raises(error):
+                pairwise_to_rows(spec, a, rows)
             with pytest.raises(error):
                 pairwise_to_rows(spec, a[0], rows)
+        for kind in (DistanceKind.L1, DistanceKind.L2, DistanceKind.L2_LIMIT, DistanceKind.L1_LIMIT):
+            values, undefined = _measured(DistanceSpec(kind), a, rows)
+            assert not undefined.any()
+            assert np.array_equal(values, pairwise_to_rows(DistanceSpec(kind), a, rows))
 
 
 class TestProperties:
