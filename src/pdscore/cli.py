@@ -1,12 +1,14 @@
 """Command line: compute scores, sweeps, transforms, geometry runs, preprocessing, synthesis.
 
-Exit codes: 0 success, 1 validation or I/O failure, 2 usage error. Every
-successful run writes run_config.json into the output directory, so results
-can be reproduced from the emitted options, seed, and input digests alone; a
-run that fails leaves none.
+Exit codes: 0 success, 1 validation or I/O failure, 2 usage error, each failure with
+one line on stderr. Every successful run writes run_config.json into the output
+directory, so results can be reproduced from the emitted options, seed, and input
+digests alone; a run that fails writes nothing and removes an output directory it made.
 """
 
 import argparse
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -130,11 +132,14 @@ def _load_pair(args):
 def _cmd_pds(args, out: Path, meta: dict | None) -> None:
     pair = apply_chain(_load_pair(args), args.transform or ())
     policy = ErrorPolicy(args.error_policy)
-    for token in args.metric:
-        spec = spec_from_token(token, args.sign_threshold)
-        report = compute_pds(
-            pair, spec, args.mask_target, error_policy=policy, workers=args.workers
+    reports = [  # every metric scored before any report is written
+        compute_pds(
+            pair, spec_from_token(token, args.sign_threshold), args.mask_target,
+            error_policy=policy, workers=args.workers,
         )
+        for token in args.metric
+    ]
+    for token, report in zip(args.metric, reports):
         _emit(
             args, out, f"pds_{token}", report, meta, io.pds_report_payload, io.write_pds_report_csv
         )
@@ -272,8 +277,14 @@ def _add_pair_inputs(parser, scoring=True):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit code 2 after one line, with no usage; --help shows it."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdscore",
         description="Perturbation discrimination scoring under interchangeable distance measures.",
     )
@@ -389,25 +400,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failed(exc: Exception) -> int:
+    """Exit code 1 after one line naming exc."""
+    kind = "i/o error" if isinstance(exc, OSError) else "error"
+    print(f"{kind}: {str(exc) or 'out of memory'}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except MemoryError as exc:  # a size numpy cannot allocate, such as --grid 1:2:1e13
+        return _failed(exc)
+    out, where = Path(args.out), Path(os.path.abspath(args.out))  # with no ".." left
+    made = [d for d in (where, *where.parents) if not d.exists()]  # what mkdir will make
     try:
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         inputs = {name: getattr(args, name) for name in _INPUTS if getattr(args, name, None)}
         digests = {name: io.sha256_file(path) for name, path in inputs.items()}
         args.func(args, out, {"inputs": digests} if inputs else None)
         _echo_config(args, out, inputs, digests)
-    except PdsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
+    except (PdsError, OSError, MemoryError) as exc:
+        if made:  # a failed run leaves no directory it made
+            shutil.rmtree(made[-1], ignore_errors=True)
+        return _failed(exc)
     return 0
 
 

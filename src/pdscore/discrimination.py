@@ -140,14 +140,19 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
 
     def measured(rows, column, i, j):
         """(values, undefined) of metrics._measured from the rows i to the truth rows j,
-        the anchor's target column zeroed in both, in chunks of at most step pairs."""
+        the anchor's target column zeroed in both, in chunks of at most step pairs. A
+        term that overflows (|values| from about 1e154 up) raises ValidationError."""
         values, failed = np.empty(len(i)), np.empty(len(i), bool)
         for k in range(0, len(i), step):
             part = slice(k, k + step)
             r, target = T[j[part]], column[i[part]]
             masked = np.flatnonzero(target >= 0)
             r[masked, target[masked]] = 0.0
-            values[part], failed[part] = _measured(spec, rows[i[part]], r)
+            try:
+                with np.errstate(over="raise"):
+                    values[part], failed[part] = _measured(spec, rows[i[part]], r)
+            except FloatingPointError:  # an infinite distance, or a cosine of infinite norms
+                raise ValidationError("distances must be finite") from None
         return values, failed
 
     def rank_block(anchors) -> None:
@@ -156,10 +161,9 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
         if masked.size:  # a copy, with masked targets zeroed
             block = block.copy()
             block[masked, column[masked]] = 0.0
-        cross = formed = screen.cross(block)
+        cross = screen.cross(block)
         for k, c in enumerate(scales):
             rows = block if c == 1.0 else block * c
-            cross = formed if c == 1.0 else screen.rescaled(cross, rows)
             lo, hi = screen.bounds(cross, rows, column, c)
             mine, bad = measured(rows, column, local, anchors)
             closer = hi < mine[:, None]

@@ -167,6 +167,7 @@ def distance(spec: DistanceSpec, a, b) -> float:
 _TINY = 2.0**-900  # a smaller squared norm may have lost bits to underflow
 _HUGE = 2.0**1000  # from a squared norm this large up, kernel terms may overflow
 _L1_KINDS = (DistanceKind.L1, DistanceKind.L1_LIMIT)
+_SIGN_KINDS = (DistanceKind.SIGN_COSINE_DISSIM, *_L1_KINDS)  # products of signs
 
 
 def _in_range(squared):
@@ -176,11 +177,10 @@ def _in_range(squared):
 class Screen:
     """Bounds on pairwise_to_rows from prediction rows to every truth row, from products
     formed once: the truth side when the Screen is made (once per compute_pds call or
-    sweep) and a block of rows' cross products with the truth, cross(rows). rescaled
-    brings them to a scale's rows and bounds derives that scale's block x N bounds
-    elementwise; neither changes its arguments.
+    sweep) and a block of rows' cross products with the truth, cross(rows). bounds derives
+    a scale's block x N bounds from them elementwise and changes none of its arguments.
 
-    bounds(rescaled(cross(rows), scaled), scaled, columns, c) returns (lo, hi) with
+    bounds(cross(rows), scaled, columns, c) returns (lo, hi) with
     lo[i] <= v <= hi[i] for v = pairwise_to_rows(spec, scaled[i], truth), scaled =
     fl(c rows), both with column columns[i] zeroed unless it is -1 (a masked target gene,
     already zeroed in rows; each radius takes the unmasked truth norm, |r| >= |r0|). An
@@ -192,12 +192,14 @@ class Screen:
     u |a| |r| when both squared norms are safe; 4 (p + 4) u covers the product, the kernel
     and the bounds' rounding at c = 1.
 
-    The sign kinds take the products of the scaled rows' own signs: rescaled keeps a row's
-    products where _signs(fl(c a), t) is the pattern they were formed from (it moves when
-    t > 0 or a coordinate underflows) and forms them again from its scaled row otherwise,
-    so their bounds are the c = 1 bounds of the scaled rows. The others take fl(c fl(a.r)) for
-    a'.r, a' = fl(c a), where a's squared norm is safe (other rows form theirs again from
-    a'). Rounding to nearest gives |a'_k - c a_k| <= u c |a_k| + 2**-1075 and
+    At c != 1 a row whose products in cross(rows) do not hold at c is stale, and bounds
+    forms its products again from its scaled row, into new arrays. Under the sign kinds a
+    row is stale where its zero pattern |fl(c a_k)| <= t is not the one its products were
+    formed from (it moves when t > 0 or a coordinate underflows); the others hold, since a
+    positive scale keeps every nonzero sign, so the sign kinds' bounds are the c = 1
+    bounds of the scaled rows. Under the others a row is stale where the squared norm of a
+    is unsafe and that of a' = fl(c a) is safe; every other row takes fl(c fl(a.r)) for a'.r.
+    Rounding to nearest gives |a'_k - c a_k| <= u c |a_k| + 2**-1075 and
     |fl(c x) - c x| <= u c |x| + 2**-1075, so |fl(c fl(a.r)) - a'.r| is at most
     c (gamma_p + 2 u + u gamma_p) sum|a_k r_k| + 2**-1075 (c p + |r|_1 + 1), with
     c |a| <= (|a'| + sqrt(p) 2**-1075) / (1 - u). When a, a' and r are safe the 2**-1075
@@ -237,7 +239,7 @@ class Screen:
         sign is 0 (which fix the sign pattern of any positive scale of the rows) for the
         sign kinds and by the rows' squared norms for the others."""
         with np.errstate(all="ignore"):  # entries that overflow meet a NaN radius
-            if self.kind is DistanceKind.SIGN_COSINE_DISSIM or self.kind in _L1_KINDS:
+            if self.kind in _SIGN_KINDS:
                 signs = _signs(rows, self.threshold)
                 zero = signs == 0.0
                 if self.kind is DistanceKind.SIGN_COSINE_DISSIM:
@@ -248,25 +250,22 @@ class Screen:
                 return zero, signs @ self.abs_t.T - dots
             return np.einsum("ij,ij->i", rows, rows), rows @ self.truth.T
 
-    def rescaled(self, cross, scaled):
-        """cross for the rows scaled = fl(c rows) from cross, the products of rows: under a
-        sign kind, a new (key, products) with every row whose sign pattern moved formed
-        again from scaled; under the others, cross itself."""
-        if self.kind is not DistanceKind.SIGN_COSINE_DISSIM and self.kind not in _L1_KINDS:
-            return cross
-        key, products = cross
-        moved = ((np.abs(scaled) <= self.threshold) != key).any(axis=1)
-        if not moved.any():
-            return cross
-        key, products = key.copy(), products.copy()
-        key[moved], products[moved] = self.cross(scaled[moved])
-        return key, products
-
     def bounds(self, cross, scaled, columns, c: float):
-        """(lo, hi) for the rows scaled = fl(c rows) from cross = self.rescaled(self.cross(rows),
-        scaled), or self.cross(rows) itself at c = 1."""
+        """(lo, hi) for the rows scaled = fl(c rows) from cross = self.cross(rows); at c = 1
+        every row takes cross as it is."""
         kind, T, eps = self.kind, self.truth, self.eps
         key, products = cross
+        with np.errstate(all="ignore"):  # entries that overflow meet a NaN radius
+            if kind not in _SIGN_KINDS:
+                sq_p, products = np.einsum("ij,ij->i", scaled, scaled), products * c
+        if c != 1.0:
+            if kind in _SIGN_KINDS:
+                stale = ((np.abs(scaled) <= self.threshold) != key).any(axis=1)
+            else:
+                stale = _in_range(sq_p) & ~_in_range(key)
+            if stale.any():
+                key, products = key.copy(), products.copy()
+                key[stale], products[stale] = self.cross(scaled[stale])
         masked = np.flatnonzero(columns >= 0)
         r_k = T[:, columns[masked]].T  # each masked row's target column of every truth row
 
@@ -292,12 +291,7 @@ class Screen:
                     return score - radius, score + radius
                 return l1_p[:, None] + score - radius, np.full(products.shape, np.inf)
 
-            sq_p = np.einsum("ij,ij->i", scaled, scaled)
-            dots = products * c
-            formed = _in_range(sq_p) & ~_in_range(key)
-            if formed.any():
-                dots[formed] = self.cross(scaled[formed])[1]
-            sq_p, sq_t, norm_t = sq_p[:, None], self.sq_t, self.norm_t
+            dots, sq_p, sq_t, norm_t = products, sq_p[:, None], self.sq_t, self.norm_t
             norm_p, safe = np.sqrt(sq_p), _in_range(sq_p) & _in_range(sq_t)
             sq_r = less(sq_t, r_k * r_k)
             if kind is DistanceKind.L2_LIMIT:

@@ -1,16 +1,24 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pdscore import EffectMatrix, __version__
+from pdscore import METRIC_TOKENS, EffectMatrix, __version__
 from pdscore import io as pio
-from pdscore.cli import main
+from pdscore.cli import build_parser, main
+
+from helpers import COUNT_CELLS, FLOAT_CELLS, matrix_csvs
 
 
 def _run(*argv, cwd=None):
@@ -383,7 +391,7 @@ class TestPreprocessCommands:
         )
         assert code == 1
         assert "norm_sigma must be finite" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_sign_threshold_exits_1(self, counts_file, tmp_path, threshold, capsys):
@@ -544,3 +552,181 @@ def test_bytes_that_are_not_utf8_are_one_error_line(bad, command, where, tmp_pat
     message = f"{where}: not UTF-8 text: b'\\xff\\xfe'"
     assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
     assert not (tmp_path / "out" / "run_config.json").exists()
+
+
+ZERO_PRED = "perturbation,g1,g2\nA,0,0\nB,0,0\nC,0,0\n"
+TRUTH = "perturbation,g1,g2\nA,1,2\nB,3,1\nC,0,1\n"
+REGION = ["geometry", "region", "--rho", "0.5", "--kappa", "0.4"]
+
+
+@pytest.mark.parametrize("existed", [False, True])
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["pds", "--pred", "zero.csv", "--truth", "truth.csv", "--metric", "l1,cosine",
+          "--error-policy", "skip"], "every anchor failed; nothing to average"),
+        ([*REGION, "--dims", "0"], "dimension must be at least 2"),
+        (["synth", "pair", "--n", "0"], "need at least two perturbations"),
+        (["synth", "counts", "--genes", "0"], "need at least two genes"),
+        (["synth", "pair", "--target-cosine", "2"], "target_cosine must lie in [0, 1]"),
+        # sizes numpy refuses at once, without touching memory
+        (["sweep", "--pred", "truth.csv", "--truth", "truth.csv", "--grid", "1:2:10000000000000"],
+         "Unable to allocate"),
+        ([*REGION, "--dims", "100000000000000", "--samples", "1"], "Unable to allocate"),
+    ],
+    ids=["pds-skip", "region-dims", "pair-n", "counts-genes", "pair-cosine", "sweep-grid",
+         "region-memory"],
+)
+def test_a_failed_command_writes_nothing(command, message, existed, tmp_path, monkeypatch, capsys):
+    """One error line and exit 1; an --out the run made is gone, and one it found is empty."""
+    monkeypatch.chdir(tmp_path)
+    Path("zero.csv").write_text(ZERO_PRED, encoding="utf-8")
+    Path("truth.csv").write_text(TRUTH, encoding="utf-8")
+    out = tmp_path / "out" / "sub"
+    if existed:
+        out.mkdir(parents=True)
+    code = main([*command, "--out", "out/sub"])
+    done = capsys.readouterr()
+    assert code == 1
+    assert done.err.startswith("error: ") and done.err.count("\n") == 1 and message in done.err
+    assert "mean_pds" not in done.out  # no metric reports a score before another fails
+    if existed:
+        assert list(out.iterdir()) == []
+    else:
+        assert not (tmp_path / "out").exists()
+
+
+def test_out_through_a_symlink_loop_is_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    os.symlink("loop", "loop")
+    argv = ["geometry", "certificate", "--pred-norm", "1", "--true-norm", "1", "--cosine", "0.5"]
+    assert main([*argv, "--out", "loop/x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+
+def _commands(parser, words=()):
+    """(words, parser) of each command that runs, such as (("synth", "pair"), its parser)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, (*words, name))
+            return
+    yield words, parser
+
+
+def _joined(tokens, most=3):
+    return st.lists(st.sampled_from(tokens), min_size=1, max_size=most, unique=True).map(",".join)
+
+
+SIZE = st.integers(-1, 64).map(str)  # every count, dimension, sample and grid size
+SIZED = ("n", "genes", "perturbations", "cells_per_condition", "samples")  # defaults run long
+NUMBER = st.one_of(
+    st.floats(-3.0, 3.0).map(repr),
+    st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "x", ""]),
+)
+FILES = ["pred.csv", "truth.csv", "counts.csv", "targets.csv", "raw.bin", "missing.csv"]
+PIPELINE = st.sampled_from(["per10k", "median", "median-nolog", "log"])
+# Values of each option without choices, by its dest; a new option with no entry fails.
+VALUES = {
+    **{name: st.sampled_from([f"{name}.csv"] * 30 + FILES) for name in ("pred", "truth", "counts",
+                                                                       "targets")},
+    "out": st.sampled_from(["out", "out", "out/sub", "existing", "pred.csv"]),
+    "metric": _joined([*METRIC_TOKENS, "l3"]),
+    "format": st.sampled_from(["json", "csv", "json,csv", "csv,json", "json,json", "xml"]),
+    "transform": _joined(["scale:2", "scale:0.5", "norm-match:l1", "norm-match:l2", "sign:0.5",
+                          "scale:1e10", "scale:0", "sign:-1", "shift:1"], 2),
+    "grid": st.one_of(st.just("0.5:2:3"), st.tuples(NUMBER, NUMBER, SIZE).map(":".join)),
+    "dims": _joined([str(d) for d in range(-1, 65)] + ["x"]),
+    "workers": st.integers(0, 4).map(str),
+    "seed": st.integers(-1, 2**64).map(str),
+    "pipeline": PIPELINE, "pipeline_a": PIPELINE, "pipeline_b": PIPELINE,
+    **dict.fromkeys(SIZED, SIZE),
+    **dict.fromkeys(
+        ["sign_threshold", "pred_norm", "true_norm", "cosine", "rho", "kappa", "target_cosine",
+         "norm_mu", "norm_sigma", "scale", "mean_counts", "libsize_sigma", "effect_fraction",
+         "effect_sigma"],
+        NUMBER,
+    ),
+}
+# Files that read: four perturbations, or six cells with three controls, of three genes.
+ROW = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(lambda v: ",".join(map(repr, v)))
+EFFECTS = st.lists(ROW, min_size=4, max_size=4).map(
+    lambda rows: "perturbation,g1,g2,g3\n" + "".join(f"{a},{r}\n" for a, r in zip("ABCD", rows))
+)
+COUNTS = st.lists(st.integers(0, 9), min_size=18, max_size=18).map(
+    lambda v: "cell,condition,g1,g2,g3\n" + "".join(
+        f"c{i},{'control' if i % 2 else 'A'},{v[3 * i]},{v[3 * i + 1]},{v[3 * i + 2]}\n"
+        for i in range(6)
+    )
+)
+TARGETS = st.lists(
+    st.tuples(st.sampled_from("ABCX"), st.sampled_from(["g1", "g2", "g9", ""])), max_size=4
+).map(lambda rows: "perturbation,target\n" + "".join(f"{a},{b}\n" for a, b in rows))
+
+
+@st.composite
+def cli_runs(draw):
+    """(files, argv): input files by name and the arguments of one command, drawn from the
+    parser's own options, given or left out, with values in and out of range."""
+    words, parser = draw(st.sampled_from(list(_commands(build_parser()))))
+    argv = list(words)
+    for action in parser._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if action.required or action.dest in SIZED or draw(st.integers(0, 2)) == 0:
+            option = action.option_strings[0]  # --name=value takes values such as -1 and ""
+            if action.nargs == 0:  # a flag
+                argv.append(option)
+            else:
+                values = VALUES[action.dest] if action.choices is None else st.sampled_from(
+                    [*action.choices] * 3 + ["x"])
+                argv.append(f"{option}={draw(values)}")
+    effects = st.one_of(*[EFFECTS] * 3, matrix_csvs(["perturbation"], FLOAT_CELLS))
+    counts = st.one_of(COUNTS, matrix_csvs(["cell", "condition"], COUNT_CELLS))
+    texts = {"pred.csv": effects, "truth.csv": effects, "counts.csv": counts, "targets.csv": TARGETS}
+    files = {name: draw(text).encode() for name, text in texts.items()}
+    return {**files, "raw.bin": draw(st.binary(max_size=16))}, argv
+
+
+@contextlib.contextmanager
+def _inside(directory):
+    """Run in directory and return to the working directory after."""
+    before = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_runs())
+@example(({"pred.csv": ZERO_PRED.encode(), "truth.csv": TRUTH.encode()},
+          ["pds", "--pred", "pred.csv", "--truth", "truth.csv", "--metric", "l1,cosine",
+           "--error-policy", "skip", "--out=out"]))
+@example(({"pred.csv": TRUTH.encode(), "truth.csv": TRUTH.encode()},
+          ["sweep", "--pred", "pred.csv", "--truth", "truth.csv", "--grid", "1:2:10000000000000",
+           "--out=out"]))
+@example(({}, [*REGION, "--dims", "100000000000000", "--samples", "1", "--out=out"]))
+def test_every_run_ends_in_at_most_one_line(case):
+    """Exit code 0, 1 or 2, at most one line on stderr and no exception; a failed run
+    writes nothing: no run_config.json, no --out it made, nothing in one it found."""
+    files, argv = case
+    with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
+        for name, data in files.items():
+            Path(name).write_bytes(data)
+        Path("existing").mkdir()
+        out = Path(next((a[6:] for a in argv if a.startswith("--out=")), "."))
+        made = [d for d in (out, *out.parents) if not d.exists()]
+        before = sorted(os.listdir(out)) if out.is_dir() else None
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2), argv
+        assert err == "" or (err.count("\n") == 1 and err.endswith("\n")), (argv, err)
+        assert (code == 0) == (out / "run_config.json").is_file(), argv
+        if code:
+            assert not any(d.exists() for d in made), argv
+            assert (sorted(os.listdir(out)) if out.is_dir() else None) == before, argv

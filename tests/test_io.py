@@ -38,7 +38,7 @@ from pdscore import (
 from pdscore import io as pio
 from pdscore.errors import DuplicateLabelInFile
 
-from helpers import random_pair
+from helpers import COUNT_CELLS, FLOAT_CELLS, exactly, matrix_csvs, random_pair
 
 
 class TestEffectMatrixRoundTrip:
@@ -221,58 +221,6 @@ def positional_outcome(read, path):
     """outcome() with the bulk parse refusing every file, so only _read_table parses."""
     with mock.patch.object(pio, "_bulk_table", side_effect=pio._Refused):
         return outcome(read, path)
-
-
-def padded(cells):
-    pads = st.sampled_from(["", " ", "\t"])
-    return st.tuples(pads, cells, pads).map("".join)
-
-
-# Spellings where float() or int() and numpy's parse may part ways.
-TRICKY_CELLS = st.one_of(
-    st.sampled_from([
-        "1_0", "１", "٣", "\xa01", "1\xa0", " 2", "0x10", "1d5", "1 2", "", " ", "-",
-        "nan", "NaN", "-nan", "inf", "-Infinity", "+INF", "infinity", "1e5", "1E-5", ".5",
-        "5.", "+.5e+3", "1.0", "-0", "007", "+3", str(2**63 - 1), str(2**63),
-        str(-(2**63) - 1), "99999999999999999999999", "1e400", '"7"', '"1"5', 'x"',
-    ]),
-    st.integers(-(2**66), 2**66).map(str),
-)
-FLOAT_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g"))
-COUNT_CELLS = st.integers(0, 10**6).map(str)
-LABEL_TEXT = st.text(st.sampled_from(list('Ab é#,"\r\n')), max_size=4)
-QUOTED_LABELS = LABEL_TEXT.map(lambda s: '"' + s.replace('"', '""') + '"')
-LABELS = st.one_of(st.sampled_from(["A", "B", "#A", "7", "control"]), LABEL_TEXT, QUOTED_LABELS)
-
-
-def exactly(k, elements, **kwargs):
-    return st.lists(elements, min_size=k, max_size=k, **kwargs)
-
-
-@st.composite
-def matrix_csvs(draw, label_columns, clean_cells):
-    """CSV text of a labelled matrix: on half the draws a clean file, on the others
-    one with tricky cells and labels, blank, short and long rows, and CRLF mixed in."""
-    tricky = draw(st.booleans())
-    cells = st.one_of(clean_cells, TRICKY_CELLS) if tricky else clean_cells
-    n, p = draw(st.integers(0, 4)), draw(st.integers(1, 3))
-    if tricky:
-        ids, genes = draw(exactly(n, LABELS)), draw(exactly(p, LABELS))
-        conditions = st.sampled_from(["control", "A", " A ", '"control"'])
-    else:
-        ids, genes = draw(exactly(n, st.sampled_from("ABCDE"), unique=True)), ["g1", "g2", "g3"][:p]
-        conditions = st.sampled_from(["control", "A"])
-    lines = [",".join([*label_columns, *genes])]
-    for label in ids:
-        if tricky and draw(st.integers(0, 5)) == 0:
-            lines.append(draw(st.sampled_from(["", ",,,", " , ", '""'])))
-        width = p + (draw(st.integers(-1, 1)) if tricky and draw(st.booleans()) else 0)
-        row = [label, *draw(exactly(len(label_columns) - 1, conditions))]
-        lines.append(",".join(row + draw(exactly(width, padded(cells)))))
-    if tricky and draw(st.booleans()):
-        lines.insert(0, draw(st.sampled_from(["", ",", " , "])))
-    end = draw(st.sampled_from(["\n", "\r\n"])) if tricky else "\n"
-    return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
 class TestBulkReader:
