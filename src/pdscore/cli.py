@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 validation or I/O failure, 2 usage error, each failure with
 one line on stderr. Every successful run writes run_config.json into the output
 directory, so results can be reproduced from the emitted options, seed, and input
-digests alone; a run that fails writes nothing and removes an output directory it made.
+digests alone; a run that fails writes nothing: it removes an output directory it made,
+and each parent it made that is still empty.
 """
 
 import argparse
+import contextlib
 import os
 import shutil
 import sys
@@ -415,17 +417,21 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except MemoryError as exc:  # a size numpy cannot allocate, such as --grid 1:2:1e13
         return _failed(exc)
-    out, where = Path(args.out), Path(os.path.abspath(args.out))  # with no ".." left
-    made = [d for d in (where, *where.parents) if not d.exists()]  # what mkdir will make
+    out, made = Path(args.out), []
     try:
+        where = Path(os.path.abspath(out))  # with no ".." left
+        made = [d for d in (where, *where.parents) if not d.exists()]  # what mkdir will make
         out.mkdir(parents=True, exist_ok=True)
         inputs = {name: getattr(args, name) for name in _INPUTS if getattr(args, name, None)}
         digests = {name: io.sha256_file(path) for name, path in inputs.items()}
         args.func(args, out, {"inputs": digests} if inputs else None)
         _echo_config(args, out, inputs, digests)
     except (PdsError, OSError, MemoryError) as exc:
-        if made:  # a failed run leaves no directory it made
-            shutil.rmtree(made[-1], ignore_errors=True)
+        if made:  # a failed run removes its --out if it made it, then each parent it made
+            shutil.rmtree(made[0], ignore_errors=True)
+            with contextlib.suppress(OSError):  # up to the first that another run wrote into
+                for parent in made[1:]:
+                    parent.rmdir()
         return _failed(exc)
     return 0
 

@@ -258,14 +258,15 @@ class Screen:
         with np.errstate(all="ignore"):  # entries that overflow meet a NaN radius
             if kind not in _SIGN_KINDS:
                 sq_p, products = np.einsum("ij,ij->i", scaled, scaled), products * c
-        if c != 1.0:
-            if kind in _SIGN_KINDS:
-                stale = ((np.abs(scaled) <= self.threshold) != key).any(axis=1)
-            else:
-                stale = _in_range(sq_p) & ~_in_range(key)
-            if stale.any():
+        if c != 1.0 and kind in _SIGN_KINDS:
+            stale = ((np.abs(scaled) <= self.threshold) != key).any(axis=1)
+            if stale.any():  # into new arrays: cross is the caller's
                 key, products = key.copy(), products.copy()
                 key[stale], products[stale] = self.cross(scaled[stale])
+        elif c != 1.0:  # products, from products * c, is already new
+            stale = _in_range(sq_p) & ~_in_range(key)
+            if stale.any():
+                products[stale] = self.cross(scaled[stale])[1]
         masked = np.flatnonzero(columns >= 0)
         r_k = T[:, columns[masked]].T  # each masked row's target column of every truth row
 

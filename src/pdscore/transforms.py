@@ -94,34 +94,26 @@ def norm_match(pair: EffectPair, p_norm: int) -> EffectPair:
 def _norm_matched(predicted: EffectMatrix, truth: EffectMatrix, p_norm: int) -> EffectMatrix:
     if p_norm not in (1, 2):
         raise BadParameter(f"p_norm must be 1 or 2, got {p_norm!r}")
-    pred_norms, true_norms = _norms(predicted.values, p_norm), _norms(truth.values, p_norm)
-    zero = np.flatnonzero(pred_norms == 0.0)
-    if zero.size:
-        pid = predicted.perturbation_ids[int(zero[0])]
-        raise ZeroPredictionNorm(f"predicted row {pid!r} has zero l{p_norm} norm")
-    with np.errstate(over="ignore", invalid="ignore"):  # the container refuses such values
-        values = predicted.values * (true_norms / pred_norms)[:, None]
-    values[np.isinf(pred_norms)] = np.nan  # a norm past the float range cannot be matched
     try:
-        return predicted.with_values(_Made(values))
-    except ValidationError as exc:  # exc.at is the first value that is not finite
-        pid = predicted.perturbation_ids[exc.at[0]]
+        with np.errstate(over="raise"):  # a norm or a matched value past the float range
+            pred_norms = np.linalg.norm(predicted.values, p_norm, axis=1)
+            zero = np.flatnonzero(pred_norms == 0.0)
+            if zero.size:
+                pid = predicted.perturbation_ids[int(zero[0])]
+                raise ZeroPredictionNorm(f"predicted row {pid!r} has zero l{p_norm} norm")
+            true_norms = np.linalg.norm(truth.values, p_norm, axis=1)
+            values = predicted.values * (true_norms / pred_norms)[:, None]
+    except FloatingPointError:  # name the first row that overflows, as check_scale does
+        with np.errstate(all="ignore"):
+            pred_norms = np.linalg.norm(predicted.values, p_norm, axis=1)
+            true_norms = np.linalg.norm(truth.values, p_norm, axis=1)
+            peaks = np.abs(predicted.values).max(axis=1) * (true_norms / pred_norms)
+        over = np.isinf(pred_norms) | (pred_norms > 0.0) & ~np.isfinite(peaks)
+        pid = predicted.perturbation_ids[int(np.flatnonzero(over)[0])]
         raise ValidationError(
             f"l{p_norm} norm matching overflows the predicted effects of {pid!r}"
         ) from None
-
-
-def _norms(values, p_norm: int):
-    """Row p-norms, inf only past the float range: a nonzero l2 row whose squares overflow
-    or underflow (a norm outside [2**-480, 2**480)) is measured again over its largest |value|."""
-    with np.errstate(over="ignore"):  # an inf norm is refused by the caller
-        norms = np.linalg.norm(values, p_norm, axis=1)
-        if p_norm == 2:
-            again = np.flatnonzero(~((2.0**-480 <= norms) & (norms < 2.0**480)))
-            peaks = np.abs(values[again]).max(axis=1)
-            again, peaks = again[peaks > 0.0], peaks[peaks > 0.0]
-            norms[again] = peaks * np.linalg.norm(values[again] / peaks[:, None], axis=1)
-    return norms
+    return predicted.with_values(_Made(values))
 
 
 def sign_project(predicted: EffectMatrix, threshold: float = 0.0) -> EffectMatrix:

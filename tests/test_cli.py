@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from pdscore import METRIC_TOKENS, EffectMatrix, __version__
 from pdscore import io as pio
 from pdscore.cli import build_parser, main
+from pdscore.errors import ValidationError
 
 from helpers import COUNT_CELLS, FLOAT_CELLS, matrix_csvs
 
@@ -596,13 +597,32 @@ def test_a_failed_command_writes_nothing(command, message, existed, tmp_path, mo
         assert not (tmp_path / "out").exists()
 
 
-def test_out_through_a_symlink_loop_is_one_error_line(tmp_path, monkeypatch, capsys):
+def test_a_failed_run_keeps_what_others_wrote_beside_its_out(tmp_path, monkeypatch, capsys):
+    """A parent the run made but another run wrote into stays, with what was written."""
+    def fails(args, out, meta):
+        (out.parent / "other").mkdir()
+        (out.parent / "other" / "report.json").write_text("{}", encoding="utf-8")
+        (out / "part.json").write_text("{}", encoding="utf-8")
+        raise ValidationError("late failure")
+
+    monkeypatch.setattr("pdscore.cli._cmd_geometry_certificate", fails)
+    monkeypatch.chdir(tmp_path)
+    argv = ["geometry", "certificate", "--pred-norm", "1", "--true-norm", "1", "--cosine", "0.5"]
+    assert main([*argv, "--out", "results/a/b"]) == 1
+    assert capsys.readouterr().err == "error: late failure\n"
+    assert not (tmp_path / "results" / "a" / "b").exists()
+    assert (tmp_path / "results" / "a" / "other" / "report.json").read_text() == "{}"
+
+
+@pytest.mark.parametrize("out", ["loop/x", "a" * 300 + "/x"], ids=["symlink-loop", "too-long"])
+def test_an_out_that_cannot_be_made_is_one_error_line(out, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     os.symlink("loop", "loop")
     argv = ["geometry", "certificate", "--pred-norm", "1", "--true-norm", "1", "--cosine", "0.5"]
-    assert main([*argv, "--out", "loop/x"]) == 1
+    assert main([*argv, "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["loop"]
 
 
 def _commands(parser, words=()):

@@ -108,17 +108,20 @@ class TestNormMatch:
         with pytest.raises(ZeroPredictionNorm, match="P0000"):
             norm_match(pair, 2)
 
-    def test_rows_at_the_ends_of_the_float_range(self):
-        """Rows past 1e154 or below 1e-154 are matched, with no warning; a matched value
-        or a norm that overflows is refused."""
-        big, small = 3.0 * 2.0**600, 3.0 * 2.0**-600  # squares overflow, underflow
-        pair = pair_from([[1.0, 0.0], [small, small]], [[0.0, big], [1.0, 0.0]])
-        matched = norm_match(pair, 2).predicted.values
-        assert matched[0].tolist() == [big, 0.0]
-        assert np.allclose(matched[1], math.sqrt(0.5), rtol=1e-15, atol=0.0)
-        for pred, truth in (([1e-300, 0.0], [1e300, 0.0]), ([1e308, 1e308], [1.0, 0.0])):
-            with pytest.raises(ValidationError, match="l1 norm matching overflows .* 'P0000'"):
-                norm_match(pair_from([pred, [1.0, 1.0]], [truth, [1.0, 0.0]]), 1)
+    def test_a_norm_or_matched_value_that_overflows_is_refused(self):
+        """With no warning, naming the row: a prediction norm, a truth norm or a ratio of
+        norms past the float range (l2 from squares past 1.8e308)."""
+        big = 3.0 * 2.0**600  # its square overflows
+        cases = [
+            (1, [[1.0, 1.0], [1e308, 1e308]], [[1.0, 0.0], [1.0, 0.0]]),  # prediction norm
+            (2, [[1.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, big]]),  # truth norm
+            (1, [[1.0, 1.0], [1e-300, 0.0]], [[1.0, 0.0], [1e300, 0.0]]),  # ratio
+            (2, [[0.0, 0.0], [big, 0.0]], [[1.0, 0.0], [1.0, 0.0]]),  # past a zero row
+        ]
+        for p_norm, pred, truth in cases:
+            message = f"l{p_norm} norm matching overflows .* 'P0001'"
+            with pytest.raises(ValidationError, match=message):
+                norm_match(pair_from(pred, truth), p_norm)
 
     def test_bad_p_norm(self):
         pair = random_pair(np.random.default_rng(6), n=2, p=2)
