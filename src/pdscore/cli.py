@@ -10,6 +10,7 @@ and each parent it made that is still empty.
 import argparse
 import contextlib
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -83,12 +84,15 @@ def _int_at_least(lowest: int):
 
 
 def _int_list(text: str):
+    """Comma separated dimensions, each at least 2."""
     try:
         values = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma-separated list of integers") from None
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
+    if min(values) < 2:
+        raise argparse.ArgumentTypeError(f"must each be at least 2, got {min(values)}")
     return values
 
 
@@ -280,6 +284,11 @@ def _add_pair_inputs(parser, scoring=True):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1e-3 or -inf as its own argument is a value: no option begins -<digit>, -inf or -nan
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
     def error(self, message):
         """Exit code 2 after one line, with no usage; --help shows it."""
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -378,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic effect pairs or count matrices")
     syn = p.add_subparsers(dest="synth_command", required=True)
     sp = syn.add_parser("pair", help="aligned predicted/true effect matrices")
-    sp.add_argument("--n", type=int, default=100, help="perturbations")
-    sp.add_argument("--genes", type=int, default=500)
+    sp.add_argument("--n", type=_int_at_least(2), default=100, help="perturbations")
+    sp.add_argument("--genes", type=_int_at_least(2), default=500)
     sp.add_argument("--target-cosine", type=float, default=0.6)
     sp.add_argument("--norm-mu", type=float, default=0.0)
     sp.add_argument("--norm-sigma", type=float, default=1.0)
@@ -388,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(sp, with_formats=False)
     sp.set_defaults(func=_cmd_synth_pair)
     sc = syn.add_parser("counts", help="Poisson counts with heterogeneous library sizes")
-    sc.add_argument("--perturbations", type=int, default=20)
-    sc.add_argument("--cells-per-condition", type=int, default=50)
-    sc.add_argument("--genes", type=int, default=1000)
+    sc.add_argument("--perturbations", type=_int_at_least(1), default=20)
+    sc.add_argument("--cells-per-condition", type=_int_at_least(1), default=50)
+    sc.add_argument("--genes", type=_int_at_least(2), default=1000)
     sc.add_argument("--mean-counts", type=float, default=2000.0)
     sc.add_argument("--libsize-sigma", type=float, default=0.6)
     sc.add_argument("--effect-fraction", type=float, default=0.1)

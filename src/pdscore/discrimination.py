@@ -140,19 +140,18 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
 
     def measured(rows, column, i, j):
         """(values, undefined) of metrics._measured from the rows i to the truth rows j,
-        the anchor's target column zeroed in both, in chunks of at most step pairs. A
-        term that overflows (|values| from about 1e154 up) raises ValidationError."""
+        the anchor's target column zeroed in both, in chunks of at most step pairs. A defined
+        value that a term overflows (|values| from about 1e154 up) raises ValidationError."""
         values, failed = np.empty(len(i)), np.empty(len(i), bool)
         for k in range(0, len(i), step):
             part = slice(k, k + step)
             r, target = T[j[part]], column[i[part]]
             masked = np.flatnonzero(target >= 0)
             r[masked, target[masked]] = 0.0
-            try:
-                with np.errstate(over="raise"):
-                    values[part], failed[part] = _measured(spec, rows[i[part]], r)
-            except FloatingPointError:  # an infinite distance, or a cosine of infinite norms
-                raise ValidationError("distances must be finite") from None
+            with np.errstate(over="ignore", invalid="ignore"):
+                values[part], failed[part] = _measured(spec, rows[i[part]], r)
+            if not np.isfinite(values[part][~failed[part]]).all():
+                raise ValidationError("distances must be finite")
         return values, failed
 
     def rank_block(anchors) -> None:
@@ -175,8 +174,6 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
             d[i, j], failed = measured(rows, column, i, j)
             bad[i[failed]] = True
             d[local, anchors] = mine
-            if not np.isfinite(d[~bad]).all():
-                raise ValidationError("distances must be finite")
             own[k, anchors], undefined[k, anchors] = mine, bad
             rank[k, anchors], pds[k, anchors] = _mid_ranks(d, mine)
 

@@ -82,9 +82,9 @@ _CACHED = 2**16
 
 
 def _similarity(spec: DistanceSpec, a, rows):
-    """(similarity, undefined) of the cosine kinds from each row of a 2-d a (one row, or
-    one per row) to the rows of rows: the dot product of the rows (of their signs) over
-    the product of their norms, NaN where a zero norm (sign count) leaves it undefined."""
+    """(similarity, undefined) of the cosine kinds from each row of a 2-d a (one row, or one
+    per row) to the rows of rows: the dot product of the rows (of their signs) over the product
+    of their norms, NaN where a zero norm (sign count) leaves it undefined or norms overflow."""
     w = np.empty(rows.shape)
     if spec.kind is DistanceKind.COSINE_DISSIM:
         na = np.sqrt(np.multiply(a, a, out=w[: len(a)]).sum(axis=1))
@@ -97,7 +97,8 @@ def _similarity(spec: DistanceSpec, a, rows):
         nnz_a, nnz_r = ((s != 0.0).sum(axis=1).astype(np.float64) for s in (sa, sr))
         undefined, denominators = (nnz_a == 0.0) | (nnz_r == 0.0), np.sqrt(nnz_a * nnz_r)
         dots = np.multiply(sr, sa, out=w).sum(axis=1)
-    similarity = np.divide(dots, denominators, out=np.full(len(dots), np.nan), where=~undefined)
+    defined = ~undefined & (denominators < np.inf)
+    similarity = np.divide(dots, denominators, out=np.full(len(dots), np.nan), where=defined)
     return similarity, undefined
 
 

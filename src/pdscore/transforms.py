@@ -71,15 +71,15 @@ def global_scale(predicted: EffectMatrix, c: float) -> EffectMatrix:
     return predicted.with_values(_Made(predicted.values * float(c)))
 
 
-def check_scale(peaks, c: float, perturbation_ids) -> None:
-    """Raise ValidationError naming c and the first perturbation whose values overflow
-    when multiplied by c. peaks holds each row's largest |value|: rounding is monotone,
-    so a row overflows exactly where its peak does."""
+def check_scale(peaks, c, perturbation_ids, name=None) -> None:
+    """Raise ValidationError naming the rescale (by default "scale factor <c>") and the first
+    perturbation whose values overflow times c, one factor or one per row. peaks holds each
+    row's largest |value|: rounding is monotone, so a row overflows exactly where its peak does."""
     with np.errstate(over="ignore"):
         over = np.flatnonzero(np.isinf(peaks * c))
     if over.size:
-        first = f"the predicted effects of {perturbation_ids[over[0]]!r}"
-        raise ValidationError(f"scale factor {_exact(c)} overflows {first}")
+        name, first = name or f"scale factor {_exact(c)}", perturbation_ids[over[0]]
+        raise ValidationError(f"{name} overflows the predicted effects of {first!r}")
 
 
 def norm_match(pair: EffectPair, p_norm: int) -> EffectPair:
@@ -94,26 +94,18 @@ def norm_match(pair: EffectPair, p_norm: int) -> EffectPair:
 def _norm_matched(predicted: EffectMatrix, truth: EffectMatrix, p_norm: int) -> EffectMatrix:
     if p_norm not in (1, 2):
         raise BadParameter(f"p_norm must be 1 or 2, got {p_norm!r}")
-    try:
-        with np.errstate(over="raise"):  # a norm or a matched value past the float range
-            pred_norms = np.linalg.norm(predicted.values, p_norm, axis=1)
-            zero = np.flatnonzero(pred_norms == 0.0)
-            if zero.size:
-                pid = predicted.perturbation_ids[int(zero[0])]
-                raise ZeroPredictionNorm(f"predicted row {pid!r} has zero l{p_norm} norm")
-            true_norms = np.linalg.norm(truth.values, p_norm, axis=1)
-            values = predicted.values * (true_norms / pred_norms)[:, None]
-    except FloatingPointError:  # name the first row that overflows, as check_scale does
-        with np.errstate(all="ignore"):
-            pred_norms = np.linalg.norm(predicted.values, p_norm, axis=1)
-            true_norms = np.linalg.norm(truth.values, p_norm, axis=1)
-            peaks = np.abs(predicted.values).max(axis=1) * (true_norms / pred_norms)
-        over = np.isinf(pred_norms) | (pred_norms > 0.0) & ~np.isfinite(peaks)
-        pid = predicted.perturbation_ids[int(np.flatnonzero(over)[0])]
-        raise ValidationError(
-            f"l{p_norm} norm matching overflows the predicted effects of {pid!r}"
-        ) from None
-    return predicted.with_values(_Made(values))
+    with np.errstate(all="ignore"):  # norms past the float range are refused below
+        pred_norms = np.linalg.norm(predicted.values, p_norm, axis=1)
+        ratios = np.linalg.norm(truth.values, p_norm, axis=1) / pred_norms
+    # an infinite norm overflows its row and is named before any zero one
+    infinite, zero = np.isinf(pred_norms), np.flatnonzero(pred_norms == 0.0)
+    if zero.size and not infinite.any():
+        pid = predicted.perturbation_ids[int(zero[0])]
+        raise ZeroPredictionNorm(f"predicted row {pid!r} has zero l{p_norm} norm")
+    ratios = np.select([infinite, pred_norms > 0.0], [np.inf, ratios])  # 0 for a zero norm
+    peaks = np.abs(predicted.values).max(axis=1)
+    check_scale(peaks, ratios, predicted.perturbation_ids, f"l{p_norm} norm matching")
+    return predicted.with_values(_Made(predicted.values * ratios[:, None]))
 
 
 def sign_project(predicted: EffectMatrix, threshold: float = 0.0) -> EffectMatrix:

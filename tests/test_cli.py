@@ -205,7 +205,7 @@ class TestSweepCommand:
 
     def test_bad_grid_exits_2(self, pair_files):
         pred, truth = pair_files
-        for grid in ("5:1:3", "nan:1e4:25", "1e-2:inf:25"):
+        for grid in ("5:1:3", "nan:1e4:25", "1e-2:inf:25", "1:2"):
             assert main(
                 ["sweep", "--pred", str(pred), "--truth", str(truth), "--grid", grid]
             ) == 2, grid
@@ -566,17 +566,17 @@ REGION = ["geometry", "region", "--rho", "0.5", "--kappa", "0.4"]
     [
         (["pds", "--pred", "zero.csv", "--truth", "truth.csv", "--metric", "l1,cosine",
           "--error-policy", "skip"], "every anchor failed; nothing to average"),
-        ([*REGION, "--dims", "0"], "dimension must be at least 2"),
-        (["synth", "pair", "--n", "0"], "need at least two perturbations"),
-        (["synth", "counts", "--genes", "0"], "need at least two genes"),
+        (["geometry", "region", "--dims", "2", "--rho", "0", "--kappa", "0.4"],
+         "norm_ratio must be positive"),
+        (["synth", "counts", "--mean-counts", "nan"],
+         "mean_counts_per_cell must be positive and finite"),
         (["synth", "pair", "--target-cosine", "2"], "target_cosine must lie in [0, 1]"),
         # sizes numpy refuses at once, without touching memory
         (["sweep", "--pred", "truth.csv", "--truth", "truth.csv", "--grid", "1:2:10000000000000"],
          "Unable to allocate"),
         ([*REGION, "--dims", "100000000000000", "--samples", "1"], "Unable to allocate"),
     ],
-    ids=["pds-skip", "region-dims", "pair-n", "counts-genes", "pair-cosine", "sweep-grid",
-         "region-memory"],
+    ids=["pds-skip", "region-rho", "counts-mean", "pair-cosine", "sweep-grid", "region-memory"],
 )
 def test_a_failed_command_writes_nothing(command, message, existed, tmp_path, monkeypatch, capsys):
     """One error line and exit 1; an --out the run made is gone, and one it found is empty."""
@@ -595,6 +595,66 @@ def test_a_failed_command_writes_nothing(command, message, existed, tmp_path, mo
         assert list(out.iterdir()) == []
     else:
         assert not (tmp_path / "out").exists()
+
+
+PAIR = ["--pred", "truth.csv", "--truth", "truth.csv"]
+
+
+@pytest.mark.parametrize("existed", [False, True])
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ([*REGION, "--dims", "2,1"], "--dims: must each be at least 2, got 1"),
+        (["synth", "pair", "--n", "1"], "--n: must be at least 2, got 1"),
+        (["synth", "pair", "--genes", "0"], "--genes: must be at least 2, got 0"),
+        (["synth", "counts", "--genes", "1"], "--genes: must be at least 2, got 1"),
+        (["synth", "counts", "--perturbations", "0"], "--perturbations: must be at least 1, got 0"),
+        (["synth", "counts", "--cells-per-condition", "-1"],
+         "--cells-per-condition: must be at least 1, got -1"),
+        (["pds", *PAIR, "--metric", ","], "--metric: no metrics given; choose from: l1, l2"),
+        (["pds", *PAIR, "--workers", "x"], "--workers: expected an integer, got 'x'"),
+        (["sweep", *PAIR, "--grid", "1:2"], "--grid: grid must be <lo>:<hi>:<n>"),
+    ],
+    ids=["region-dims", "pair-n", "pair-genes", "counts-genes", "counts-perturbations",
+         "counts-cells", "no-metric", "workers", "grid-parts"],
+)
+def test_a_usage_error_writes_nothing(command, message, existed, tmp_path, monkeypatch, capsys):
+    """A value below its option's floor, or one its option cannot read, is one usage line
+    and exit 2, before any --out is made; one it found stays empty."""
+    monkeypatch.chdir(tmp_path)
+    Path("truth.csv").write_text(TRUTH, encoding="utf-8")
+    out = tmp_path / "out" / "sub"
+    if existed:
+        out.mkdir(parents=True)
+    assert main([*command, "--out", "out/sub"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pdscore ") and err.count("\n") == 1 and f"argument {message}" in err
+    if existed:
+        assert list(out.iterdir()) == []
+    else:
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        (["geometry", "certificate", "--pred-norm", "1", "--true-norm", "1", "--cosine", "-1e-3"],
+         0, ""),
+        ([*REGION[:-2], "--dims", "2", "--kappa", "-inf"], 1,
+         "error: true_cosine must lie in [-1, 1], got -inf\n"),
+        (["pds", *PAIR, "--sign-threshold", "-1e-3"], 1,
+         "error: sign threshold must be finite and >= 0\n"),
+    ],
+    ids=["cosine", "kappa", "sign-threshold"],
+)
+def test_a_negative_number_in_exponent_form_is_a_value(
+    command, code, message, tmp_path, monkeypatch, capsys
+):
+    """-1e-3 or -inf as its own argument is the option's value, not another option."""
+    monkeypatch.chdir(tmp_path)
+    Path("truth.csv").write_text(TRUTH, encoding="utf-8")
+    assert main([*command, "--out", "out"]) == code
+    assert capsys.readouterr().err == message
 
 
 def test_a_failed_run_keeps_what_others_wrote_beside_its_out(tmp_path, monkeypatch, capsys):
@@ -643,7 +703,8 @@ SIZE = st.integers(-1, 64).map(str)  # every count, dimension, sample and grid s
 SIZED = ("n", "genes", "perturbations", "cells_per_condition", "samples")  # defaults run long
 NUMBER = st.one_of(
     st.floats(-3.0, 3.0).map(repr),
-    st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "x", ""]),
+    st.sampled_from(["0", "-1", "-1e-3", "-2.5E+1", "1e-300", "1e300", "nan", "inf", "-inf", "x",
+                     ""]),
 )
 FILES = ["pred.csv", "truth.csv", "counts.csv", "targets.csv", "raw.bin", "missing.csv"]
 PIPELINE = st.sampled_from(["per10k", "median", "median-nolog", "log"])
@@ -695,13 +756,14 @@ def cli_runs(draw):
         if not action.option_strings or action.dest == "help":
             continue
         if action.required or action.dest in SIZED or draw(st.integers(0, 2)) == 0:
-            option = action.option_strings[0]  # --name=value takes values such as -1 and ""
+            option = action.option_strings[0]
             if action.nargs == 0:  # a flag
                 argv.append(option)
             else:
                 values = VALUES[action.dest] if action.choices is None else st.sampled_from(
                     [*action.choices] * 3 + ["x"])
-                argv.append(f"{option}={draw(values)}")
+                value = draw(values)  # as --name=value, or as --name value, such as -1e-3
+                argv += draw(st.sampled_from([[f"{option}={value}"], [option, value]]))
     effects = st.one_of(*[EFFECTS] * 3, matrix_csvs(["perturbation"], FLOAT_CELLS))
     counts = st.one_of(COUNTS, matrix_csvs(["cell", "condition"], COUNT_CELLS))
     texts = {"pred.csv": effects, "truth.csv": effects, "counts.csv": counts, "targets.csv": TARGETS}
@@ -737,7 +799,9 @@ def test_every_run_ends_in_at_most_one_line(case):
         for name, data in files.items():
             Path(name).write_bytes(data)
         Path("existing").mkdir()
-        out = Path(next((a[6:] for a in argv if a.startswith("--out=")), "."))
+        given = [a[6:] for a in argv if a.startswith("--out=")]
+        given += [b for a, b in zip(argv, argv[1:]) if a == "--out"]
+        out = Path(given[0] if given else ".")
         made = [d for d in (out, *out.parents) if not d.exists()]
         before = sorted(os.listdir(out)) if out.is_dir() else None
         err = io.StringIO()

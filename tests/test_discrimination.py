@@ -15,6 +15,7 @@ from pdscore import (
     ZeroVector,
     compute_pds,
     pds_row,
+    scale_sweep,
 )
 
 from helpers import pair_from, per_anchor_pds, random_pair
@@ -414,3 +415,42 @@ def test_zeroing_the_target_equals_deleting_it(kind, threshold, targets):
                 ]
                 got = repr((entries, report.mean_pds))
             assert got == want, (seed, policy)
+
+
+@pytest.mark.parametrize(
+    "s, refused",
+    [
+        (1e150, set()),
+        (1e155, {"l2", "cosine", "l2-limit"}),  # squares and products from about 1e154 up
+        (1e307, {"l1", "l2", "cosine", "l2-limit", "l1-limit"}),  # sums of 50 terms too
+    ],
+)
+def test_a_measure_past_the_float_range_is_refused(s, refused):
+    """Both sides times s (N = 30, p = 50): ranking refuses a measure whose terms leave the
+    float range, masked through compute_pds and through scale_sweep (its limit included),
+    and ranks the rest; sign-cosine never leaves it."""
+    rng = np.random.default_rng(26)
+    pred, truth = rng.standard_normal((2, 30, 50)) * s
+    pair = pair_from(pred, truth, {f"P{i:04d}": f"G{i:04d}" for i in range(30)})
+    for kind in DistanceKind:
+        spec = DistanceSpec(kind)
+        for run in (
+            lambda: compute_pds(pair, spec, True),
+            lambda: scale_sweep(pair, [spec], [1.0]),
+        ):
+            if kind.value in refused:
+                with pytest.raises(ValidationError, match="^distances must be finite$"):
+                    run()
+            else:
+                run()
+
+
+def test_a_cosine_of_infinite_norms_is_refused():
+    """Predictions alone past 1e154: every squared norm overflows while dot products with
+    unit truths stay finite, and a cosine from them would read 1 for every candidate."""
+    rng = np.random.default_rng(27)
+    pred, truth = rng.standard_normal((2, 30, 50))
+    pair = pair_from(pred * 1e155, truth)
+    for spec in (DistanceSpec(DistanceKind.COSINE_DISSIM), DistanceSpec(DistanceKind.L2)):
+        with pytest.raises(ValidationError, match="^distances must be finite$"):
+            compute_pds(pair, spec)

@@ -56,14 +56,24 @@ class TestEffectMatrix:
         with pytest.raises(ValidationError):
             matrix([[np.inf, 1.0]], ("A",), ("g1", "g2"))
 
-    def test_shape_label_mismatch(self):
-        with pytest.raises(ValidationError):
-            matrix([[1.0, 2.0]], ("A", "B"), ("g1", "g2"))
+    @pytest.mark.parametrize(
+        "values, perts, genes, message",
+        [
+            ([[1.0, 2.0]], ("A", "B"), ("g1", "g2"), "2 perturbation ids for 1 rows"),
+            ([1.0, 2.0], ("A",), ("g1", "g2"), "effect values must be a 2-d matrix"),
+            (np.empty((0, 2)), (), ("g1", "g2"), "at least one row and one column"),
+            ([[1.0, 2.0]], ("A",), ("g1",), "1 gene ids for 2 columns"),
+        ],
+    )
+    def test_shape_label_mismatch(self, values, perts, genes, message):
+        with pytest.raises(ValidationError, match=message):
+            matrix(values, perts, genes)
 
     def test_unknown_perturbation(self):
         m = matrix([[1.0]], ("A",), ("g1",))
-        with pytest.raises(UnknownPerturbation):
+        with pytest.raises(UnknownPerturbation) as info:
             m.perturbation_index("Z")
+        assert str(info.value) == "unknown perturbation 'Z'"  # not a KeyError's repr
 
 
 def handed_over(values, how):
@@ -222,8 +232,11 @@ class TestEffectPair:
     def test_label_mismatch_rejected(self):
         a = matrix([[1.0], [2.0]], ("A", "B"), ("g1",))
         b = matrix([[1.0], [2.0]], ("B", "A"), ("g1",))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="identical perturbations"):
             EffectPair(a, b)
+        c = matrix([[1.0], [2.0]], ("A", "B"), ("g2",))
+        with pytest.raises(ValidationError, match="identical genes"):
+            EffectPair(a, c)
 
     def test_target_gene_must_exist(self):
         a = matrix([[1.0], [2.0]], ("A", "B"), ("g1",))

@@ -302,6 +302,11 @@ class TestErrorPlacement:
          "duplicate gene id 'g1', first in column 2"),
         ("effect", "perturbation,g1\nA,1\nA,nan\n", ParseError, 3, 2,
          "not a finite number: 'nan'"),
+        # a header of label cells only comes before a bad cell
+        ("effect", "perturbation\nA,oops\n", ParseError, 1, 1,
+         "expected gene columns after the label column"),
+        ("count", "cell,condition\nc0,control,x\n", ParseError, 1, 1,
+         "expected gene columns after cell and condition columns"),
         ("count", "cell,condition,g1,g1\nc0,control,1,-1\n", DuplicateLabelInFile, 1, 4,
          "duplicate gene id 'g1', first in column 3"),
         # a repeated cell id comes before the missing control cell

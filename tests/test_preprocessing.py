@@ -63,6 +63,19 @@ class TestCountMatrix:
             counts = CountMatrix(rows, ("control", "A"), ("G0", "G1")).counts
             assert counts[0, 0] == int(rows[0][0])
 
+    @pytest.mark.parametrize(
+        "counts, conditions, genes, cells, message",
+        [
+            ([1, 2], ("control",), ("G0", "G1"), None, "counts must be a 2-d matrix"),
+            ([[1, 2]], ("control", "A"), ("G0", "G1"), None, "2 condition labels for 1 cells"),
+            ([[1, 2]], ("control",), ("G0",), None, "1 gene ids for 2 columns"),
+            ([[1, 2]], ("control",), ("G0", "G1"), ("c0", "c1"), "2 cell ids for 1 cells"),
+        ],
+    )
+    def test_shape_label_mismatch(self, counts, conditions, genes, cells, message):
+        with pytest.raises(ValidationError, match=message):
+            CountMatrix(counts, conditions, genes, cells)
+
     def test_rejects_zero_library_size(self):
         with pytest.raises(ZeroLibrarySize):
             counts_of([[0, 0], [1, 2]], ["control", "A"])
@@ -157,6 +170,10 @@ class TestMeanEffects:
     def test_missing_control(self):
         with pytest.raises(MissingControl):
             mean_effects(np.ones((2, 2)), ["A", "A"], ("g1", "g2"))
+
+    def test_cell_count_mismatch(self):
+        with pytest.raises(ValidationError, match="disagree on cell count"):
+            mean_effects(np.ones((3, 2)), ["control", "A"], ("g1", "g2"))
 
     def test_linear_in_the_normalized_matrix(self):
         rng = np.random.default_rng(73)

@@ -113,8 +113,10 @@ class TestGenerateCounts:
         assert libs.max() / libs.min() > 2.0
 
     def test_spec_validation(self):
-        with pytest.raises(BadSpec):
+        with pytest.raises(BadSpec, match="at least one perturbation"):
             CountSynthSpec(0, 5, 10)
+        with pytest.raises(BadSpec, match="at least one cell per condition"):
+            CountSynthSpec(2, 0, 10)
         with pytest.raises(BadSpec):
             CountSynthSpec(2, 5, 10, effect_fraction=1.5)
         with pytest.raises(BadParameter, match="seed"):

@@ -110,13 +110,17 @@ class TestNormMatch:
 
     def test_a_norm_or_matched_value_that_overflows_is_refused(self):
         """With no warning, naming the row: a prediction norm, a truth norm or a ratio of
-        norms past the float range (l2 from squares past 1.8e308)."""
+        norms past the float range (l2 from squares past 1.8e308); where a prediction norm
+        is infinite, the first row that is or that overflows, before any zero row."""
         big = 3.0 * 2.0**600  # its square overflows
         cases = [
             (1, [[1.0, 1.0], [1e308, 1e308]], [[1.0, 0.0], [1.0, 0.0]]),  # prediction norm
             (2, [[1.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, big]]),  # truth norm
             (1, [[1.0, 1.0], [1e-300, 0.0]], [[1.0, 0.0], [1e300, 0.0]]),  # ratio
             (2, [[0.0, 0.0], [big, 0.0]], [[1.0, 0.0], [1.0, 0.0]]),  # past a zero row
+            # a ratio that overflows, before a later infinite prediction norm
+            (1, [[1.0, 1.0], [1e-300, 0.0], [1e308, 1e308]],
+             [[1.0, 0.0], [1e300, 0.0], [1.0, 0.0]]),
         ]
         for p_norm, pred, truth in cases:
             message = f"l{p_norm} norm matching overflows .* 'P0001'"
