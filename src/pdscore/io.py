@@ -26,7 +26,7 @@ import hashlib
 import json
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -295,6 +295,7 @@ def _payload(record: str, meta: dict | None, body: dict) -> dict:
 
 
 def pds_report_payload(report: PdsReport, meta: dict | None = None) -> dict:
+    entries = report.per_perturbation
     body = {
         "metric": {"kind": report.metric.token, "sign_threshold": report.metric.sign_threshold},
         "transform_chain": chain_tokens(report.transform_chain),
@@ -302,17 +303,18 @@ def pds_report_payload(report: PdsReport, meta: dict | None = None) -> dict:
         "error_policy": report.error_policy.value,
         "n_perturbations": report.n_perturbations,
         "mean_pds": report.mean_pds,
-        "per_perturbation": [asdict(e) for e in report.per_perturbation],
+        "per_perturbation": [{f: getattr(e, f) for f in _PDS_FIELDS} for e in entries],
     }
     return _payload("pds-report", meta, body)
 
 
-# The CSV names the id column "perturbation"; the other columns are PdsEntry's fields.
-_PDS_CSV_HEADER = ["perturbation", *(f.name for f in fields(PdsEntry)[1:])]
+# PdsEntry's fields, read in order without deep copies; the CSV's id column is "perturbation".
+_PDS_FIELDS = tuple(f.name for f in fields(PdsEntry))
+_PDS_CSV_HEADER = ["perturbation", *_PDS_FIELDS[1:]]
 
 
 def write_pds_report_csv(report: PdsReport, path) -> Path:
-    entries = map(astuple, report.per_perturbation)
+    entries = ([getattr(e, f) for f in _PDS_FIELDS] for e in report.per_perturbation)
     rows = ([pid, *map(fmt, numbers), error or ""] for pid, *numbers, error in entries)
     return _write_csv(path, _PDS_CSV_HEADER, rows)
 

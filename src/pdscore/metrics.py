@@ -193,13 +193,14 @@ class Screen:
     u |a| |r| when both squared norms are safe; 4 (p + 4) u covers the product, the kernel
     and the bounds' rounding at c = 1.
 
-    At c != 1 a row whose products in cross(rows) do not hold at c is stale, and bounds
-    forms its products again from its scaled row, into new arrays. Under the sign kinds a
-    row is stale where its zero pattern |fl(c a_k)| <= t is not the one its products were
-    formed from (it moves when t > 0 or a coordinate underflows); the others hold, since a
-    positive scale keeps every nonzero sign, so the sign kinds' bounds are the c = 1
-    bounds of the scaled rows. Under the others a row is stale where the squared norm of a
-    is unsafe and that of a' = fl(c a) is safe; every other row takes fl(c fl(a.r)) for a'.r.
+    At c != 1 the sign kinds' products hold for every row whose zero pattern
+    |fl(c a_k)| <= t is the one they were formed from, since a positive scale keeps every
+    nonzero sign; bounds forms the other rows' products again from their scaled rows, into
+    new arrays (a pattern moves when t > 0 or a coordinate underflows), so the sign kinds'
+    bounds are the c = 1 bounds of the scaled rows. The others take fl(c fl(a.r)) for a'.r,
+    a' = fl(c a), and an entry is NaN unless the squared norms of a, a' and r are all safe:
+    a row whose squared norm is unsafe at c = 1 has NaN bounds at every scale, and the
+    caller measures it with the kernel.
     Rounding to nearest gives |a'_k - c a_k| <= u c |a_k| + 2**-1075 and
     |fl(c x) - c x| <= u c |x| + 2**-1075, so |fl(c fl(a.r)) - a'.r| is at most
     c (gamma_p + 2 u + u gamma_p) sum|a_k r_k| + 2**-1075 (c p + |r|_1 + 1), with
@@ -256,18 +257,11 @@ class Screen:
         every row takes cross as it is."""
         kind, T, eps = self.kind, self.truth, self.eps
         key, products = cross
-        with np.errstate(all="ignore"):  # entries that overflow meet a NaN radius
-            if kind not in _SIGN_KINDS:
-                sq_p, products = np.einsum("ij,ij->i", scaled, scaled), products * c
         if c != 1.0 and kind in _SIGN_KINDS:
             stale = ((np.abs(scaled) <= self.threshold) != key).any(axis=1)
             if stale.any():  # into new arrays: cross is the caller's
                 key, products = key.copy(), products.copy()
                 key[stale], products[stale] = self.cross(scaled[stale])
-        elif c != 1.0:  # products, from products * c, is already new
-            stale = _in_range(sq_p) & ~_in_range(key)
-            if stale.any():
-                products[stale] = self.cross(scaled[stale])[1]
         masked = np.flatnonzero(columns >= 0)
         r_k = T[:, columns[masked]].T  # each masked row's target column of every truth row
 
@@ -293,8 +287,9 @@ class Screen:
                     return score - radius, score + radius
                 return l1_p[:, None] + score - radius, np.full(products.shape, np.inf)
 
-            dots, sq_p, sq_t, norm_t = products, sq_p[:, None], self.sq_t, self.norm_t
-            norm_p, safe = np.sqrt(sq_p), _in_range(sq_p) & _in_range(sq_t)
+            dots, sq_p = products * c, np.einsum("ij,ij->i", scaled, scaled)[:, None]
+            sq_t, norm_t, norm_p = self.sq_t, self.norm_t, np.sqrt(sq_p)
+            safe = _in_range(sq_p) & _in_range(key)[:, None] & _in_range(sq_t)
             sq_r = less(sq_t, r_k * r_k)
             if kind is DistanceKind.L2_LIMIT:
                 radius = eps * norm_p * norm_t

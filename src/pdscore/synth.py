@@ -47,17 +47,17 @@ class SynthSpec:
 def _unit(rng: np.random.Generator, p: int) -> np.ndarray:
     while True:
         g = rng.standard_normal(p)
-        norm = np.linalg.norm(g)
+        norm = math.sqrt(np.multiply(g, g).sum())  # pairwise, not BLAS: same bytes on any CPU
         if norm > 0.0:
             return g / norm
 
 
 def _orthogonal_unit(rng: np.random.Generator, direction: np.ndarray) -> np.ndarray:
-    # Gram-Schmidt against the direction; redraw on near collinearity.
+    # Gram-Schmidt against the direction, with pairwise sums; redraw on near collinearity.
     while True:
         g = rng.standard_normal(direction.shape[0])
-        g -= (g @ direction) * direction
-        residual = float(g @ g)
+        g -= np.multiply(g, direction).sum() * direction
+        residual = float(np.multiply(g, g).sum())
         if residual >= 1e-12:
             return g / math.sqrt(residual)
 

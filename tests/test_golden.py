@@ -14,6 +14,8 @@ The inputs in tests/golden/inputs were made once:
   of row P0017 are set to 0, and P0002's prediction is set to its own truth
   (so it ties at distance 0 with P0005); ties_targets.csv by hand, masking
   the same gene for P0002 and P0005.
+The synth pair commands above ran before `synth` summed its norms and dot products
+pairwise, so they now write other bytes; the inputs stay as they were made.
 
 Each run in RUNS reads copies of them in a temporary directory and must write
 exactly the files under tests/golden/expected/<run>, with the same bytes.

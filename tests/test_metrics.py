@@ -19,6 +19,8 @@ from pdscore import (
     sign_project,
     spec_from_token,
 )
+from pdscore.discrimination import rank_at_scales
+from pdscore.effects import target_columns
 from pdscore.errors import BadParameter
 from pdscore.metrics import Screen, _measured
 
@@ -424,7 +426,7 @@ class TestScreen:
     )
     @example(1, -160, 0, -170, False, 0.0)  # scaled coordinates underflow: signs formed again
     @example(2, 0, 0, 3, True, 0.5)  # t = 0.5 c: signs formed again from the scaled rows
-    @example(3, -170, 0, 160, True, 0.0)  # rows safe only once scaled: products formed again
+    @example(3, -170, 0, 160, True, 0.0)  # rows safe only once scaled: NaN bounds
     @example(4, 160, 150, -160, False, 0.0)  # products that overflow at c = 1
     def test_bounds_contain_the_kernel_values_at_swept_scales(
         self, seed, pred_exp, truth_exp, scale_exp, masked, threshold
@@ -456,7 +458,7 @@ class TestScreen:
 
     def test_bounds_leave_their_arguments_unchanged(self):
         """Stale rows are formed again into new arrays: at c = 1/4 with t = 0.5 the sign
-        patterns move, and at c = 2**-500 the dot kinds' squared norms become safe."""
+        patterns move; at c = 2**-500 the dot kinds' row 1, unsafe at c = 1, gets NaN bounds."""
         rng = np.random.default_rng(17)
         pred, truth = rng.standard_normal((6, 9)), rng.standard_normal((6, 9))
         pred[1] *= 2.0**600  # a squared norm from 2**1000 up, safe once scaled by 2**-500
@@ -470,6 +472,32 @@ class TestScreen:
                 assert np.array_equal(key, kept[0], equal_nan=True), (kind, c)
                 assert np.array_equal(products, kept[1], equal_nan=True), (kind, c)
                 assert np.array_equal(pred * c, scaled), (kind, c)
+
+    def test_a_row_unsafe_at_unit_scale_is_measured_at_every_scale(self):
+        """A row whose squared norm is near 2**-1000 has NaN dot-kind bounds at c = 1 and at
+        c = 2**300, where its scaled one is safe; ranking measures its pairs with the kernel,
+        so rank_at_scales at c equals compute_pds on fl(c P) bit for bit."""
+        rng = np.random.default_rng(19)
+        n, p, c = 8, 12, 2.0**300
+        pred, truth = rng.standard_normal((n, p)), rng.standard_normal((n, p)) * 2.0**295
+        pred[3] *= 2.0**-502
+        assert 2.0**-1003 < (pred[3] ** 2).sum() < 2.0**-997
+        others = np.arange(n) != 3
+        for kind in (DistanceKind.L2, DistanceKind.L2_LIMIT, DistanceKind.COSINE_DISSIM):
+            for scale in (1.0, c):
+                lo, hi = screen(DistanceSpec(kind), pred, truth, np.full(n, -1), scale)
+                assert np.isnan(lo[3]).all() and np.isnan(hi[3]).all(), (kind, scale)
+                assert not np.isnan(lo[others]).any() and not np.isnan(hi[others]).any()
+        targets = {f"P{i:04d}": f"G{i:04d}" for i in range(n)}
+        pair, scaled = pair_from(pred, truth, targets), pair_from(pred * c, truth, targets)
+        for kind in DistanceKind:
+            spec = DistanceSpec(kind)
+            for mask in (False, True):
+                own, rank, pds, _ = rank_at_scales(pair, spec, target_columns(pair, mask), (1.0, c))
+                for k, at in enumerate((pair, scaled)):
+                    entries = compute_pds(at, spec, mask).per_perturbation
+                    want = np.array([[e.true_distance, e.rank, e.pds] for e in entries]).T
+                    assert np.stack([own[k], rank[k], pds[k]]).tobytes() == want.tobytes(), kind
 
     def test_bounds_are_known_and_narrow_at_unit_scale(self):
         rng = np.random.default_rng(15)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -38,6 +43,27 @@ class TestGenerate:
         assert np.array_equal(a.predicted.values, b.predicted.values)
         assert np.array_equal(a.truth.values, b.truth.values)
         assert a.perturbation_ids == b.perturbation_ids
+
+    def test_same_bytes_under_any_blas_kernel(self):
+        """OpenBLAS sums a dot product in an order that follows its CPU kernel; generate
+        sums pairwise, so a seed gives the same bytes under each kernel forced here."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import hashlib; from pdscore import SynthSpec, generate; "
+            "pair = generate(SynthSpec(30, 500, target_cosine=0.6, seed=3)); "
+            "data = pair.predicted.values.tobytes() + pair.truth.values.tobytes(); "
+            "print(hashlib.sha256(data).hexdigest())"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        digests = set()
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"}):
+            done = subprocess.run(
+                [sys.executable, "-c", code], env={**env, **kernel, "PYTHONPATH": str(src)},
+                capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, (kernel, done.stderr)
+            digests.add(done.stdout)
+        assert len(digests) == 1, digests
 
     def test_seed_changes_output(self):
         base = SynthSpec(6, 10, target_cosine=0.5, seed=1)
