@@ -18,7 +18,9 @@ raises the error with its line and column. The rules of a valid matrix live in
 EffectMatrix and CountMatrix alone: the reader builds the container and places
 the first fault it finds (ValidationError.at) at the line where its row starts
 and its column. Matrix writers quote only the label cells through csv and
-write each row's values with one %-format.
+work one row at a time: an integer row with one %-format, a float row with
+%.17g once per cell or, where most of its first cells repeat a value (as
+count-derived rows do), once per distinct value.
 """
 
 import csv
@@ -36,7 +38,7 @@ from . import __version__
 from .asymptotics import ScaleSweepResult
 from .discrimination import PdsEntry, PdsReport
 from .effects import EffectMatrix, _check_unique, _Made
-from .errors import DuplicateLabelInFile, ParseError, ValidationError
+from .errors import DimensionMismatch, DuplicateLabelInFile, ParseError, ValidationError
 from .geometry import CertificateResult
 from .preprocessing import CountMatrix, PipelineComparison
 from .transforms import chain_tokens
@@ -192,16 +194,30 @@ def _write_matrix(path, label_columns, labels, gene_ids, values) -> Path:
     its values as integers (%d) for an integer array and with 17 significant digits
     (%.17g) otherwise."""
     values = np.asarray(values)
-    cell = "%d" if np.issubdtype(values.dtype, np.integer) else "%.17g"
-    row_format = ",".join([cell] * values.shape[1]) + "\r\n"
+    integer = np.issubdtype(values.dtype, np.integer)
+    row_format = ",".join(["%d" if integer else "%.17g"] * values.shape[1]) + "\r\n"
     line = csv.writer(SimpleNamespace(write=str)).writerow  # returns the line it writes
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(line([*label_columns, *gene_ids]))
         for label, row in zip(labels, values):
+            cells = row_format % tuple(row.tolist()) if integer else _float_cells(row, row_format)
             # the label cells and the comma after them, without the line end
-            fh.write(line([*label, ""])[:-2] + row_format % tuple(row.tolist()))
+            fh.write(line([*label, ""])[:-2] + cells)
     return path
+
+
+def _float_cells(row, row_format) -> str:
+    """A float row's %.17g cells and line end. Where most of its first 64 cells repeat
+    a value (a count-derived row), each distinct value is formatted once, keyed on its
+    bits so that -0.0 stays -0; a continuous row pays no sort of the whole row."""
+    bits = np.ascontiguousarray(row, dtype=np.float64).view(np.uint64)
+    probe = bits[:64].tolist()  # a set, as np.unique without an inverse imports numpy.ma
+    if 2 * len(set(probe)) > len(probe):
+        return row_format % tuple(bits.view(np.float64).tolist())
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(["%.17g" % value for value in distinct.view(np.float64).tolist()], object)
+    return ",".join(text[inverse].tolist()) + "\r\n"
 
 
 def _effect_matrix(gene_ids, labels, data, where) -> EffectMatrix:
@@ -251,6 +267,12 @@ def write_count_matrix(counts: CountMatrix, path) -> Path:
 
 
 def write_normalized_matrix(values, counts: CountMatrix, path) -> Path:
+    """Write values (cells x genes, counts' shape) under counts' labels; a shape that
+    differs raises DimensionMismatch before the file is opened."""
+    values = np.asarray(values)
+    if values.shape != counts.counts.shape:
+        shapes = f"{values.shape} against counts of shape {counts.counts.shape}"
+        raise DimensionMismatch(f"cannot write normalized values of shape {shapes}")
     labels = zip(counts.cell_ids, counts.cell_condition)
     return _write_matrix(path, _COUNT_LABELS, labels, counts.gene_ids, values)
 

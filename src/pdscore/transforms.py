@@ -95,17 +95,29 @@ def _norm_matched(predicted: EffectMatrix, truth: EffectMatrix, p_norm: int) -> 
     if p_norm not in (1, 2):
         raise BadParameter(f"p_norm must be 1 or 2, got {p_norm!r}")
     with np.errstate(all="ignore"):  # norms past the float range are refused below
-        pred_norms = np.linalg.norm(predicted.values, p_norm, axis=1)
-        ratios = np.linalg.norm(truth.values, p_norm, axis=1) / pred_norms
+        peaks, pred_norms = _peaks_and_norms(predicted.values, p_norm)
+        ratios = _peaks_and_norms(truth.values, p_norm)[1] / pred_norms
     # an infinite norm overflows its row and is named before any zero one
     infinite, zero = np.isinf(pred_norms), np.flatnonzero(pred_norms == 0.0)
     if zero.size and not infinite.any():
         pid = predicted.perturbation_ids[int(zero[0])]
         raise ZeroPredictionNorm(f"predicted row {pid!r} has zero l{p_norm} norm")
     ratios = np.select([infinite, pred_norms > 0.0], [np.inf, ratios])  # 0 for a zero norm
-    peaks = np.abs(predicted.values).max(axis=1)
     check_scale(peaks, ratios, predicted.perturbation_ids, f"l{p_norm} norm matching")
     return predicted.with_values(_Made(predicted.values * ratios[:, None]))
+
+
+def _peaks_and_norms(values, p_norm: int):
+    """Each row's largest |value| and its p-norm, taken over the power of two of that peak:
+    a scaling exact for every value from 2^-1022 times the peak up, so a norm leaves the
+    float range only where its exact value does, not where its squares do."""
+    terms = np.abs(values)  # the one copy: scaled, and squared for l2, in place
+    peaks = terms.max(axis=1)
+    exponents = np.frexp(peaks)[1]
+    np.ldexp(terms, -exponents[:, None], out=terms)
+    if p_norm == 1:
+        return peaks, np.ldexp(terms.sum(axis=1), exponents)
+    return peaks, np.ldexp(np.sqrt(np.square(terms, out=terms).sum(axis=1)), exponents)
 
 
 def sign_project(predicted: EffectMatrix, threshold: float = 0.0) -> EffectMatrix:

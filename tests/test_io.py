@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from pdscore import (
     CountMatrix,
+    DimensionMismatch,
     DistanceKind,
     DistanceSpec,
     DuplicateLabel,
@@ -429,6 +431,49 @@ class TestMatrixBytes:
         path = pio._write_matrix(tmp_path / "m.csv", label_columns, labels, genes, values)
         assert path.read_bytes() == csv_bytes([*label_columns, *genes], labels, values, cell)
 
+    @staticmethod
+    def write(path, values) -> tuple:
+        """The bytes of values written with one label column, and those csv.writer gives
+        formatting each cell."""
+        labels = [(f"r{i}",) for i in range(values.shape[0])]
+        header = ["id", *(f"g{j}" for j in range(values.shape[1]))]
+        pio._write_matrix(path, header[:1], labels, header[1:], values)
+        return path.read_bytes(), csv_bytes(header, labels, values, seventeen_digits)
+
+    def test_repeated_signed_zeros_and_ulp_neighbours(self, tmp_path):
+        """Rows of a few values, each formatted once: 0.0 and -0.0 in one row, neighbours one
+        ulp apart, one column, and rows on both sides of the distinct share in one file."""
+        repeated = np.tile([0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)], 20)
+        distinct = np.arange(1.0, 101.0) / 7.0
+        for values in (np.vstack([repeated, distinct, -repeated]), repeated[:, None]):
+            written, want = self.write(tmp_path / "m.csv", values)
+            assert written == want
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.data())
+    def test_rows_of_repeated_values_match_per_cell(self, tmp_path, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        seed = data.draw(finite)
+        pool = [0.0, -0.0, seed, *data.draw(st.lists(finite, max_size=3))]
+        neighbours = (math.nextafter(seed, math.inf), math.nextafter(seed, -math.inf))
+        pool += [x for x in neighbours if math.isfinite(x)]
+        n, p = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 100))
+        # each row repeats the pool's values or is drawn freely, so one file can hold both kinds
+        rows = [data.draw(exactly(p, st.sampled_from(pool) if data.draw(st.booleans()) else finite))
+                for _ in range(n)]
+        written, want = self.write(tmp_path / "m.csv", np.array(rows, dtype=np.float64))
+        assert written == want
+
+    def test_normalized_values_of_another_shape_write_nothing(self, tmp_path):
+        path = tmp_path / "n.csv"
+        for values in (self.VALUES[:, :3], self.VALUES[:2], self.VALUES.ravel()):
+            with pytest.raises(DimensionMismatch, match="cannot write normalized values"):
+                pio.write_normalized_matrix(values, self.COUNTS, path)
+            assert not path.exists()
+
+
 class TestTargetMap:
     def test_with_and_without_header(self, tmp_path):
         with_header = tmp_path / "t1.csv"
@@ -574,3 +619,15 @@ class TestReadMemory:
         peak, aligned = self.peak_of(run)
         assert aligned.n_perturbations == 120
         assert peak < 2.8 * size
+
+
+class TestWriteMemory:
+    def test_count_derived_matrix_under_an_eighth_of_it(self, tmp_path):
+        """The writer holds one row's cells at a time: writing 500 x 1000 normalized counts
+        peaks under an eighth of the matrix."""
+        counts = generate_counts(CountSynthSpec(49, 10, 1000, seed=1))
+        values = normalize(counts, pipeline_from_token("median"))
+        write = lambda: pio.write_normalized_matrix(values, counts, tmp_path / "n.csv")
+        peak, _ = TestReadMemory.peak_of(write)
+        assert values.shape == (500, 1000)
+        assert peak < values.nbytes / 8

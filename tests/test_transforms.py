@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -110,14 +110,15 @@ class TestNormMatch:
 
     def test_a_norm_or_matched_value_that_overflows_is_refused(self):
         """With no warning, naming the row: a prediction norm, a truth norm or a ratio of
-        norms past the float range (l2 from squares past 1.8e308); where a prediction norm
-        is infinite, the first row that is or that overflows, before any zero row."""
-        big = 3.0 * 2.0**600  # its square overflows
+        norms past the float range (an l2 norm whose exact value is, though no value is);
+        where a prediction norm is infinite, the first row that is or that overflows,
+        before any zero row."""
+        big = [1.5e308, 1.5e308]  # l2 norm 2.1e308
         cases = [
             (1, [[1.0, 1.0], [1e308, 1e308]], [[1.0, 0.0], [1.0, 0.0]]),  # prediction norm
-            (2, [[1.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, big]]),  # truth norm
+            (2, [[1.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], big]),  # truth norm
             (1, [[1.0, 1.0], [1e-300, 0.0]], [[1.0, 0.0], [1e300, 0.0]]),  # ratio
-            (2, [[0.0, 0.0], [big, 0.0]], [[1.0, 0.0], [1.0, 0.0]]),  # past a zero row
+            (2, [[0.0, 0.0], big], [[1.0, 0.0], [1.0, 0.0]]),  # past a zero row
             # a ratio that overflows, before a later infinite prediction norm
             (1, [[1.0, 1.0], [1e-300, 0.0], [1e308, 1e308]],
              [[1.0, 0.0], [1e300, 0.0], [1.0, 0.0]]),
@@ -126,6 +127,32 @@ class TestNormMatch:
             message = f"l{p_norm} norm matching overflows .* 'P0001'"
             with pytest.raises(ValidationError, match=message):
                 norm_match(pair_from(pred, truth), p_norm)
+
+    def test_rows_whose_squares_leave_the_float_range_are_matched(self):
+        truth = [[3.0, 4.0]]
+        for row in ([1e160, 2e160], [1e-170, 2e-170]):
+            for p_norm in (1, 2):
+                matched = norm_match(pair_from([row], truth), p_norm).predicted.values[0]
+                want = np.array([1.0, 2.0]) * (7.0 / 3.0 if p_norm == 1 else math.sqrt(5.0))
+                assert matched == pytest.approx(want, rel=1e-15)
+
+    # zeros and magnitudes from 0.5 to 2, so that every 2^k below keeps these values,
+    # their norms' ratios and the matched values normal
+    ENTRY = st.one_of(st.just(0.0), st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
+
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)), elements=ENTRY),
+        st.data(), st.integers(-900, 900), st.sampled_from([1, 2]),
+    )
+    def test_commutes_with_powers_of_two(self, pred, data, k, p_norm):
+        """norm_match(2^k P, T) equals norm_match(P, T) and norm_match(P, 2^k T) equals
+        2^k norm_match(P, T), bit for bit, for k that keep every value and ratio normal."""
+        assume(np.abs(pred).max(axis=1).min() > 0.0)  # a zero prediction row is refused
+        truth = data.draw(arrays(np.float64, pred.shape, elements=self.ENTRY))
+        matched = lambda p, t: norm_match(pair_from(p, t), p_norm).predicted.values.tobytes()
+        base = norm_match(pair_from(pred, truth), p_norm).predicted.values
+        assert matched(pred * 2.0**k, truth) == base.tobytes()
+        assert matched(pred, truth * 2.0**k) == (base * 2.0**k).tobytes()
 
     def test_bad_p_norm(self):
         pair = random_pair(np.random.default_rng(6), n=2, p=2)
