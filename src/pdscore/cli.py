@@ -24,7 +24,7 @@ from .effects import align_pair
 from .errors import BadParameter, PdsError
 from .geometry import orthogonal_ray_certificate, region_fraction
 from .metrics import METRIC_TOKENS, spec_from_token
-from .preprocessing import compare_pipelines, mean_effects, normalize, pipeline_from_token
+from .preprocessing import _median, compare_pipelines, mean_effects, normalize, pipeline_from_token
 from .synth import CountSynthSpec, SynthSpec, generate, generate_counts
 from .transforms import CHAIN_GRAMMAR, apply_chain, chain_tokens, norm_match, parse_chain
 
@@ -102,11 +102,7 @@ _INPUTS = ("pred", "truth", "targets", "counts")
 
 def _echo_config(args, out: Path, inputs: dict, digests: dict) -> None:
     """Write run_config.json, with digests holding the sha256 of each input, keyed like inputs."""
-    options = {
-        k: (list(v) if isinstance(v, tuple) else v)
-        for k, v in vars(args).items()
-        if not callable(v)
-    }
+    options = {k: v for k, v in vars(args).items() if not callable(v)}
     if "transform" in options:
         options["transform"] = chain_tokens(args.transform)
     digests = {str(inputs[name]): d for name, d in digests.items()}
@@ -211,7 +207,7 @@ def _cmd_preprocess_compare(args, out: Path, meta: dict | None) -> None:
     )
     _emit(args, out, "comparison", result, meta, io.comparison_payload, io.write_comparison_csv)
     defined = result.cosine_between[~np.isnan(result.cosine_between)]  # NaN for zero effects
-    median = float(np.median(defined)) if defined.size else float("nan")
+    median = _median(defined) if defined.size else float("nan")
     print(f"perturbations={len(result.perturbation_ids)} median_cosine={median:.4f}")
 
 

@@ -117,12 +117,18 @@ def _placing(where, n_label_columns: int, reason: str = ""):
         raise
 
 
-def _read_table(path, n_label_columns: int, parse, what: str, label_text: str):
+def _read_table(path, n_label_columns: int, dtype):
     """Parse a header of gene ids after the label columns, then rows of labels and values.
 
-    Returns (gene_ids, labels, data, where): each data row's stripped label cells, its
-    parsed values, and where(r), the (line, cells) of data row r, or of the header at -1.
+    Returns (gene_ids, labels, values, where): the stripped cells of each label column,
+    the values as a dtype array (an object array of ints where a count is beyond 64 bits,
+    for the container to compare exactly), and where(r), the (line, cells) of data row r,
+    or of the header at -1.
     """
+    parse, what, label_text = (  # the cell parser, what a cell is, the label columns
+        (int, "an integer count", "cell and condition columns") if dtype is np.int64
+        else (float, "a number", "the label column")
+    )
     rows = _rows_of(path)
     if not rows:
         raise ParseError(1, 1, "empty file")
@@ -135,8 +141,7 @@ def _read_table(path, n_label_columns: int, parse, what: str, label_text: str):
         _check_unique(gene_ids, "gene", 1)
     if len(rows) == 1:
         raise ParseError(header_line, 1, "no data rows")
-    labels = []
-    data = []
+    labels, data = [], []
     for line, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(line, 1, f"expected {len(header)} fields, found {len(row)}")
@@ -148,7 +153,11 @@ def _read_table(path, n_label_columns: int, parse, what: str, label_text: str):
             except ValueError:
                 raise ParseError(line, column, f"not {what}: {cell.strip()!r}") from None
         data.append(values)
-    return gene_ids, labels, data, where
+    try:
+        values = np.asarray(data, dtype)
+    except OverflowError:  # a count beyond 64 bits: the container compares the exact integers
+        values = np.array(data, dtype=object)
+    return gene_ids, list(zip(*labels)), values, where
 
 
 class _Refused(Exception):
@@ -186,7 +195,7 @@ def _bulk_table(path, n_label_columns: int, dtype):
         raise _Refused
     gene_ids = [cell.strip() for cell in header[n_label_columns:]]
     values.setflags(write=False)
-    return gene_ids, list(zip(*labels)), values[:, n_label_columns:], _refuse
+    return gene_ids, labels, values[:, n_label_columns:], _refuse
 
 
 def _write_matrix(path, label_columns, labels, gene_ids, values) -> Path:
@@ -220,18 +229,21 @@ def _float_cells(row, row_format) -> str:
     return ",".join(text[inverse].tolist()) + "\r\n"
 
 
-def _effect_matrix(gene_ids, labels, data, where) -> EffectMatrix:
-    (ids,) = zip(*labels)
-    with _placing(where, 1, "not a finite number"):
-        return EffectMatrix(_Made(np.asarray(data, dtype=np.float64)), ids, tuple(gene_ids))
+def _read_matrix(path, n_label_columns: int, dtype, reason: str, build):
+    """build(values, *label columns, gene_ids) from a matrix CSV: parsed in bulk, or, where
+    numpy or the container refuses it, by the positional reader, which places the fault."""
+    for parse in (_bulk_table, _read_table):
+        try:
+            gene_ids, labels, values, where = parse(path, n_label_columns, dtype)
+            with _placing(where, n_label_columns, reason):
+                return build(_Made(values), *labels, gene_ids)
+        except _Refused:
+            pass
 
 
 def read_effect_matrix(path) -> EffectMatrix:
     """Parse an effect matrix CSV; errors carry 1-based line and column."""
-    try:
-        return _effect_matrix(*_bulk_table(path, 1, np.float64))
-    except _Refused:
-        return _effect_matrix(*_read_table(path, 1, float, "a number", "the label column"))
+    return _read_matrix(path, 1, np.float64, "not a finite number", EffectMatrix)
 
 
 def write_effect_matrix(matrix: EffectMatrix, path) -> Path:
@@ -239,23 +251,10 @@ def write_effect_matrix(matrix: EffectMatrix, path) -> Path:
     return _write_matrix(path, ["perturbation"], labels, matrix.gene_ids, matrix.values)
 
 
-def _count_matrix(gene_ids, labels, data, where) -> CountMatrix:
-    try:
-        counts = np.asarray(data, dtype=np.int64)
-    except OverflowError:  # a cell beyond 64 bits: the container compares the exact integers
-        counts = np.array(data, dtype=object)
-    cell_ids, conditions = zip(*labels)
-    with _placing(where, 2, "count out of range 0 to 2**63 - 1"):
-        return CountMatrix(_Made(counts), conditions, tuple(gene_ids), cell_ids)
-
-
 def read_count_matrix(path) -> CountMatrix:
     """Parse a counts CSV (cell id, condition, then nonnegative integer counts)."""
-    try:
-        return _count_matrix(*_bulk_table(path, 2, np.int64))
-    except _Refused:
-        labels = "cell and condition columns"
-        return _count_matrix(*_read_table(path, 2, int, "an integer count", labels))
+    build = lambda counts, cells, conditions, genes: CountMatrix(counts, conditions, genes, cells)
+    return _read_matrix(path, 2, np.int64, "count out of range 0 to 2**63 - 1", build)
 
 
 _COUNT_LABELS = ["cell", "condition"]
@@ -291,17 +290,9 @@ def read_target_map(path) -> dict:
     return out
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def write_json(payload: dict, path) -> Path:
     # Encode first, so a payload that cannot be encoded leaves no partial file behind.
-    text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+    text = json.dumps(payload, indent=2) + "\n"
     path = Path(path)
     path.write_text(text, encoding="utf-8")
     return path
@@ -343,9 +334,9 @@ def write_pds_report_csv(report: PdsReport, path) -> Path:
 
 def sweep_payload(result: ScaleSweepResult, meta: dict | None = None) -> dict:
     body = {
-        "scales": list(result.scales),
-        "mean_pds_per_scale": {k: list(v) for k, v in result.mean_pds_per_scale.items()},
-        "limit_mean_pds": dict(result.limit_mean_pds),
+        "scales": result.scales,
+        "mean_pds_per_scale": result.mean_pds_per_scale,
+        "limit_mean_pds": result.limit_mean_pds,
     }
     return _payload("scale-sweep", meta, body)
 

@@ -193,11 +193,11 @@ class Screen:
     u |a| |r| when both squared norms are safe; 4 (p + 4) u covers the product, the kernel
     and the bounds' rounding at c = 1.
 
-    At c != 1 the sign kinds' products hold for every row whose zero pattern
-    |fl(c a_k)| <= t is the one they were formed from, since a positive scale keeps every
-    nonzero sign; bounds forms the other rows' products again from their scaled rows, into
-    new arrays (a pattern moves when t > 0 or a coordinate underflows), so the sign kinds'
-    bounds are the c = 1 bounds of the scaled rows. The others take fl(c fl(a.r)) for a'.r,
+    At c != 1 the sign kinds' products hold while every row's zero pattern |fl(c a_k)| <= t
+    is the one they were formed from, since a positive scale keeps every nonzero sign; once
+    a row's pattern moves (when t > 0 or a coordinate underflows), bounds forms the block's
+    products again from the scaled rows, so the sign kinds' bounds are the c = 1 bounds of
+    the scaled rows. The others take fl(c fl(a.r)) for a'.r,
     a' = fl(c a), and an entry is NaN unless the squared norms of a, a' and r are all safe:
     a row whose squared norm is unsafe at c = 1 has NaN bounds at every scale, and the
     caller measures it with the kernel.
@@ -257,11 +257,8 @@ class Screen:
         every row takes cross as it is."""
         kind, T, eps = self.kind, self.truth, self.eps
         key, products = cross
-        if c != 1.0 and kind in _SIGN_KINDS:
-            stale = ((np.abs(scaled) <= self.threshold) != key).any(axis=1)
-            if stale.any():  # into new arrays: cross is the caller's
-                key, products = key.copy(), products.copy()
-                key[stale], products[stale] = self.cross(scaled[stale])
+        if c != 1.0 and kind in _SIGN_KINDS and ((np.abs(scaled) <= self.threshold) != key).any():
+            key, products = self.cross(scaled)  # a zero pattern moved: the block's, formed again
         masked = np.flatnonzero(columns >= 0)
         r_k = T[:, columns[masked]].T  # each masked row's target column of every truth row
 

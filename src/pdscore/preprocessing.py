@@ -133,6 +133,13 @@ class PipelineComparison:
     sign_cosine_between: np.ndarray
 
 
+def _median(values) -> float:
+    """np.median of values with no NaN, bit for bit, without the numpy.ma import its first
+    call makes: like np.median, the mean of the middle value or the middle two."""
+    ordered, half = np.sort(values), len(values) // 2
+    return float(np.mean(ordered[half - 1 + len(values) % 2 : half + 1]))
+
+
 def normalize(counts: CountMatrix, spec: PipelineSpec) -> np.ndarray:
     """Normalize raw counts to a dense float matrix (cells x genes).
 
@@ -150,7 +157,7 @@ def normalize(counts: CountMatrix, spec: PipelineSpec) -> np.ndarray:
     if spec is PipelineSpec.PER10K:
         raw *= (10000.0 / libsizes)[:, None]
         return np.log1p(raw, out=raw)
-    raw /= (libsizes / np.median(libsizes))[:, None]  # each cell's size factor
+    raw /= (libsizes / _median(libsizes))[:, None]  # each cell's size factor
     if spec is PipelineSpec.MEDIAN_NOLOG:
         return raw
     return np.log1p(raw, out=raw)

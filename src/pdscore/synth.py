@@ -44,7 +44,7 @@ class SynthSpec:
             raise BadParameter(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
-def _unit(rng: np.random.Generator, p: int) -> np.ndarray:
+def _unit(rng, p: int) -> np.ndarray:
     while True:
         g = rng.standard_normal(p)
         norm = math.sqrt(np.multiply(g, g).sum())  # pairwise, not BLAS: same bytes on any CPU
@@ -52,7 +52,7 @@ def _unit(rng: np.random.Generator, p: int) -> np.ndarray:
             return g / norm
 
 
-def _orthogonal_unit(rng: np.random.Generator, direction: np.ndarray) -> np.ndarray:
+def _orthogonal_unit(rng, direction: np.ndarray) -> np.ndarray:
     # Gram-Schmidt against the direction, with pairwise sums; redraw on near collinearity.
     while True:
         g = rng.standard_normal(direction.shape[0])

@@ -518,11 +518,12 @@ class TestSynthCommands:
 
 
 def test_import_loads_no_thread_pool_or_logging():
-    """One-worker runs need neither, so importing pdscore loads neither."""
+    """One-worker runs need neither, and only synthesis draws random numbers, so importing
+    pdscore loads none of them."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; import pdscore, pdscore.cli, pdscore.io; "
-        "print(*sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        "print(*sorted({'concurrent.futures', 'logging', 'numpy.random'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -530,6 +531,28 @@ def test_import_loads_no_thread_pool_or_logging():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["normalize", "--pipeline", "median"], ["compare"]],
+    ids=["normalize-median", "compare"],
+)
+def test_median_pipelines_load_no_masked_arrays(command, counts_file, tmp_path):
+    """The median library size and the median cosine are taken without np.median, whose
+    first call imports numpy.ma."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["preprocess", *command, "--counts", str(counts_file), "--out", str(tmp_path / "o")]
+    code = (
+        "import sys; from pdscore.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize(
@@ -614,9 +637,13 @@ PAIR = ["--pred", "truth.csv", "--truth", "truth.csv"]
         (["pds", *PAIR, "--metric", ","], "--metric: no metrics given; choose from: l1, l2"),
         (["pds", *PAIR, "--workers", "x"], "--workers: expected an integer, got 'x'"),
         (["sweep", *PAIR, "--grid", "1:2"], "--grid: grid must be <lo>:<hi>:<n>"),
+        (["sweep", *PAIR, "--grid", "a:2:3"], "--grid: grid must be <lo>:<hi>:<n>"),
+        ([*REGION, "--dims", "2,x"], "--dims: expected a comma-separated list of integers"),
+        (["pds", *PAIR, "--transform", "bogus"], "--transform: unknown transform 'bogus'"),
     ],
     ids=["region-dims", "pair-n", "pair-genes", "counts-genes", "counts-perturbations",
-         "counts-cells", "no-metric", "workers", "grid-parts"],
+         "counts-cells", "no-metric", "workers", "grid-parts", "grid-number", "dims-number",
+         "transform"],
 )
 def test_a_usage_error_writes_nothing(command, message, existed, tmp_path, monkeypatch, capsys):
     """A value below its option's floor, or one its option cannot read, is one usage line

@@ -457,8 +457,9 @@ class TestScreen:
                     assert np.all(values[known] <= hi[i][known]), kind.value
 
     def test_bounds_leave_their_arguments_unchanged(self):
-        """Stale rows are formed again into new arrays: at c = 1/4 with t = 0.5 the sign
-        patterns move; at c = 2**-500 the dot kinds' row 1, unsafe at c = 1, gets NaN bounds."""
+        """A moved zero pattern forms the block's products again, leaving cross as it was: at
+        c = 1/4 with t = 0.5 the sign patterns move; at c = 2**-500 the dot kinds' row 1,
+        unsafe at c = 1, gets NaN bounds."""
         rng = np.random.default_rng(17)
         pred, truth = rng.standard_normal((6, 9)), rng.standard_normal((6, 9))
         pred[1] *= 2.0**600  # a squared norm from 2**1000 up, safe once scaled by 2**-500

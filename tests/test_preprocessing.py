@@ -21,6 +21,7 @@ from pdscore import (
     pipeline_from_token,
 )
 from pdscore.errors import BadParameter
+from pdscore.preprocessing import _median
 
 from oracles import cosine, sign_cosine
 
@@ -133,6 +134,19 @@ class TestNormalize:
     def test_median_log1p_default(self):
         cm = counts_of([[7, 3]], ["control"])
         assert np.array_equal(normalize(cm, MEDIAN), np.log1p([[7.0, 3.0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+            min_size=1, max_size=41,
+        )
+    )
+    def test_median_is_numpy_median_bit_for_bit(self, values):
+        """Odd and even lengths, signed zeros and subnormals: the size factors' median is
+        np.median's value and its bits."""
+        values = np.array(values)
+        assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
 
     def test_shape_and_nonnegativity(self):
         rng = np.random.default_rng(72)
