@@ -54,6 +54,8 @@ def convergence_threshold_l2(pair: EffectPair, apply_target_mask: bool = False) 
 
     A masked anchor's target is zeroed in a, so the truth's coordinate adds only +-0
     to a.r, and in the truth's squares, summed once per distinct target column.
+    "Exactly" is about the ranking: a.r comes from a BLAS product (truth @ a), so the
+    last bits of the returned scale follow the BLAS kernel and thread count.
     """
     truth = pair.truth.values
     squares = truth**2

@@ -13,6 +13,7 @@ import os
 import re
 import shutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -211,16 +212,13 @@ def _cmd_preprocess_compare(args, out: Path, meta: dict | None) -> None:
     print(f"perturbations={len(result.perturbation_ids)} median_cosine={median:.4f}")
 
 
+def _spec(cls, args, **renamed):
+    """cls from the options named like its fields; renamed maps a field to its option."""
+    return cls(**{f.name: getattr(args, renamed.get(f.name, f.name)) for f in fields(cls)})
+
+
 def _cmd_synth_pair(args, out: Path, meta: dict | None) -> None:
-    spec = SynthSpec(
-        n_perturbations=args.n,
-        n_genes=args.genes,
-        target_cosine=args.target_cosine,
-        norm_mu=args.norm_mu,
-        norm_sigma=args.norm_sigma,
-        prediction_scale=args.scale,
-        seed=args.seed,
-    )
+    spec = _spec(SynthSpec, args, n_perturbations="n", n_genes="genes", prediction_scale="scale")
     pair = generate(spec)
     io.write_effect_matrix(pair.predicted, out / "predicted.csv")
     io.write_effect_matrix(pair.truth, out / "truth.csv")
@@ -228,15 +226,9 @@ def _cmd_synth_pair(args, out: Path, meta: dict | None) -> None:
 
 
 def _cmd_synth_counts(args, out: Path, meta: dict | None) -> None:
-    spec = CountSynthSpec(
-        n_perturbations=args.perturbations,
-        cells_per_condition=args.cells_per_condition,
-        n_genes=args.genes,
-        mean_counts_per_cell=args.mean_counts,
-        libsize_sigma=args.libsize_sigma,
-        effect_fraction=args.effect_fraction,
-        effect_log_fc_sigma=args.effect_sigma,
-        seed=args.seed,
+    spec = _spec(
+        CountSynthSpec, args, n_perturbations="perturbations", n_genes="genes",
+        mean_counts_per_cell="mean_counts", effect_log_fc_sigma="effect_sigma",
     )
     counts = generate_counts(spec)
     path = io.write_count_matrix(counts, out / "counts.csv")
@@ -255,17 +247,17 @@ def _add_common_io(parser, with_formats=True):
 
 
 def _add_pair_inputs(parser, scoring=True):
-    """--pred, --truth and --targets; with scoring, also the options that shape a measure."""
+    """--pred and --truth; with scoring, also the options that shape a measure."""
     parser.add_argument("--pred", required=True, help="predicted effect matrix CSV")
     parser.add_argument("--truth", required=True, help="true effect matrix CSV")
+    if not scoring:
+        return
     parser.add_argument(
         "--targets",
         default=None,
         help="optional perturbation,target_gene CSV; default when masking is the "
         "perturbation id itself where it matches a gene id",
     )
-    if not scoring:
-        return
     parser.add_argument(
         "--mask-target",
         action="store_true",

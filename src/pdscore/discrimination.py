@@ -14,7 +14,7 @@ import numpy as np
 
 from .effects import EffectPair, target_columns
 from .errors import BadIndex, BadParameter, ValidationError
-from .metrics import _CACHED, _UNDEFINED, DistanceSpec, Screen, _measured
+from .metrics import _CACHED, _UNDEFINED, DistanceKind, DistanceSpec, Screen, _measured
 
 
 class ErrorPolicy(Enum):
@@ -165,6 +165,8 @@ def rank_at_scales(pair: EffectPair, spec: DistanceSpec, columns, scales, worker
             rows = block if c == 1.0 else block * c
             lo, hi = screen.bounds(cross, rows, column, c)
             mine, bad = measured(rows, column, local, anchors)
+            if spec.kind is DistanceKind.SIGN_COSINE_DISSIM:  # lo is the measure, NaN if undefined
+                bad |= np.isnan(lo).any(axis=1)
             closer = hi < mine[:, None]
             undecided = ~(closer | (lo > mine[:, None]) | (lo == hi))  # NaN bounds stay undecided
             undecided[local, anchors] = False

@@ -127,13 +127,11 @@ def _measured(spec: DistanceSpec, a, rows):
         return np.sqrt(np.square(np.subtract(rows, a, out=w), out=w).sum(axis=1)), undefined
     if kind is DistanceKind.L2_LIMIT:
         return -np.multiply(rows, a, out=w).sum(axis=1), undefined
-    if kind is DistanceKind.L1_LIMIT:
-        sa = _signs(a, spec.sign_threshold)
-        # coordinate with a zero predicted sign contributes |r_j|, any other
-        # contributes -sign(a_j) r_j
-        np.multiply(rows, -sa, out=w)
-        return np.abs(rows, out=w, where=sa == 0.0).sum(axis=1), undefined
-    raise BadParameter(f"unhandled distance kind {kind!r}")
+    sa = _signs(a, spec.sign_threshold)  # l1-limit
+    # coordinate with a zero predicted sign contributes |r_j|, any other
+    # contributes -sign(a_j) r_j
+    np.multiply(rows, -sa, out=w)
+    return np.abs(rows, out=w, where=sa == 0.0).sum(axis=1), undefined
 
 
 def pairwise_to_rows(spec: DistanceSpec, a, rows) -> np.ndarray:

@@ -132,14 +132,10 @@ def apply_chain(pair: EffectPair, chain) -> EffectPair:
     for descriptor in chain:
         if descriptor.kind is TransformKind.GLOBAL_SCALE:
             predicted = global_scale(predicted, descriptor.parameter)
-        elif descriptor.kind is TransformKind.NORM_MATCH_L1:
-            predicted = _norm_matched(predicted, pair.truth, 1)
-        elif descriptor.kind is TransformKind.NORM_MATCH_L2:
-            predicted = _norm_matched(predicted, pair.truth, 2)
         elif descriptor.kind is TransformKind.SIGN_PROJECT:
             predicted = sign_project(predicted, descriptor.parameter)
-        else:
-            raise BadParameter(f"unhandled transform kind {descriptor.kind!r}")
+        else:  # norm-match:l1 or norm-match:l2
+            predicted = _norm_matched(predicted, pair.truth, int(descriptor.kind.value[-1]))
     return pair.with_predicted(predicted, chain)
 
 

@@ -120,6 +120,21 @@ class TestPdsCommand:
         report = json.loads((out / "pds_l1.json").read_text())
         assert report["apply_target_mask"] is True
 
+    def test_targets_file_is_a_recorded_input(self, pair_files, tmp_path):
+        pred, truth = pair_files
+        targets = tmp_path / "targets.csv"
+        targets.write_text("P0000,G0003\n")
+        out = tmp_path / "pds_t"
+        code = main(
+            [
+                "pds", "--pred", str(pred), "--truth", str(truth), "--metric", "l1",
+                "--mask-target", "--targets", str(targets), "--out", str(out),
+            ]
+        )
+        assert code == 0
+        config = json.loads((out / "run_config.json").read_text())
+        assert list(config["input_digests"]) == [str(pred), str(truth), str(targets)]
+
     def test_byte_order_mark_in_target_map_is_ignored(self, pair_files, tmp_path):
         """A headerless map saved with a UTF-8 byte-order mark still masks its first
         perturbation: the report equals the one from the same map without the mark."""
@@ -268,28 +283,15 @@ class TestNormMatchCommand:
         )
 
 
-    @pytest.mark.parametrize("option", [["--mask-target"], ["--sign-threshold", "0.5"]])
+    @pytest.mark.parametrize(
+        "option", [["--mask-target"], ["--sign-threshold", "0.5"], ["--targets", "t.csv"]]
+    )
     def test_scoring_options_exit_2(self, pair_files, tmp_path, option, capsys):
         pred, truth = pair_files
         argv = ["norm-match", "--pred", str(pred), "--truth", str(truth), "--norm", "l2"]
         assert main([*argv, *option, "--out", str(tmp_path / "nm")]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "nm").exists()
-
-    def test_targets_file_is_a_recorded_input(self, pair_files, tmp_path):
-        pred, truth = pair_files
-        targets = tmp_path / "targets.csv"
-        targets.write_text("P0000,G0003\n")
-        out = tmp_path / "nm_t"
-        code = main(
-            [
-                "norm-match", "--pred", str(pred), "--truth", str(truth),
-                "--targets", str(targets), "--norm", "l1", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        config = json.loads((out / "run_config.json").read_text())
-        assert list(config["input_digests"]) == [str(pred), str(truth), str(targets)]
 
 
 class TestGeometryCommands:

@@ -14,9 +14,11 @@ from pdscore import (
     ValidationError,
     ZeroVector,
     compute_pds,
+    discrimination,
     pds_row,
     scale_sweep,
 )
+from pdscore.metrics import _measured
 
 from helpers import pair_from, per_anchor_pds, random_pair
 from oracles import cosine, dist_l1, dist_l2, oracle_pds, sign_cosine
@@ -338,6 +340,34 @@ def test_screened_ranks_equal_measuring_every_candidate(case):
             want = _outcome(lambda: per_anchor_pds(pair, spec, mask, policy))
             assert got == want, (kind.value, mask)
             assert got == _outcome(lambda: oracle_pds(pair, spec, mask, policy)), (kind.value, mask)
+
+
+@pytest.mark.parametrize("mask", [False, True])
+def test_sign_cosine_settles_undefined_candidates_without_the_kernel(mask, monkeypatch):
+    """Under sign-cosine the screen's bounds are the measure itself, NaN only where a sign
+    count is zero, so the kernel measures each anchor's own pair and no candidate: truth
+    row 3 has no sign above the threshold, or, masked, none but anchors 0-3's target."""
+    rng = np.random.default_rng(5)
+    pred, truth = rng.standard_normal((2, 10, 6))
+    truth[3] = 0.1
+    targets = {}
+    if mask:
+        truth[3, 2] = 2.0
+        targets = {f"P{i:04d}": "G0002" for i in range(4)}
+    pair, spec = pair_from(pred, truth, targets), DistanceSpec(DistanceKind.SIGN_COSINE_DISSIM, 0.5)
+    measured = []
+
+    def counting(spec, a, rows):
+        measured.append(len(rows))
+        return _measured(spec, a, rows)
+
+    monkeypatch.setattr(discrimination, "_measured", counting)
+    report = compute_pds(pair, spec, mask)
+    assert sum(measured) == 10
+    assert [e.error is not None for e in report.per_perturbation] == [
+        i < 4 or not mask for i in range(10)
+    ]
+    assert repr(report) == repr(oracle_pds(pair, spec, mask))
 
 
 def _deleted_measure(spec, a, r):

@@ -107,6 +107,8 @@ class TestGenerate:
     def test_spec_validation(self):
         with pytest.raises(BadSpec):
             SynthSpec(1, 10, target_cosine=0.5)
+        with pytest.raises(BadSpec, match="at least two genes"):
+            SynthSpec(5, 1, target_cosine=0.5)
         with pytest.raises(BadSpec):
             SynthSpec(5, 10, target_cosine=1.5)
         with pytest.raises(BadSpec):
@@ -143,6 +145,8 @@ class TestGenerateCounts:
             CountSynthSpec(0, 5, 10)
         with pytest.raises(BadSpec, match="at least one cell per condition"):
             CountSynthSpec(2, 0, 10)
+        with pytest.raises(BadSpec, match="at least two genes"):
+            CountSynthSpec(2, 5, 1)
         with pytest.raises(BadSpec):
             CountSynthSpec(2, 5, 10, effect_fraction=1.5)
         with pytest.raises(BadParameter, match="seed"):
