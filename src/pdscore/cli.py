@@ -52,8 +52,9 @@ _metric_list, _formats = _distinct("metric", METRIC_TOKENS), _distinct("format",
 
 
 def _chain(text: str):
+    """The chain's canonical tokens, such as ['scale:2', 'norm-match:l2']."""
     try:
-        return parse_chain(text)
+        return chain_tokens(parse_chain(text))
     except BadParameter as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -103,11 +104,8 @@ _INPUTS = ("pred", "truth", "targets", "counts")
 
 def _echo_config(args, out: Path, inputs: dict, digests: dict) -> None:
     """Write run_config.json, with digests holding the sha256 of each input, keyed like inputs."""
-    options = {k: v for k, v in vars(args).items() if not callable(v)}
-    if "transform" in options:
-        options["transform"] = chain_tokens(args.transform)
     digests = {str(inputs[name]): d for name, d in digests.items()}
-    body = {"command": args.command, "options": options, "input_digests": digests}
+    body = {"command": args.command, "options": vars(args), "input_digests": digests}
     io.write_json(io._payload("run-config", None, body), out / "run_config.json")
 
 
@@ -123,7 +121,7 @@ def _load_pair(args):
     predicted = io.read_effect_matrix(args.pred)
     truth = io.read_effect_matrix(args.truth)
     targets = None
-    if getattr(args, "targets", None):
+    if getattr(args, "targets", None) is not None:
         targets = io.read_target_map(args.targets)
     elif getattr(args, "mask_target", False):
         # Default map for gene perturbations named after their target gene.
@@ -133,7 +131,7 @@ def _load_pair(args):
 
 
 def _cmd_pds(args, out: Path, meta: dict | None) -> None:
-    pair = apply_chain(_load_pair(args), args.transform or ())
+    pair = apply_chain(_load_pair(args), parse_chain(",".join(args.transform)))
     policy = ErrorPolicy(args.error_policy)
     reports = [  # every metric scored before any report is written
         compute_pds(
@@ -314,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_int_at_least(1), default=1, help="threads over anchor row-blocks (>= 1)"
     )
     _add_common_io(p)
-    p.set_defaults(func=_cmd_pds)
 
     p = sub.add_parser("sweep", help="mean score across a grid of global prediction scales")
     _add_pair_inputs(p)
@@ -326,13 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="log grid <lo>:<hi>:<n> of scale factors (default 1e-2:1e4:25)",
     )
     _add_common_io(p)
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("norm-match", help="emit predictions rescaled to matching row norms")
     _add_pair_inputs(p, scoring=False)
     p.add_argument("--norm", choices=["l1", "l2"], required=True)
     _add_common_io(p, with_formats=False)
-    p.set_defaults(func=_cmd_norm_match)
 
     p = sub.add_parser("geometry", help="orthogonal-ray certificate and region fractions")
     geo = p.add_subparsers(dest="geometry_command", required=True)
@@ -341,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--true-norm", type=float, required=True)
     c.add_argument("--cosine", type=float, required=True)
     _add_common_io(c, with_formats=False)
-    c.set_defaults(func=_cmd_geometry_certificate)
     r = geo.add_parser("region", help="Monte Carlo fraction of winning short distractors")
     r.add_argument("--dims", type=_int_list, required=True, help="comma separated dimensions")
     r.add_argument("--rho", type=float, required=True, help="distractor to prediction norm ratio")
@@ -350,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=_int_at_least(0), default=0)
     r.add_argument("--metric", choices=["l1", "l2"], default="l2")
     _add_common_io(r)
-    r.set_defaults(func=_cmd_geometry_region)
 
     p = sub.add_parser("preprocess", help="normalize counts, estimate effects, compare pipelines")
     pre = p.add_subparsers(dest="preprocess_command", required=True)
@@ -358,19 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--counts", required=True)
     n.add_argument("--pipeline", default="per10k", help="per10k, median, or median-nolog")
     _add_common_io(n, with_formats=False)
-    n.set_defaults(func=_cmd_preprocess_normalize)
     e = pre.add_parser("effects", help="write mean perturbation effects for one pipeline")
     e.add_argument("--counts", required=True)
     e.add_argument("--pipeline", default="per10k")
     _add_common_io(e, with_formats=False)
-    e.set_defaults(func=_cmd_preprocess_effects)
     c = pre.add_parser("compare", help="contrast effects from two pipelines")
     c.add_argument("--counts", required=True)
     c.add_argument("--pipeline-a", default="per10k")
     c.add_argument("--pipeline-b", default="median")
     c.add_argument("--sign-threshold", type=float, default=0.0)
     _add_common_io(c)
-    c.set_defaults(func=_cmd_preprocess_compare)
 
     p = sub.add_parser("synth", help="generate synthetic effect pairs or count matrices")
     syn = p.add_subparsers(dest="synth_command", required=True)
@@ -383,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scale", type=float, default=1.0, help="global prediction scale")
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_common_io(sp, with_formats=False)
-    sp.set_defaults(func=_cmd_synth_pair)
     sc = syn.add_parser("counts", help="Poisson counts with heterogeneous library sizes")
     sc.add_argument("--perturbations", type=_int_at_least(1), default=20)
     sc.add_argument("--cells-per-condition", type=_int_at_least(1), default=50)
@@ -394,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--effect-sigma", type=float, default=1.0)
     sc.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_common_io(sc, with_formats=False)
-    sc.set_defaults(func=_cmd_synth_counts)
 
     return parser
 
@@ -410,18 +398,28 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in ("pds", "sweep"):  # refuse an option that would change no report
+            parser.prog += f" {args.command}"  # so the line starts as the command's own errors do
+            if args.targets is not None and not args.mask_target:
+                parser.error("argument --targets: not allowed without --mask-target")
+            reads_threshold = {"sign-cosine", "l1-limit"} & {*args.metric}
+            if 0 < args.sign_threshold < np.inf and not reads_threshold:
+                parser.error("argument --sign-threshold: read only by sign-cosine and l1-limit")
     except SystemExit as exc:
         return int(exc.code or 0)
     except MemoryError as exc:  # a size numpy cannot allocate, such as --grid 1:2:1e13
         return _failed(exc)
+    # a command's handler is named after its path: `synth pair` runs _cmd_synth_pair
+    words = [args.command, *(v for k, v in vars(args).items() if k.endswith("_command"))]
+    handler = globals()["_cmd_" + "_".join(words).replace("-", "_")]
     out, made = Path(args.out), []
     try:
         where = Path(os.path.abspath(out))  # with no ".." left
         made = [d for d in (where, *where.parents) if not d.exists()]  # what mkdir will make
         out.mkdir(parents=True, exist_ok=True)
-        inputs = {name: getattr(args, name) for name in _INPUTS if getattr(args, name, None)}
+        inputs = {n: getattr(args, n) for n in _INPUTS if getattr(args, n, None) is not None}
         digests = {name: io.sha256_file(path) for name, path in inputs.items()}
-        args.func(args, out, {"inputs": digests} if inputs else None)
+        handler(args, out, {"inputs": digests} if inputs else None)
         _echo_config(args, out, inputs, digests)
     except (PdsError, OSError, MemoryError) as exc:
         if made:  # a failed run removes its --out if it made it, then each parent it made

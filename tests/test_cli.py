@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdscore import METRIC_TOKENS, EffectMatrix, __version__
+from pdscore import cli
 from pdscore import io as pio
 from pdscore.cli import build_parser, main
 from pdscore.errors import ValidationError
@@ -183,6 +184,15 @@ class TestPdsCommand:
             ["pds", "--pred", str(tmp_path / "none.csv"), "--truth", str(tmp_path / "none.csv")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("option", ["--pred", "--targets"])
+    def test_an_empty_file_name_is_an_io_error(self, pair_files, tmp_path, option, capsys):
+        """--targets "" names no file, as --pred "" does; it does not select the default map."""
+        pred, truth = pair_files
+        argv = ["pds", "--pred", str(pred), "--truth", str(truth), "--mask-target", option, ""]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert not (tmp_path / "o").exists()
 
     def test_reports_reproducible_across_runs(self, pair_files, tmp_path):
         pred, truth = pair_files
@@ -642,14 +652,21 @@ PAIR = ["--pred", "truth.csv", "--truth", "truth.csv"]
         (["sweep", *PAIR, "--grid", "a:2:3"], "--grid: grid must be <lo>:<hi>:<n>"),
         ([*REGION, "--dims", "2,x"], "--dims: expected a comma-separated list of integers"),
         (["pds", *PAIR, "--transform", "bogus"], "--transform: unknown transform 'bogus'"),
+        (["pds", *PAIR, "--targets", "truth.csv"], "--targets: not allowed without --mask-target"),
+        (["sweep", *PAIR, "--targets", ""], "--targets: not allowed without --mask-target"),
+        (["pds", *PAIR, "--metric", "l1,cosine,l2-limit", "--sign-threshold", "0.5"],
+         "--sign-threshold: read only by sign-cosine and l1-limit"),
+        (["sweep", *PAIR, "--sign-threshold", "1e-300"],
+         "--sign-threshold: read only by sign-cosine and l1-limit"),
     ],
     ids=["region-dims", "pair-n", "pair-genes", "counts-genes", "counts-perturbations",
          "counts-cells", "no-metric", "workers", "grid-parts", "grid-number", "dims-number",
-         "transform"],
+         "transform", "pds-targets", "sweep-targets", "pds-threshold", "sweep-threshold"],
 )
 def test_a_usage_error_writes_nothing(command, message, existed, tmp_path, monkeypatch, capsys):
-    """A value below its option's floor, or one its option cannot read, is one usage line
-    and exit 2, before any --out is made; one it found stays empty."""
+    """A value below its option's floor, one its option cannot read, or an option that
+    would change no report is one usage line and exit 2, before any --out is made; one it
+    found stays empty."""
     monkeypatch.chdir(tmp_path)
     Path("truth.csv").write_text(TRUTH, encoding="utf-8")
     out = tmp_path / "out" / "sub"
@@ -722,6 +739,15 @@ def _commands(parser, words=()):
                 yield from _commands(sub, (*words, name))
             return
     yield words, parser
+
+
+@pytest.mark.parametrize("words", [w for w, _ in _commands(build_parser())], ids=" ".join)
+def test_every_command_has_a_handler_and_help(words, capsys):
+    """main runs _cmd_<command path>, such as _cmd_norm_match for `norm-match`; help
+    renders too, though argparse %-formats each help string."""
+    assert callable(getattr(cli, "_cmd_" + "_".join(words).replace("-", "_"), None))
+    assert main([*words, "-h"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: pdscore {' '.join(words)} ")
 
 
 def _joined(tokens, most=3):

@@ -106,16 +106,20 @@ RUNS = {
 }
 
 
+def _argv(name: str, tmp: Path) -> list:
+    """The command line of one entry of RUNS, with its inputs and --out under tmp."""
+    out = tmp / "out" / name
+    return [a.replace("{in}", str(tmp / "in")) for a in RUNS[name]] + ["--out", str(out)]
+
+
 def _run(name: str, tmp: Path) -> dict:
     """Run one entry of RUNS under tmp; returns {file name: bytes}, tmp replaced by TMP."""
     inputs = tmp / "in"
     if not inputs.exists():
         shutil.copytree(GOLDEN / "inputs", inputs)
-    out = tmp / "out" / name
-    argv = [a.replace("{in}", str(inputs)) for a in RUNS[name]] + ["--out", str(out)]
     with redirect_stdout(StringIO()):
-        assert main(argv) == 0
-    return _outputs(out, tmp)
+        assert main(_argv(name, tmp)) == 0
+    return _outputs(tmp / "out" / name, tmp)
 
 
 def _outputs(out: Path, *roots: Path) -> dict:
@@ -171,11 +175,14 @@ def test_outputs_are_byte_identical(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_config_replays_its_run(name, tmp_path):
-    """A run's recorded options rebuild its command line: run from them alone, with a
-    fresh --out, it writes the same bytes, run_config.json included."""
+    """A run's recorded options are its parsed options as they are, and they rebuild its
+    command line: run from them alone, with a fresh --out, it writes the same bytes,
+    run_config.json included."""
     first = _run(name, tmp_path / "first")
     config = tmp_path / "first" / "out" / name / "run_config.json"
     options = json.loads(config.read_text(encoding="utf-8"))["options"]
+    parsed = vars(build_parser().parse_args(_argv(name, tmp_path / "first")))
+    assert options == json.loads(json.dumps(parsed))
     out = tmp_path / "again" / "out" / name
     with redirect_stdout(StringIO()):
         assert main(_replay_argv(options, out)) == 0
