@@ -75,15 +75,22 @@ def region_fraction(
 
     The prediction is fixed at the first axis with unit norm; the truth is
     a unit vector at the requested cosine, built from the first axis plus
-    one orthogonal completion axis. Directions u are sampled uniformly on
-    the unit sphere and the fraction with |pred - norm_ratio u| strictly
-    below the truth's distance is returned with its binomial standard
-    error. Draws come in batches of 2**14, each from its own child seed,
-    which fixes the random stream. A batch is drawn, normed, rescaled and
-    measured in row chunks of about 2**16 values (one row once dimension
-    exceeds that), so memory does not grow with samples or dimension; a
-    draw of zero norm is redrawn after the batch's other draws. Every norm
-    and distance comes from pairwise_to_rows.
+    one orthogonal completion axis. Directions u = g / |g|, g standard
+    normal, are uniform on the unit sphere, and the fraction with
+    |pred - norm_ratio u| strictly below the truth's distance is returned
+    with its binomial standard error. Draws come in batches of 2**14, each
+    from its own child seed, which fixes the random stream. A batch is
+    drawn, normed, rescaled and measured in row chunks of about 2**16
+    values (one row once an l1 dimension exceeds that), so memory does not grow
+    with samples or dimension; a draw of zero norm is redrawn after the
+    batch's other draws. Every norm and distance comes from pairwise_to_rows.
+
+    Under l2 a draw is the 2-d (g_1, |g_2..d|), g_1 for the chunk's draws and
+    then |g_2..d|^2 as chi-square with dimension - 1 degrees of freedom,
+    against the prediction (1, 0) and the truth (true_cosine,
+    sqrt(1 - true_cosine^2)). This is exact: the l2 distance depends on g only
+    through g_1 and |g|, so time and memory no longer depend on dimension.
+    Under l1, which needs every coordinate, a draw is all of g.
 
     Under l2 the distractor wins iff u_1 > s = (norm_ratio^2 + 2 true_cosine
     - 1) / (2 norm_ratio). As dimension grows u_1 concentrates at 0, so the
@@ -104,15 +111,16 @@ def region_fraction(
         raise BadParameter(f"seed must be a nonnegative integer, got {seed!r}")
 
     spec = DistanceSpec(DistanceKind(metric))
-    origin = np.zeros(dimension)
-    pred = np.zeros(dimension)
+    width = 2 if metric == "l2" else dimension  # the coordinates a draw holds
+    origin = np.zeros(width)
+    pred = np.zeros(width)
     pred[0] = 1.0
-    truth = np.zeros(dimension)
+    truth = np.zeros(width)
     truth[0] = true_cosine
     truth[1] = math.sqrt(max(0.0, 1.0 - true_cosine * true_cosine))
     true_distance = distance(spec, pred, truth)
 
-    step = max(1, _CACHED // dimension)  # draws per chunk
+    step = max(1, _CACHED // width)  # draws per chunk
     children = np.random.SeedSequence(seed).spawn((samples + _BATCH - 1) // _BATCH)
     wins = 0
     for i, child in enumerate(children):
@@ -121,7 +129,12 @@ def region_fraction(
         while pending:  # zero draws (essentially unreachable) are redrawn after the rest
             redraw = 0
             for start in range(0, pending, step):
-                draws = rng.standard_normal((min(step, pending - start), dimension))
+                rows = min(step, pending - start)
+                if metric == "l2":  # (g_1, |g_2..d|)
+                    g1 = rng.standard_normal(rows)
+                    draws = np.column_stack((g1, np.sqrt(rng.chisquare(dimension - 1, rows))))
+                else:
+                    draws = rng.standard_normal((rows, dimension))
                 norms = pairwise_to_rows(_L2, origin, draws)
                 zero = norms == 0.0
                 redraw += int(zero.sum())

@@ -155,15 +155,26 @@ def region_fraction_exact(d: int, rho: float, kappa: float) -> float:
 def region_wins_reference(dimension, norm_ratio, true_cosine, samples, seed, metric="l2"):
     """Win count of ``region_fraction`` from its own l1/l2 arithmetic, not the kernel's.
 
-    Same batches (2**14 draws, one child seed each) and the same draws; each
-    batch's norms come from np.linalg.norm, the distractors from a rescaled
-    copy shifted by the prediction, and the distances from written-out sums.
-    A draw of zero norm is replaced, in row order, by draws taken after the
-    whole batch, until no norm is zero.
+    Same batches (2**14 draws, one child seed each) and the same draws: under
+    l1 all d coordinates of a standard normal g, under l2 the 2-d
+    (g_1, |g_2..d|), g_1 for the whole batch first and then |g_2..d|^2 as
+    chi-square with d - 1 degrees of freedom, against a 2-d prediction and
+    truth. Each batch's norms come from np.linalg.norm, the distractors from
+    a rescaled copy shifted by the prediction, and the distances from
+    written-out sums. A draw of zero norm is replaced, in row order, by draws
+    taken after the whole batch, until no norm is zero.
     """
-    pred = np.zeros(dimension)
+    width = 2 if metric == "l2" else dimension
+
+    def draw(rng, m):
+        if metric == "l2":
+            first = rng.standard_normal(m)
+            return np.stack([first, np.sqrt(rng.chisquare(dimension - 1, m))], axis=1)
+        return rng.standard_normal((m, dimension))
+
+    pred = np.zeros(width)
     pred[0] = 1.0
-    truth = np.zeros(dimension)
+    truth = np.zeros(width)
     truth[0] = true_cosine
     truth[1] = np.sqrt(max(0.0, 1.0 - true_cosine * true_cosine))
     if metric == "l2":
@@ -177,11 +188,11 @@ def region_wins_reference(dimension, norm_ratio, true_cosine, samples, seed, met
         rng = np.random.default_rng(child)
         m = min(batch, remaining)
         remaining -= m
-        draws = rng.standard_normal((m, dimension))
+        draws = draw(rng, m)
         norms = np.linalg.norm(draws, axis=1)
         while (norms == 0.0).any():
             zero = norms == 0.0
-            draws[zero] = rng.standard_normal((int(zero.sum()), dimension))
+            draws[zero] = draw(rng, int(zero.sum()))
             norms = np.linalg.norm(draws, axis=1)
         points = draws * (norm_ratio / norms)[:, None]
         points[:, 0] -= 1.0  # points now hold (norm_ratio * u) - pred

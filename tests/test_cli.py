@@ -609,7 +609,9 @@ REGION = ["geometry", "region", "--rho", "0.5", "--kappa", "0.4"]
         # sizes numpy refuses at once, without touching memory
         (["sweep", "--pred", "truth.csv", "--truth", "truth.csv", "--grid", "1:2:10000000000000"],
          "Unable to allocate"),
-        ([*REGION, "--dims", "100000000000000", "--samples", "1"], "Unable to allocate"),
+        # l2 draws two coordinates at any --dims; l1 still draws every one
+        ([*REGION, "--dims", "100000000000000", "--samples", "1", "--metric", "l1"],
+         "Unable to allocate"),
     ],
     ids=["pds-skip", "region-rho", "counts-mean", "pair-cosine", "sweep-grid", "region-memory"],
 )

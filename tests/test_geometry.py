@@ -1,8 +1,10 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from pdscore import (
     BadParameter,
@@ -129,7 +131,7 @@ class TestRegionFraction:
     @pytest.mark.parametrize("metric", ["l1", "l2"])
     @pytest.mark.parametrize(
         "d, samples",
-        [
+        [  # chunk sizes are l1's; an l2 batch is one chunk of two-coordinate draws
             (700, 2**14 + 7),  # chunks of 93 draws leave a partial chunk in both batches
             (33, 2**15 + 5),  # chunks of 1985 draws, three batches
             (2**16 + 3, 20),  # one draw per chunk
@@ -143,42 +145,82 @@ class TestRegionFraction:
 
     @pytest.mark.parametrize("metric", ["l1", "l2"])
     def test_zero_draws_are_redrawn_as_the_reference_redraws_them(self, metric, monkeypatch):
-        # at d = 1000 a chunk holds 65 draws, so draw 100 sits inside the second chunk;
-        # draw 2**14, the first batch's first redraw, is zero as well, and so is draw 30
-        # of each batch
+        # under l1 at d = 1000 a chunk holds 65 draws, so draw 100 sits inside the second
+        # chunk; draw 2**14, the first batch's first redraw, is zero as well, and so is
+        # draw 30 of each batch. Under l2 a draw is zero where both its g_1 and its
+        # chi-square are.
         d, samples, zeros = 1000, 2**14 + 50, {30, 100, 2**14}
         real, made = np.random.default_rng, []
 
         class Zeroing:
-            """A generator whose draws of the rows in zeros, counted from its first, are zero."""
+            """A generator whose normal and chi-square draws of the rows in zeros, each
+            counted from its first, are zero."""
 
             def __init__(self, seed):
-                self.rng, self.rows = real(seed), 0
+                self.rng, self.rows, self.squares = real(seed), 0, 0
                 made.append(self)
 
             def standard_normal(self, size):
-                values = self.rng.standard_normal(size)
-                for row in zeros & set(range(self.rows, self.rows + len(values))):
-                    values[row - self.rows] = 0.0
-                self.rows += len(values)
+                values, self.rows = zeroed(self.rng.standard_normal(size), self.rows)
                 return values
+
+            def chisquare(self, df, size):
+                values, self.squares = zeroed(self.rng.chisquare(df, size), self.squares)
+                return values
+
+        def zeroed(values, first):
+            for row in zeros & set(range(first, first + len(values))):
+                values[row - first] = 0.0
+            return values, first + len(values)
 
         monkeypatch.setattr(np.random, "default_rng", Zeroing)
         result = region_fraction(d, 0.5, 0.375, samples, 3, metric)
-        drawn = [g.rows for g in made]
+        drawn = [(g.rows, g.squares) for g in made]
         made.clear()
         wins = region_wins_reference(d, 0.5, 0.375, samples, 3, metric)
-        assert drawn == [g.rows for g in made] == [2**14 + 3, 50 + 1]
+        rows = [2**14 + 3, 50 + 1]
+        squares = rows if metric == "l2" else [0, 0]
+        assert drawn == [(g.rows, g.squares) for g in made] == list(zip(rows, squares))
         assert result.fraction_closer == wins / samples
 
     def test_memory_stays_within_one_chunk(self):
+        # l1 is the metric that still draws every coordinate in row chunks
         tracemalloc.start()
         try:
-            region_fraction(1000, 0.3, 0.3, 10_000, 1)
+            region_fraction(1000, 0.3, 0.3, 10_000, 1, metric="l1")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4e6  # the 10,000 x 1000 draws at once, with the kernel's terms, take 160 MB
+
+    def test_l2_memory_and_time_do_not_grow_with_dimension(self):
+        # kappa = (1 - rho^2) / 2 puts the win threshold s at 0, where q_d = 1/2 at every d;
+        # one d-coordinate draw at d = 1e9 would take 8 GB
+        rho, d, samples = 0.3, 10**9, 2**14 + 5
+        tracemalloc.start()
+        try:
+            result = region_fraction(d, rho, (1.0 - rho * rho) / 2.0, samples, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        low, high = stats.binom.interval(1.0 - 2e-6, samples, 0.5)
+        assert low <= round(result.fraction_closer * samples) <= high
+        assert result.dimension == d
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("rho, kappa", [(0.3, 0.4565), (0.5, 0.373)])
+    def test_l2_win_counts_at_a_gene_panel_dimension(self, rho, kappa):
+        # s = +0.005 and -0.004, within a standard deviation of u_1 (1 / sqrt d) of 0, so
+        # q_d is near 0.24 and 0.71; the d-coordinate draws would be 2e10 normals
+        d, samples = 20_000, 10**6
+        start = time.perf_counter()
+        result = region_fraction(d, rho, kappa, samples, 7)
+        elapsed = time.perf_counter() - start
+        q = region_fraction_exact(d, rho, kappa)
+        low, high = stats.binom.interval(1.0 - 2e-6, samples, q)
+        assert 0.1 < q < 0.9
+        assert low <= round(result.fraction_closer * samples) <= high, (q, result)
+        assert elapsed < 20.0
 
     def test_validation(self):
         with pytest.raises(BadParameter, match="seed"):
